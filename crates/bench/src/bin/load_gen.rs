@@ -336,8 +336,7 @@ fn corpus_texts(corpus: &BowCorpus, max_docs: usize) -> Vec<String> {
 }
 
 /// Self-host a registry-backed TCP server on an ephemeral port; the
-/// cache is disabled so every request pays for real inference. Uses the
-/// host's default transport (the epoll reactor on Linux).
+/// cache is disabled so every request pays for real inference.
 fn host_fixture(snapshot: ModelSnapshot) -> (TcpServer, Arc<ModelRegistry>, String) {
     let registry: Arc<ModelRegistry> = Arc::new(ModelRegistry::new(RegistryConfig {
         max_inflight: 256,

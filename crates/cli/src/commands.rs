@@ -283,7 +283,7 @@ fn npmi_over_model_vocab(path: &str, vocab: &ct_corpus::Vocab) -> Result<NpmiMat
 /// `contratopic serve`: load one or more bundles into a model registry
 /// and answer doc→topic queries over a Unix socket and/or TCP through
 /// the batched `ct-serve` engine.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub fn serve(args: &Args) -> Result<(), String> {
     use ct_serve::{
         ModelRegistry, ModelSnapshot, ProtocolLimits, RegistryConfig, Router, ServeConfig,
@@ -308,7 +308,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
             "threads",
             "trace",
             "max-inflight",
-            "transport",
         ])
         .into_iter()
         .next()
@@ -392,27 +391,12 @@ pub fn serve(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    // `--transport reactor` (default on Linux) multiplexes every TCP
-    // client onto the epoll event loop; `--transport threaded` keeps
-    // the tracked thread-per-connection core on any platform.
-    let transport = match args.get("transport") {
-        None => ct_serve::Transport::default_for_host(),
-        Some("threaded") => ct_serve::Transport::Threaded,
-        #[cfg(target_os = "linux")]
-        Some("reactor") => ct_serve::Transport::Reactor,
-        Some(other) => return Err(format!("--transport: '{other}' is not threaded|reactor")),
-    };
     let tcp_server = match args.get("tcp") {
         Some(addr) => {
-            let server = TcpServer::bind_with(
-                addr,
-                Arc::clone(&registry) as Arc<dyn Router>,
-                limits,
-                transport,
-            )
-            .map_err(|e| format!("{addr}: {e}"))?;
+            let server = TcpServer::bind(addr, Arc::clone(&registry) as Arc<dyn Router>, limits)
+                .map_err(|e| format!("{addr}: {e}"))?;
             eprintln!(
-                "serving {} model(s) on tcp {} via {transport:?} transport \
+                "serving {} model(s) on tcp {} \
                  (max batch {max_batch}, max wait {max_wait_ms}ms)",
                 roster.len(),
                 server.local_addr()
@@ -423,7 +407,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     };
 
     // Foreground until a shutdown signal or listener error on each
-    // transport; with both up, the Unix side joins on a helper thread.
+    // listener; with both up, the Unix side joins on a helper thread.
     match (unix_server, tcp_server) {
         (Some(unix), Some(tcp)) => {
             let helper = std::thread::spawn(move || unix.join());
@@ -486,9 +470,9 @@ pub fn query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 pub fn serve(_args: &Args) -> Result<(), String> {
-    Err("serve is only wired up on unix targets in this build".into())
+    Err("serve requires Linux (the servers run on an epoll reactor); query works elsewhere".into())
 }
 
 #[cfg(not(unix))]

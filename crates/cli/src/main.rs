@@ -36,14 +36,13 @@ COMMANDS:
              --model model-prefix  [--corpus corpus.txt]  [--top N]
   eval       Score a trained model on a corpus (coherence/diversity/perplexity)
              --model model-prefix  --corpus corpus.txt
-  serve      Serve doc→topic queries over a Unix socket and/or TCP
+  serve      Serve doc→topic queries over a Unix socket and/or TCP (Linux;
+             every connection is multiplexed onto one epoll reactor)
              (--model model-prefix | --models name=prefix,name=prefix,...)
              (--socket /path/ct.sock and/or --tcp 127.0.0.1:7070)
              [--corpus corpus.txt]     nearest-topic-by-NPMI annotations
              [--top N] [--max-batch N] [--max-wait-ms N]
              [--queue N] [--cache N] [--threads N] [--max-inflight N]
-             [--transport reactor|threaded]  TCP connection handling
-             (reactor: epoll fan-in, default on Linux)
              [--trace trace.jsonl]     per-batch serve telemetry as JSONL
   stream     Run the streaming continual-learning pipeline: a drifting
              synthetic document stream trains ContraTopic chunk by chunk
@@ -55,7 +54,7 @@ COMMANDS:
              [--epochs N] [--batch N] [--lr F] [--lambda L] [--v N]
              [--hidden N] [--embed-dim N]
              [--checkpoint PREFIX] [--checkpoint-every N]   resumable state
-             [--tcp HOST:PORT] [--socket PATH]   serve live while training
+             [--tcp HOST:PORT] [--socket PATH]   serve live while training (Linux)
              [--promote-every N] [--model NAME] [--top N] [--hold-ms N]
              [--trace trace.jsonl]   drift/coherence/promotion telemetry
              [--max-chunks N]        stop early (checkpoint, then resume)

@@ -21,10 +21,9 @@ use ct_corpus::synth::CORE_SIZE;
 use ct_corpus::{parse_drift_script, train_embeddings, Vocab};
 use ct_eval::{TopicScores, K_TC};
 use ct_models::{Backbone, JsonlSink, TraceEvent, TrainConfig};
-use ct_serve::{
-    ModelRegistry, ModelSnapshot, ProtocolLimits, RegistryConfig, Router, ServeConfig, SharedSink,
-    TcpServer,
-};
+use ct_serve::{ModelRegistry, ModelSnapshot, RegistryConfig, ServeConfig, SharedSink};
+#[cfg(target_os = "linux")]
+use ct_serve::{ProtocolLimits, Router, TcpServer, UnixServer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -208,6 +207,10 @@ pub fn stream(args: &Args) -> Result<(), String> {
     let top: usize = args.get_or("top", 10)?;
     let model_name = args.get_or("model", "stream".to_string())?;
     let serving = args.get("tcp").is_some() || args.get("socket").is_some();
+    #[cfg(not(target_os = "linux"))]
+    if serving {
+        return Err("--tcp/--socket require Linux (the servers run on an epoll reactor)".into());
+    }
     let registry: Option<Arc<ModelRegistry>> = if serving {
         let registry = Arc::new(ModelRegistry::new(RegistryConfig {
             serve: ServeConfig {
@@ -224,20 +227,21 @@ pub fn stream(args: &Args) -> Result<(), String> {
     } else {
         None
     };
-    let limits = ProtocolLimits::default();
+    #[cfg(target_os = "linux")]
     let tcp_server = match (&registry, args.get("tcp")) {
         (Some(registry), Some(addr)) => {
-            let server = TcpServer::bind(addr, Arc::clone(registry) as Arc<dyn Router>, limits)
+            let router = Arc::clone(registry) as Arc<dyn Router>;
+            let server = TcpServer::bind(addr, router, ProtocolLimits::default())
                 .map_err(|e| format!("{addr}: {e}"))?;
             eprintln!("serving '{model_name}' on tcp {}", server.local_addr());
             Some(server)
         }
         _ => None,
     };
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     let unix_server = match (&registry, args.get("socket")) {
         (Some(registry), Some(socket)) => {
-            let server = ct_serve::UnixServer::bind_router(
+            let server = UnixServer::bind_router(
                 socket,
                 Arc::clone(registry) as Arc<dyn Router>,
                 ProtocolLimits::default(),
@@ -248,10 +252,6 @@ pub fn stream(args: &Args) -> Result<(), String> {
         }
         _ => None,
     };
-    #[cfg(not(unix))]
-    if args.get("socket").is_some() {
-        return Err("--socket requires a Unix platform; use --tcp".into());
-    }
 
     // --- The streaming loop ------------------------------------------------
     let max_chunks: u64 = args.get_or("max-chunks", 0)?;
@@ -403,17 +403,19 @@ pub fn stream(args: &Args) -> Result<(), String> {
     if hold_ms > 0 {
         std::thread::sleep(Duration::from_millis(hold_ms));
     }
-    let drain = Duration::from_millis(500);
-    if let Some(server) = tcp_server {
-        let report = server.shutdown(drain);
-        eprintln!(
-            "tcp drained: {} connection(s) closed cleanly, {} aborted",
-            report.connections_drained, report.connections_aborted
-        );
-    }
-    #[cfg(unix)]
-    if let Some(server) = unix_server {
-        server.shutdown(drain);
+    #[cfg(target_os = "linux")]
+    {
+        let drain = Duration::from_millis(500);
+        if let Some(server) = tcp_server {
+            let report = server.shutdown(drain);
+            eprintln!(
+                "tcp drained: {} connection(s) closed cleanly, {} aborted",
+                report.connections_drained, report.connections_aborted
+            );
+        }
+        if let Some(server) = unix_server {
+            server.shutdown(drain);
+        }
     }
     Ok(())
 }

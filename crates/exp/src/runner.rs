@@ -29,6 +29,15 @@ pub fn trained_count() -> u64 {
     TRIALS_TRAINED.load(Ordering::Relaxed)
 }
 
+/// Serializes the unit tests that train trials: the counter is process
+/// wide, so a test asserting on a [`trained_count`] delta must not see
+/// a concurrently running test's training.
+#[cfg(test)]
+pub(crate) fn training_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// How many topics / words each record keeps for the case-study tables.
 const TOPICS_KEPT: usize = 5;
 const WORDS_KEPT: usize = 8;
@@ -209,6 +218,7 @@ mod tests {
 
     #[test]
     fn ok_trial_carries_metrics_and_topics() {
+        let _serial = training_lock();
         let mut spec =
             TrialSpec::baseline(ModelKind::Etm, DatasetPreset::Ng20Like, Scale::Tiny, 42);
         spec.epochs = Some(1);
@@ -236,6 +246,7 @@ mod tests {
 
     #[test]
     fn trial_is_deterministic_across_runs() {
+        let _serial = training_lock();
         let mut spec =
             TrialSpec::baseline(ModelKind::ProdLda, DatasetPreset::Ng20Like, Scale::Tiny, 43);
         spec.epochs = Some(1);

@@ -265,7 +265,7 @@ fn claim(next: &AtomicUsize, total: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::trained_count;
+    use crate::runner::{trained_count, training_lock};
     use crate::spec::ModelKind;
     use ct_corpus::{DatasetPreset, Scale};
 
@@ -284,6 +284,7 @@ mod tests {
 
     #[test]
     fn completed_grid_rerun_trains_nothing() {
+        let _serial = training_lock();
         let grid = vec![tiny_spec(ModelKind::Etm, 42), tiny_spec(ModelKind::Etm, 43)];
         let mut ledger = temp_ledger("rerun");
         let contexts = ContextCache::new();
@@ -305,6 +306,7 @@ mod tests {
 
     #[test]
     fn duplicate_specs_train_once() {
+        let _serial = training_lock();
         let spec = tiny_spec(ModelKind::ProdLda, 42);
         let grid = vec![spec.clone(), spec.clone(), spec];
         let mut ledger = temp_ledger("dup");
@@ -324,6 +326,7 @@ mod tests {
 
     #[test]
     fn limit_cuts_off_and_resume_completes() {
+        let _serial = training_lock();
         let grid = vec![
             tiny_spec(ModelKind::Etm, 42),
             tiny_spec(ModelKind::Etm, 43),
@@ -350,6 +353,7 @@ mod tests {
 
     #[test]
     fn concurrent_slots_match_serial_results() {
+        let _serial = training_lock();
         let grid = vec![
             tiny_spec(ModelKind::Etm, 42),
             tiny_spec(ModelKind::Etm, 43),

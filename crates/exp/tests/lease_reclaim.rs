@@ -16,6 +16,13 @@ use ct_exp::{
     TrialRecord, TrialSpec, WorkerConfig,
 };
 
+/// Serializes this file's tests: `trained_count` is process wide, so a
+/// test asserting on its delta must not see another test's training.
+fn training_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn tiny_spec(seed: u64) -> TrialSpec {
     let mut s = TrialSpec::baseline(ModelKind::Etm, DatasetPreset::Ng20Like, Scale::Tiny, seed);
     s.epochs = Some(2);
@@ -50,6 +57,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn settled_but_unreleased_lease_does_not_retrain() {
+    let _serial = training_lock();
     let dir = temp_dir("unreleased");
     let ledger_path = dir.join("trials.jsonl");
     let spec = tiny_spec(42);
@@ -85,6 +93,7 @@ fn settled_but_unreleased_lease_does_not_retrain() {
 
 #[test]
 fn worker_backs_off_while_peer_holds_and_exits_once_settled() {
+    let _serial = training_lock();
     let dir = temp_dir("backoff");
     let ledger_path = dir.join("trials.jsonl");
     let spec = tiny_spec(43);
@@ -133,6 +142,7 @@ fn worker_backs_off_while_peer_holds_and_exits_once_settled() {
 
 #[test]
 fn two_workers_race_one_trial_exactly_one_trains() {
+    let _serial = training_lock();
     let dir = temp_dir("race");
     let ledger_path = dir.join("trials.jsonl");
     let spec = tiny_spec(44);

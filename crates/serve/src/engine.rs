@@ -150,10 +150,17 @@ struct Counters {
 struct Shared<M> {
     model: Mutex<Arc<M>>,
     generation: AtomicU64,
-    cache: Mutex<LruCache<Arc<QueryResponse>>>,
+    cache: Mutex<LruCache<Cached>>,
     counters: Counters,
     config: ServeConfig,
     trace: Option<SharedSink>,
+}
+
+/// A cached response together with the document it answers: the 64-bit
+/// [`bow_key`] can collide, so a hit must also match the document.
+struct Cached {
+    doc: SparseDoc,
+    response: Arc<QueryResponse>,
 }
 
 struct Request {
@@ -315,13 +322,14 @@ impl<M: InferenceModel> ServeHandle<M> {
         let generation = self.shared.generation.load(Ordering::Acquire);
         let key = bow_key(generation, doc);
         if self.shared.config.cache_capacity > 0 {
-            if let Some(hit) = self.shared.cache.lock().unwrap().get(key) {
+            let mut cache = self.shared.cache.lock().unwrap();
+            if let Some(hit) = cache.get(key).filter(|hit| hit.doc == *doc) {
                 self.shared
                     .counters
                     .cache_hits
                     .fetch_add(1, Ordering::Relaxed);
                 return Ok(QueryOutcome {
-                    response: Arc::clone(hit),
+                    response: Arc::clone(&hit.response),
                     cache_hit: true,
                 });
             }
@@ -456,11 +464,11 @@ fn serve_batch<M: InferenceModel>(shared: &Shared<M>, batch: Vec<Request>) {
     for (row, request) in live.into_iter().enumerate() {
         let response = Arc::new(model.build_response(theta.row(row).to_vec(), shared.config.top_n));
         if shared.config.cache_capacity > 0 && request.generation == current_generation {
-            shared
-                .cache
-                .lock()
-                .unwrap()
-                .insert(request.key, Arc::clone(&response));
+            let cached = Cached {
+                doc: request.doc,
+                response: Arc::clone(&response),
+            };
+            shared.cache.lock().unwrap().insert(request.key, cached);
         }
         let _ = request.reply.send(Ok(response));
     }
@@ -473,5 +481,67 @@ fn serve_batch<M: InferenceModel>(shared: &Shared<M>, batch: Vec<Request>) {
                 infer_ns,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode::DocEncoder;
+    use ct_models::testutil::{cluster_corpus, cluster_embeddings};
+    use ct_models::{fit_etm, TrainConfig};
+
+    #[test]
+    fn colliding_cache_key_is_a_miss_not_another_documents_answer() {
+        let corpus = cluster_corpus(3, 5, 12);
+        let config = TrainConfig {
+            num_topics: 3,
+            hidden: 12,
+            embed_dim: 8,
+            epochs: 1,
+            batch_size: 12,
+            seed: 5,
+            ..TrainConfig::default()
+        };
+        let model = fit_etm(&corpus, cluster_embeddings(&corpus), &config);
+        let snapshot = ModelSnapshot::from_model(&model, corpus.vocab.clone(), 5).unwrap();
+        let encoder = DocEncoder::new(corpus.vocab.clone());
+        let doc_a = encoder.encode("w0 w1 w2 w0").unwrap();
+        let doc_b = encoder.encode("w5 w6").unwrap();
+        let offline = |doc: &SparseDoc| {
+            let theta = snapshot.infer_theta(&snapshot.dense_batch(&[doc]));
+            snapshot.build_response(theta.row(0).to_vec(), ServeConfig::default().top_n)
+        };
+        let expected_a = offline(&doc_a).to_json();
+        let response_b = offline(&doc_b);
+        assert_ne!(
+            expected_a,
+            response_b.to_json(),
+            "fixture documents must differ"
+        );
+
+        let engine = ServeEngine::start(snapshot.clone(), ServeConfig::default());
+        // Plant B's answer under A's key, as a 64-bit hash collision would.
+        let planted = Cached {
+            doc: doc_b,
+            response: Arc::new(response_b),
+        };
+        engine
+            .shared
+            .cache
+            .lock()
+            .unwrap()
+            .insert(bow_key(0, &doc_a), planted);
+
+        let outcome = engine.handle().query(&doc_a).unwrap();
+        assert!(
+            !outcome.cache_hit,
+            "a colliding key must not count as a hit"
+        );
+        assert_eq!(outcome.response.to_json(), expected_a);
+        assert_eq!(engine.stats().cache_hits, 0);
+        // A's own answer replaced the planted entry, so A now hits.
+        assert!(engine.handle().query(&doc_a).unwrap().cache_hit);
+        engine.shutdown();
     }
 }

@@ -22,11 +22,13 @@
 //!   presets), each behind its own engine with its own generation
 //!   counter and hot promotion, plus fair-share admission control over a
 //!   global in-flight budget;
-//! - [`TcpServer`] / `server` (Unix) — two front-ends for the same
-//!   line-oriented wire protocol (shared framing, routing, and graceful
-//!   drain-with-deadline shutdown in [`net`]), used by
-//!   `contratopic serve` / `contratopic query` and the `load_gen`
-//!   open-loop benchmark driver.
+//! - `TcpServer` / `UnixServer` (Linux only) — two listeners over one
+//!   epoll reactor that multiplexes every connection onto O(cores)
+//!   threads, speaking the line-oriented wire protocol of [`net`]
+//!   (bounded framing, `@model` routing, typed errors) with
+//!   drain-with-deadline shutdown; used by `contratopic serve` and the
+//!   `load_gen` open-loop benchmark driver. The clients ([`TcpClient`],
+//!   [`query_tcp`], `query_unix`) build on any platform.
 //!
 //! ## Serving a trained model in-process
 //!
@@ -103,8 +105,9 @@ pub mod json;
 pub mod lru;
 pub mod net;
 #[cfg(target_os = "linux")]
-pub mod reactor;
+mod reactor;
 pub mod registry;
+#[cfg(target_os = "linux")]
 pub mod server;
 pub mod snapshot;
 
@@ -113,14 +116,13 @@ pub use engine::{
     InferenceModel, QueryOutcome, ServeConfig, ServeEngine, ServeHandle, ServeStats, SharedSink,
 };
 pub use error::ServeError;
+#[cfg(unix)]
+pub use net::query_unix;
 pub use net::{
     query_tcp, Frame, LineAssembler, ProtocolLimits, Router, Shutdown, ShutdownReport, SingleModel,
-    TcpClient, TcpServer, Transport,
+    TcpClient,
 };
-#[cfg(target_os = "linux")]
-pub use reactor::ReactorConfig;
 pub use registry::{ModelRegistry, RegistryConfig};
+#[cfg(target_os = "linux")]
+pub use server::{TcpServer, UnixServer};
 pub use snapshot::{ModelSnapshot, QueryResponse, TopicHit};
-
-#[cfg(unix)]
-pub use server::{query_unix, UnixServer};

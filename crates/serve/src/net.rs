@@ -1,13 +1,6 @@
-//! Transport-agnostic connection serving and the TCP front end.
+//! The wire protocol, its framing and routing, and its clients.
 //!
-//! Both network front-ends — [`TcpServer`] here and
-//! [`UnixServer`](crate::server::UnixServer) — share one connection
-//! loop: bounded line-oriented framing (`LineReader`), request routing
-//! through a [`Router`], and graceful shutdown (signal, drain in-flight
-//! requests with a deadline, join every connection thread — nothing is
-//! spawned detached).
-//!
-//! Wire protocol, line-oriented in both directions:
+//! The protocol is line-oriented in both directions:
 //!
 //! - **request**: one line of raw document text, optionally prefixed
 //!   with `@model ` to route to a named registry entry (a document that
@@ -22,48 +15,42 @@
 //! [`ProtocolLimits::max_request_bytes`]; an oversized line is
 //! discarded in constant memory, answered with a typed
 //! `request_too_large` error, and the connection stays usable.
+//!
+//! The servers (`TcpServer` and `UnixServer`, Linux only) frame with
+//! [`LineAssembler`] and answer through a [`Router`]; the clients here
+//! ([`TcpClient`], [`query_tcp`], and `query_unix` on Unix) build on any
+//! platform.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use crate::encode::DocEncoder;
 use crate::engine::{InferenceModel, ServeHandle};
 use crate::error::ServeError;
 use crate::snapshot::QueryResponse;
 
-/// How often the accept loop polls for shutdown between
-/// non-blocking accept attempts.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Per-transport framing limits and poll cadence.
+/// Framing limits shared by every listener.
 #[derive(Clone, Debug)]
 pub struct ProtocolLimits {
     /// Longest accepted request line in bytes (excluding the newline).
     /// Longer lines are discarded in constant memory and answered with
     /// [`ServeError::RequestTooLarge`].
     pub max_request_bytes: usize,
-    /// Read-timeout granularity at which idle connections notice a
-    /// shutdown signal. Smaller means faster drains, at the cost of more
-    /// wakeups on idle connections.
-    pub poll_interval: Duration,
 }
 
 impl Default for ProtocolLimits {
     fn default() -> Self {
         Self {
             max_request_bytes: 64 * 1024,
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
 
 /// Resolves a request line to a response: the pluggable routing layer
-/// between the transports and the engine(s).
+/// between the listeners and the engine(s).
 ///
 /// [`SingleModel`] adapts one [`ServeHandle`] (the classic single-tenant
 /// server); [`ModelRegistry`](crate::ModelRegistry) routes the `@model`
@@ -99,28 +86,6 @@ impl<M: InferenceModel> Router for SingleModel<M> {
     }
 }
 
-/// Split a request line into its optional model route and document text:
-/// `@name text…` routes to `name`, anything else is text for the default
-/// model.
-pub(crate) fn parse_request_line(line: &str) -> (Option<&str>, &str) {
-    match line.strip_prefix('@') {
-        Some(rest) => match rest.split_once(char::is_whitespace) {
-            Some((name, text)) => (Some(name), text),
-            None => (Some(rest), ""),
-        },
-        None => (None, line),
-    }
-}
-
-/// Answer one request line as one response line (without the newline).
-pub(crate) fn answer_line(router: &dyn Router, line: &str) -> String {
-    let (model, text) = parse_request_line(line);
-    match router.answer(model, text) {
-        Ok(response) => response.to_json(),
-        Err(e) => e.to_json(),
-    }
-}
-
 /// One parsed frame off a connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -142,10 +107,10 @@ pub enum Frame {
 /// the line and reports [`Frame::TooLarge`] when the terminator finally
 /// arrives.
 ///
-/// The blocking `LineReader` (threaded transport) and the epoll
-/// reactor's nonblocking read path both frame through this one type, so
-/// the 64 KiB cap, CR stripping, and lossy UTF-8 decoding are identical
-/// by construction across transports.
+/// The reactor feeds it whatever each nonblocking read returns, so the
+/// 64 KiB cap, CR stripping, and lossy UTF-8 decoding are the same for
+/// every listener. A trailing CR counts toward the cap before it is
+/// stripped.
 pub struct LineAssembler {
     line: Vec<u8>,
     ready: VecDeque<Frame>,
@@ -224,128 +189,16 @@ impl LineAssembler {
     }
 }
 
-/// Blocking line framing over any [`Read`]: a [`LineAssembler`] fed from
-/// a `BufReader`.
-///
-/// Read timeouts (`WouldBlock`/`TimedOut`) surface as errors with all
-/// partial state preserved — call again to resume, which is what lets
-/// threaded connection loops poll a shutdown flag while blocked on idle
-/// clients.
-pub(crate) struct LineReader<R: Read> {
-    reader: BufReader<R>,
-    asm: LineAssembler,
-}
-
-impl<R: Read> LineReader<R> {
-    pub(crate) fn new(inner: R, max: usize) -> Self {
-        Self {
-            reader: BufReader::new(inner),
-            asm: LineAssembler::new(max),
-        }
-    }
-
-    /// Next frame; `Ok(None)` is end-of-stream (a partial unterminated
-    /// line at EOF is dropped).
-    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
-        loop {
-            if let Some(frame) = self.asm.next_frame() {
-                return Ok(Some(frame));
-            }
-            let available = self.reader.fill_buf()?;
-            if available.is_empty() {
-                return Ok(None);
-            }
-            let n = available.len();
-            self.asm.feed(available);
-            self.reader.consume(n);
-        }
-    }
-}
-
-/// What the shared server core needs from a connection stream.
-pub(crate) trait StreamLike: Read + Write + Send + Sized + 'static {
-    /// An independently readable/writable clone of this stream.
-    fn try_clone_stream(&self) -> io::Result<Self>;
-    /// Bound blocking reads so the connection loop can poll for shutdown.
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-    /// Force both directions closed, unblocking any reader.
-    fn shutdown_stream(&self);
-}
-
-/// What the shared server core needs from a listener.
-pub(crate) trait ListenerLike: Send + Sized + 'static {
-    /// The connection stream type this listener accepts.
-    type Stream: StreamLike;
-    fn set_listener_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-    fn accept_stream(&self) -> io::Result<Self::Stream>;
-}
-
-impl StreamLike for TcpStream {
-    fn try_clone_stream(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-    fn shutdown_stream(&self) {
-        let _ = self.shutdown(SocketShutdown::Both);
-    }
-}
-
-impl ListenerLike for TcpListener {
-    type Stream = TcpStream;
-    fn set_listener_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        self.set_nonblocking(nonblocking)
-    }
-    fn accept_stream(&self) -> io::Result<TcpStream> {
-        let (stream, _) = self.accept()?;
-        let _ = stream.set_nodelay(true);
-        Ok(stream)
-    }
-}
-
-#[cfg(unix)]
-impl StreamLike for std::os::unix::net::UnixStream {
-    fn try_clone_stream(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-    fn shutdown_stream(&self) {
-        let _ = self.shutdown(SocketShutdown::Both);
-    }
-}
-
-#[cfg(unix)]
-impl ListenerLike for std::os::unix::net::UnixListener {
-    type Stream = std::os::unix::net::UnixStream;
-    fn set_listener_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        self.set_nonblocking(nonblocking)
-    }
-    fn accept_stream(&self) -> io::Result<Self::Stream> {
-        let (stream, _) = self.accept()?;
-        Ok(stream)
-    }
-}
-
-/// Cloneable handle that signals a server to shut down: the accept loop
-/// closes the listener and in-flight connections drain. Signalling is
-/// asynchronous — pair it with [`TcpServer::shutdown`] /
-/// [`UnixServer::shutdown`](crate::server::UnixServer::shutdown) (or
-/// `join`) to actually wait for the drain.
+/// Cloneable handle that signals a server to shut down: the server
+/// closes its listener and in-flight connections drain. Signalling is
+/// asynchronous — pair it with the server's `shutdown` (or `join`) to
+/// actually wait for the drain.
 #[derive(Clone)]
 pub struct Shutdown {
-    flag: Arc<AtomicBool>,
+    pub(crate) flag: Arc<AtomicBool>,
 }
 
 impl Shutdown {
-    /// Wrap a shared flag (used by both the threaded core and the epoll
-    /// reactor, so one handle type controls every transport).
-    pub(crate) fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        Self { flag }
-    }
-
     /// Ask the server to stop accepting and start draining.
     pub fn signal(&self) {
         self.flag.store(true, Ordering::Release);
@@ -367,381 +220,8 @@ pub struct ShutdownReport {
     pub connections_aborted: usize,
 }
 
-struct ConnSlot<S: StreamLike> {
-    thread: JoinHandle<()>,
-    closer: S,
-    done: Arc<AtomicBool>,
-}
-
-struct CoreState<S: StreamLike> {
-    shutdown: Arc<AtomicBool>,
-    conns: Mutex<Vec<ConnSlot<S>>>,
-    router: Arc<dyn Router>,
-    limits: ProtocolLimits,
-}
-
-/// The shared accept-loop/connection-pool machinery behind both
-/// transports. Connection threads are tracked (never detached): shutdown
-/// joins every one of them.
-pub(crate) struct ServerCore<S: StreamLike> {
-    state: Arc<CoreState<S>>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl<S: StreamLike> ServerCore<S> {
-    pub(crate) fn start<L: ListenerLike<Stream = S>>(
-        listener: L,
-        router: Arc<dyn Router>,
-        limits: ProtocolLimits,
-    ) -> io::Result<Self> {
-        listener.set_listener_nonblocking(true)?;
-        let state = Arc::new(CoreState {
-            shutdown: Arc::new(AtomicBool::new(false)),
-            conns: Mutex::new(Vec::new()),
-            router,
-            limits,
-        });
-        let accept_state = Arc::clone(&state);
-        let accept = std::thread::Builder::new()
-            .name("ct-serve-accept".into())
-            .spawn(move || accept_loop(listener, accept_state))?;
-        Ok(Self {
-            state,
-            accept: Some(accept),
-        })
-    }
-
-    pub(crate) fn shutdown_handle(&self) -> Shutdown {
-        Shutdown {
-            flag: Arc::clone(&self.state.shutdown),
-        }
-    }
-
-    /// Signal shutdown, give in-flight connections until `drain` to
-    /// finish the request they are serving, force-close stragglers, and
-    /// join every connection thread.
-    pub(crate) fn shutdown(mut self, drain: Duration) -> ShutdownReport {
-        self.state.shutdown.store(true, Ordering::Release);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let conns: Vec<ConnSlot<S>> = std::mem::take(&mut *self.state.conns.lock().unwrap());
-        let deadline = Instant::now() + drain;
-        let mut aborted = 0;
-        loop {
-            if conns.iter().all(|c| c.done.load(Ordering::Acquire)) {
-                break;
-            }
-            if Instant::now() >= deadline {
-                for conn in &conns {
-                    if !conn.done.load(Ordering::Acquire) {
-                        conn.closer.shutdown_stream();
-                        aborted += 1;
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let total = conns.len();
-        for conn in conns {
-            let _ = conn.thread.join();
-        }
-        ShutdownReport {
-            connections_drained: total - aborted,
-            connections_aborted: aborted,
-        }
-    }
-
-    /// Block until the accept loop exits (a [`Shutdown`] signal or a
-    /// listener error), then drain connections with a short deadline.
-    pub(crate) fn join(mut self) -> ShutdownReport {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.state.shutdown.store(true, Ordering::Release);
-        self.shutdown(Duration::from_secs(5))
-    }
-}
-
-impl<S: StreamLike> Drop for ServerCore<S> {
-    fn drop(&mut self) {
-        // A dropped server must not leak threads: signal, force-close any
-        // connection still reading, and join. In-flight engine queries
-        // still complete (force-close only unblocks socket reads).
-        self.state.shutdown.store(true, Ordering::Release);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let conns: Vec<ConnSlot<S>> = std::mem::take(&mut *self.state.conns.lock().unwrap());
-        for conn in &conns {
-            if !conn.done.load(Ordering::Acquire) {
-                conn.closer.shutdown_stream();
-            }
-        }
-        for conn in conns {
-            let _ = conn.thread.join();
-        }
-    }
-}
-
-fn accept_loop<L: ListenerLike>(listener: L, state: Arc<CoreState<L::Stream>>) {
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept_stream() {
-            Ok(stream) => {
-                if stream
-                    .set_stream_read_timeout(Some(state.limits.poll_interval))
-                    .is_err()
-                {
-                    continue;
-                }
-                let Ok(closer) = stream.try_clone_stream() else {
-                    continue;
-                };
-                let done = Arc::new(AtomicBool::new(false));
-                let conn_state = Arc::clone(&state);
-                let conn_done = Arc::clone(&done);
-                let spawned = std::thread::Builder::new()
-                    .name("ct-serve-conn".into())
-                    .spawn(move || {
-                        serve_connection(stream, &conn_state);
-                        conn_done.store(true, Ordering::Release);
-                    });
-                let Ok(thread) = spawned else { continue };
-                let mut conns = state.conns.lock().unwrap();
-                // Reap finished connections so the pool does not grow
-                // with the lifetime total of a long-lived server.
-                let mut i = 0;
-                while i < conns.len() {
-                    if conns[i].done.load(Ordering::Acquire) {
-                        let finished = conns.swap_remove(i);
-                        let _ = finished.thread.join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                conns.push(ConnSlot {
-                    thread,
-                    closer,
-                    done,
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Serve one connection until EOF, a write failure, or shutdown. A
-/// request already read when shutdown is signalled is fully answered
-/// before the connection closes (the drain guarantee); no new request is
-/// started after the signal.
-fn serve_connection<S: StreamLike>(stream: S, state: &CoreState<S>) {
-    let Ok(mut writer) = stream.try_clone_stream() else {
-        return;
-    };
-    let mut frames = LineReader::new(stream, state.limits.max_request_bytes);
-    loop {
-        match frames.next_frame() {
-            Ok(Some(Frame::Line(text))) => {
-                let reply = answer_line(state.router.as_ref(), &text);
-                if write_response_line(&mut writer, &reply).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(Frame::TooLarge)) => {
-                let err = ServeError::RequestTooLarge {
-                    limit: state.limits.max_request_bytes,
-                };
-                if write_response_line(&mut writer, &err.to_json()).is_err() {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => return,
-        }
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-    }
-}
-
-fn write_response_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// Connection-handling strategy for the TCP front end.
-///
-/// Both strategies speak the identical wire protocol through the same
-/// [`Router`] and [`LineAssembler`] framing; they differ only in how
-/// connections map to OS threads:
-///
-/// - [`Transport::Threaded`] — one tracked thread per connection (the
-///   historic model, retained for the Unix-socket server and non-Linux
-///   hosts). Simple, but fan-in is capped by thread count: 10k idle
-///   clients cost 10k parked threads.
-/// - [`Transport::Reactor`] — a poll-based epoll reactor
-///   ([`crate::reactor`], Linux only): all connections multiplex onto a
-///   handful of event-loop threads plus a bounded router-worker pool, so
-///   resident threads stay O(cores) no matter how many clients are
-///   attached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Transport {
-    /// One tracked OS thread per connection.
-    Threaded,
-    /// Epoll event loop + bounded worker pool (Linux only).
-    #[cfg(target_os = "linux")]
-    Reactor,
-}
-
-impl Transport {
-    /// The best available strategy for this host: the epoll reactor on
-    /// Linux, thread-per-connection elsewhere.
-    pub fn default_for_host() -> Self {
-        #[cfg(target_os = "linux")]
-        {
-            Transport::Reactor
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Transport::Threaded
-        }
-    }
-}
-
-impl Default for Transport {
-    fn default() -> Self {
-        Self::default_for_host()
-    }
-}
-
-/// The running machinery behind a [`TcpServer`], selected by
-/// [`Transport`].
-enum TcpEngine {
-    Threaded(ServerCore<TcpStream>),
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::Reactor),
-}
-
-/// A TCP front end for the serving engine: epoll reactor (Linux default)
-/// or one tracked thread per connection, graceful shutdown either way.
-///
-/// ```no_run
-/// # use std::sync::Arc;
-/// # use ct_serve::{ModelRegistry, ProtocolLimits, RegistryConfig, TcpServer};
-/// let registry: Arc<ModelRegistry> = Arc::new(ModelRegistry::new(RegistryConfig::default()));
-/// // … register_snapshot("tenant-a", snapshot) …
-/// let server = TcpServer::bind("127.0.0.1:7070", registry, ProtocolLimits::default())?;
-/// let stop = server.shutdown_handle();
-/// // … later, from any thread:
-/// stop.signal();
-/// let report = server.shutdown(std::time::Duration::from_secs(5));
-/// assert_eq!(report.connections_aborted, 0);
-/// # Ok::<(), std::io::Error>(())
-/// ```
-pub struct TcpServer {
-    engine: TcpEngine,
-    local_addr: SocketAddr,
-}
-
-impl TcpServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// accepting connections routed through `router`, using
-    /// [`Transport::default_for_host`].
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        router: Arc<dyn Router>,
-        limits: ProtocolLimits,
-    ) -> io::Result<Self> {
-        Self::bind_with(addr, router, limits, Transport::default_for_host())
-    }
-
-    /// [`TcpServer::bind`] with an explicit connection-handling
-    /// strategy.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        router: Arc<dyn Router>,
-        limits: ProtocolLimits,
-        transport: Transport,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let engine = match transport {
-            Transport::Threaded => {
-                TcpEngine::Threaded(ServerCore::start(listener, router, limits)?)
-            }
-            #[cfg(target_os = "linux")]
-            Transport::Reactor => TcpEngine::Reactor(crate::reactor::Reactor::start(
-                listener,
-                router,
-                limits,
-                crate::reactor::ReactorConfig::default(),
-            )?),
-        };
-        Ok(Self { engine, local_addr })
-    }
-
-    /// The bound address (resolves the actual port when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The connection-handling strategy this server runs.
-    pub fn transport(&self) -> Transport {
-        match &self.engine {
-            TcpEngine::Threaded(_) => Transport::Threaded,
-            #[cfg(target_os = "linux")]
-            TcpEngine::Reactor(_) => Transport::Reactor,
-        }
-    }
-
-    /// A cloneable [`Shutdown`] trigger for this server.
-    pub fn shutdown_handle(&self) -> Shutdown {
-        match &self.engine {
-            TcpEngine::Threaded(core) => core.shutdown_handle(),
-            #[cfg(target_os = "linux")]
-            TcpEngine::Reactor(reactor) => reactor.shutdown_handle(),
-        }
-    }
-
-    /// Gracefully shut down: stop accepting, give in-flight connections
-    /// until `drain` to finish, force-close stragglers, join every
-    /// server thread. Idle connections with no request in flight are
-    /// closed (and counted as drained) immediately.
-    pub fn shutdown(self, drain: Duration) -> ShutdownReport {
-        match self.engine {
-            TcpEngine::Threaded(core) => core.shutdown(drain),
-            #[cfg(target_os = "linux")]
-            TcpEngine::Reactor(reactor) => reactor.shutdown(drain),
-        }
-    }
-
-    /// Block for the lifetime of the server (foreground mode): returns
-    /// only after a [`Shutdown`] signal or a listener error, then drains.
-    pub fn join(self) -> ShutdownReport {
-        match self.engine {
-            TcpEngine::Threaded(core) => core.join(),
-            #[cfg(target_os = "linux")]
-            TcpEngine::Reactor(reactor) => reactor.join(),
-        }
-    }
-}
-
 /// Persistent client connection speaking the line protocol over TCP —
-/// the client side of [`TcpServer`], also used by the `load_gen`
+/// the client side of `TcpServer`, also used by the `load_gen`
 /// benchmark driver.
 pub struct TcpClient {
     writer: TcpStream,
@@ -749,7 +229,7 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connect to a [`TcpServer`].
+    /// Connect to a `TcpServer`.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -764,140 +244,109 @@ impl TcpClient {
     /// included by the caller if routing) and return the raw JSON
     /// response line.
     pub fn query_line(&mut self, text: &str) -> io::Result<String> {
-        let one_line = text.replace('\n', " ");
-        self.writer.write_all(one_line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(line.trim_end().to_string())
+        round_trip(&mut self.writer, &mut self.reader, text)
     }
+}
+
+/// Write `text` as one request line and read back one response line.
+fn round_trip(
+    writer: &mut impl Write,
+    reader: &mut impl BufRead,
+    text: &str,
+) -> io::Result<String> {
+    let one_line = text.replace('\n', " ");
+    writer.write_all(one_line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()?;
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        ));
+    }
+    Ok(line.trim_end().to_string())
 }
 
 /// One-shot client helper: connect to `addr`, send each document of
 /// `texts` as one line, and collect one JSON response line per document.
 pub fn query_tcp(addr: impl ToSocketAddrs, texts: &[&str]) -> io::Result<Vec<String>> {
     let mut client = TcpClient::connect(addr)?;
-    let mut responses = Vec::with_capacity(texts.len());
-    for text in texts {
-        responses.push(client.query_line(text)?);
-    }
-    Ok(responses)
+    texts.iter().map(|text| client.query_line(text)).collect()
+}
+
+/// [`query_tcp`] over the Unix socket at `path`.
+#[cfg(unix)]
+pub fn query_unix(path: impl AsRef<std::path::Path>, texts: &[&str]) -> io::Result<Vec<String>> {
+    let stream = std::os::unix::net::UnixStream::connect(path)?;
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    texts
+        .iter()
+        .map(|text| round_trip(&mut writer, &mut reader, text))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_request_line_routes_models() {
-        assert_eq!(
-            parse_request_line("plain doc text"),
-            (None, "plain doc text")
-        );
-        assert_eq!(parse_request_line("@t1 doc text"), (Some("t1"), "doc text"));
-        assert_eq!(parse_request_line("@t1"), (Some("t1"), ""));
-        assert_eq!(parse_request_line(""), (None, ""));
-        assert_eq!(parse_request_line(" @not-a-route"), (None, " @not-a-route"));
-    }
-
-    #[test]
-    fn line_reader_bounds_and_recovers() {
-        let data = b"short\nxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\nafter\n";
-        let mut reader = LineReader::new(&data[..], 8);
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::Line(l)) if l == "short"
-        ));
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::TooLarge)
-        ));
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::Line(l)) if l == "after"
-        ));
-        assert!(reader.next_frame().unwrap().is_none());
-    }
-
-    #[test]
-    fn line_reader_exact_boundary_and_crlf() {
-        let data = b"12345678\r\n1234567890\n";
-        let mut reader = LineReader::new(&data[..], 9);
-        // 8 bytes + CR: the CR counts toward the cap, is stripped after;
-        // a 10-byte line is one over the cap and rejected.
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::Line(l)) if l == "12345678"
-        ));
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::TooLarge)
-        ));
-    }
-
-    /// Feeds one byte per `read` call, forcing `LineReader` through the
-    /// no-newline-in-chunk accumulation and discard paths that a single
-    /// in-memory slice never exercises.
-    struct OneByte<'a>(&'a [u8]);
-
-    impl Read for OneByte<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.0.is_empty() || buf.is_empty() {
-                return Ok(0);
-            }
-            buf[0] = self.0[0];
-            self.0 = &self.0[1..];
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn line_reader_discards_oversized_line_in_constant_memory_across_chunks() {
-        let mut data = vec![b'y'; 100];
-        data.extend_from_slice(b"\nok\n");
-        let mut reader = LineReader::new(OneByte(&data), 8);
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::TooLarge)
-        ));
-        // The accumulator never held more than the cap while discarding.
-        assert!(
-            reader.asm.partial_capacity() <= 16,
-            "{}",
-            reader.asm.partial_capacity()
-        );
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::Line(l)) if l == "ok"
-        ));
-        assert!(reader.next_frame().unwrap().is_none());
+    fn line(text: &str) -> Frame {
+        Frame::Line(text.into())
     }
 
     #[test]
     fn assembler_is_feed_boundary_invariant() {
-        // The same byte stream must produce the same frames no matter
-        // how it is sliced into feeds — including one byte at a time.
-        let data = b"first line\r\nsecond\n\nthird one\n";
-        let expected = [
-            Frame::Line("first line".into()),
-            Frame::Line("second".into()),
-            Frame::Line("".into()),
-            Frame::Line("third one".into()),
+        // Each byte stream must produce the same frames, and leave the
+        // same unterminated tail held back, no matter how it is sliced
+        // into feeds — including one byte at a time.
+        let mut oversized = vec![b'y'; 100];
+        oversized.extend_from_slice(b"\nok\n");
+        let cases: [(usize, &[u8], Vec<Frame>, bool); 5] = [
+            (
+                64,
+                b"first line\r\nsecond\n\nthird one\n",
+                vec![
+                    line("first line"),
+                    line("second"),
+                    line(""),
+                    line("third one"),
+                ],
+                false,
+            ),
+            // An over-cap line is rejected and the next one recovers.
+            (
+                8,
+                b"short\nxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx\nafter\n",
+                vec![line("short"), Frame::TooLarge, line("after")],
+                false,
+            ),
+            // The CR counts toward the cap and is stripped afterwards:
+            // with cap 9, `12345678\r` fits; a 10-byte line does not.
+            (
+                9,
+                b"12345678\r\n1234567890\n",
+                vec![line("12345678"), Frame::TooLarge],
+                false,
+            ),
+            (8, &oversized, vec![Frame::TooLarge, line("ok")], false),
+            // An unterminated tail is held back, never emitted.
+            (64, b"done\npartial", vec![line("done")], true),
         ];
-        for chunk_size in [1usize, 2, 3, 7, data.len()] {
-            let mut asm = LineAssembler::new(64);
-            for chunk in data.chunks(chunk_size) {
-                asm.feed(chunk);
+        for (cap, data, expected, partial) in &cases {
+            for chunk_size in [1usize, 2, 3, 7, data.len()] {
+                let mut asm = LineAssembler::new(*cap);
+                for chunk in data.chunks(chunk_size) {
+                    asm.feed(chunk);
+                }
+                let frames: Vec<Frame> = std::iter::from_fn(|| asm.next_frame()).collect();
+                let context = format!(
+                    "{:?} chunk_size {chunk_size}",
+                    String::from_utf8_lossy(data)
+                );
+                assert_eq!(&frames, expected, "{context}");
+                assert_eq!(asm.has_partial(), *partial, "{context}");
             }
-            let frames: Vec<Frame> = std::iter::from_fn(|| asm.next_frame()).collect();
-            assert_eq!(frames, expected, "chunk_size {chunk_size}");
-            assert!(!asm.has_partial());
         }
     }
 
@@ -912,7 +361,7 @@ mod tests {
         }
         asm.feed(b"\nok\n");
         assert_eq!(asm.next_frame(), Some(Frame::TooLarge));
-        assert_eq!(asm.next_frame(), Some(Frame::Line("ok".into())));
+        assert_eq!(asm.next_frame(), Some(line("ok")));
         assert_eq!(asm.next_frame(), None);
     }
 
@@ -920,12 +369,12 @@ mod tests {
     fn assembler_multiple_frames_in_one_feed_and_partial_tail() {
         let mut asm = LineAssembler::new(64);
         asm.feed(b"a\nb\nc");
-        assert_eq!(asm.next_frame(), Some(Frame::Line("a".into())));
-        assert_eq!(asm.next_frame(), Some(Frame::Line("b".into())));
+        assert_eq!(asm.next_frame(), Some(line("a")));
+        assert_eq!(asm.next_frame(), Some(line("b")));
         assert_eq!(asm.next_frame(), None);
         assert!(asm.has_partial(), "unterminated 'c' must be held back");
         asm.feed(b"d\n");
-        assert_eq!(asm.next_frame(), Some(Frame::Line("cd".into())));
+        assert_eq!(asm.next_frame(), Some(line("cd")));
     }
 
     #[test]
@@ -943,16 +392,5 @@ mod tests {
             }
             other => panic!("expected a lossy line, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn line_reader_drops_unterminated_tail_at_eof() {
-        let data = b"done\npartial";
-        let mut reader = LineReader::new(&data[..], 64);
-        assert!(matches!(
-            reader.next_frame().unwrap(),
-            Some(Frame::Line(l)) if l == "done"
-        ));
-        assert!(reader.next_frame().unwrap().is_none());
     }
 }

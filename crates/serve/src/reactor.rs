@@ -1,24 +1,26 @@
-//! Poll-based connection reactor: 10k-connection fan-in without 10k
-//! threads (Linux only).
+//! Poll-based connection reactor: the one connection transport behind
+//! [`TcpServer`](crate::TcpServer) and [`UnixServer`](crate::UnixServer)
+//! (Linux only).
 //!
-//! The threaded [`ServerCore`](crate::net) costs one parked OS thread
-//! per connected client — tens of kilobytes of stack and a 25 ms wakeup
-//! each, even for a client that never sends a byte. This module
-//! multiplexes *every* TCP connection onto a small, fixed set of
-//! threads instead:
+//! Every connection — TCP or `AF_UNIX`, the reactor does not care which
+//! — is multiplexed onto a small, fixed set of threads, so a parked
+//! client costs a slab slot and an epoll registration, not an OS thread:
 //!
-//! - **event-loop shards** (default 1, scaling with cores): each shard
-//!   owns a raw `epoll` instance and the nonblocking accept / read /
-//!   write lifecycle for its connections. Incoming bytes feed the same
-//!   incremental [`LineAssembler`] the threaded transport frames with,
-//!   so the 64 KiB cap and the typed `request_too_large` reply are
-//!   identical by construction.
-//! - **router workers** (default `max(2, cores)`): complete parsed
+//! - **event-loop shards** (1 per 4 cores, at most 4): each shard owns a
+//!   raw `epoll` instance and the nonblocking accept / read / write
+//!   lifecycle for its connections. Incoming bytes feed the incremental
+//!   [`LineAssembler`], which enforces the request-size cap and produces
+//!   the typed `request_too_large` frame.
+//! - **router workers** (`max(2, cores)`, at most 16): complete parsed
 //!   request lines against the shared [`Router`] — admission, encoding,
 //!   the micro-batching engine's blocking reply wait — and post the
 //!   response back to the owning shard through a completion queue plus
 //!   an `eventfd` wakeup. The thread-per-core inference pool underneath
 //!   is untouched.
+//!
+//! The two socket families differ only in `accept`, `TCP_NODELAY` and
+//! the bound address; [`Listener`] absorbs the first two and the
+//! servers own the third, so everything after accept is one code path.
 //!
 //! Responses go out through a per-connection write queue: the reply is
 //! appended, flushed as far as the socket allows, and `EPOLLOUT`
@@ -30,32 +32,28 @@
 //! Requests on one connection are answered strictly in order: a
 //! connection dispatches at most one line to the workers at a time, and
 //! further complete lines wait in its `pending` queue (oversized-line
-//! errors are answered inline in arrival order). Graceful shutdown
-//! mirrors the threaded core: parked idle connections close immediately
-//! (counted as drained), a connection whose request is already at the
-//! workers gets its response written and flushed before closing, and
-//! only connections still busy at the drain deadline are force-closed
-//! (counted as aborted).
+//! errors are answered inline in arrival order). Graceful shutdown:
+//! parked idle connections close immediately (counted as drained), a
+//! connection whose request is already at the workers gets its response
+//! written and flushed before closing, and only connections still busy
+//! at the drain deadline are force-closed (counted as aborted).
 //!
 //! The `epoll`/`eventfd` calls are raw libc-level syscalls declared
 //! locally — the same no-new-deps pattern as `ct_tensor::simd`'s
 //! runtime dispatch — so this module builds with nothing beyond `std`.
 
-#![cfg(target_os = "linux")]
-
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
-use crate::net::{
-    answer_line, Frame, LineAssembler, ProtocolLimits, Router, Shutdown, ShutdownReport,
-};
+use crate::net::{Frame, LineAssembler, ProtocolLimits, Router, Shutdown, ShutdownReport};
 
 /// Raw syscall surface: exactly what the reactor needs, declared
 /// locally so no crate dependency is added (std already links libc).
@@ -186,6 +184,10 @@ impl Drop for EventFd {
 const WAKE_TOKEN: u64 = u64::MAX;
 /// Event token of the listening socket (shard 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
+/// `epoll_wait` timeout: how often a shard notices a shutdown signal or
+/// a passed drain deadline with no socket activity, and how long the
+/// listener sits out of the poll set after an accept error.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Events fetched per `epoll_wait`.
 const MAX_EVENTS: usize = 256;
 /// Connections accepted per listener event before yielding to other
@@ -205,33 +207,93 @@ fn conn_token(gen: u32, idx: usize) -> u64 {
     ((gen as u64) << 32) | (idx as u64 & 0xffff_ffff)
 }
 
-/// Sizing knobs for the reactor; zeros mean "pick for this host".
-#[derive(Clone, Debug, Default)]
-pub struct ReactorConfig {
-    /// Event-loop threads. `0` scales with cores (1 per 4, capped at 4);
-    /// connections are assigned round-robin at accept.
-    pub shards: usize,
-    /// Router worker threads completing requests against the engine.
-    /// `0` means `max(2, cores)` — these block in the engine's batched
-    /// reply wait, so a couple per core keeps micro-batches forming.
-    pub workers: usize,
+/// Event-loop shards for this host: 1 per 4 cores, at most 4;
+/// connections are dealt round-robin at accept.
+fn shard_count() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cores / 4).clamp(1, 4)
 }
 
-impl ReactorConfig {
-    fn shard_count(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (cores / 4).clamp(1, 4)
+/// Router worker threads for this host: `max(2, cores)`, at most 16 —
+/// these block in the engine's batched reply wait, so a couple per core
+/// keeps micro-batches forming.
+fn worker_count() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.clamp(2, 16)
+}
+
+/// A bound, listening socket of either family. epoll, `read` and
+/// `write` treat both alike; only `accept` differs.
+pub(crate) enum Listener {
+    Tcp(TcpListener),
+    Unix(UnixListener),
+}
+
+impl Listener {
+    /// Accept one connection as a nonblocking [`Stream`]. TCP streams
+    /// get `TCP_NODELAY`, so a one-line reply is not held back by Nagle.
+    fn accept(&self) -> io::Result<Stream> {
+        let stream = match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_nodelay(true);
+                s.set_nonblocking(true)?;
+                Stream::Tcp(s)
+            }
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nonblocking(true)?;
+                Stream::Unix(s)
+            }
+        };
+        Ok(stream)
     }
 
-    fn worker_count(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
+    fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            Listener::Tcp(l) => l.set_nonblocking(true),
+            Listener::Unix(l) => l.set_nonblocking(true),
         }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        cores.clamp(2, 16)
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l) => l.as_raw_fd(),
+        }
+    }
+}
+
+/// An accepted connection of either family.
+enum Stream {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
+
+impl Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
+        }
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+}
+
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
     }
 }
 
@@ -299,7 +361,7 @@ impl WorkQueue {
 struct ShardShared {
     wake: EventFd,
     completions: Mutex<Vec<Completion>>,
-    incoming: Mutex<Vec<TcpStream>>,
+    incoming: Mutex<Vec<Stream>>,
 }
 
 /// State shared by every reactor thread.
@@ -323,7 +385,7 @@ struct ReactorShared {
 
 /// One live connection owned by a shard.
 struct Conn {
-    stream: TcpStream,
+    stream: Stream,
     gen: u32,
     asm: LineAssembler,
     /// Complete frames not yet dispatched (order preserved).
@@ -371,12 +433,9 @@ struct Slab {
 }
 
 impl Slab {
-    fn adopt(&mut self, ctx: &Ctx, stream: TcpStream) {
+    fn adopt(&mut self, ctx: &Ctx, stream: Stream) {
         if ctx.draining {
             return; // accepted after shutdown: dropped (closed) unserved
-        }
-        if stream.set_nonblocking(true).is_err() {
-            return;
         }
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
@@ -539,8 +598,7 @@ fn read_into(conn: &mut Conn) -> bool {
 /// Answer oversized-line frames inline and hand at most one request
 /// line to the workers — strict per-connection FIFO keeps responses in
 /// request order without sequence numbers. After shutdown no *new*
-/// request is started (parsed-but-undispatched lines are dropped, same
-/// as the threaded transport's post-signal behavior).
+/// request is started (parsed-but-undispatched lines are dropped).
 fn pump(ctx: &Ctx, idx: usize, conn: &mut Conn) {
     loop {
         if conn.busy {
@@ -618,54 +676,70 @@ fn update_interest(ctx: &Ctx, idx: usize, conn: &mut Conn) {
 
 /// Accept a burst of connections and deal them round-robin across
 /// shards; remote shards get the stream through their mailbox plus an
-/// eventfd knock.
-fn accept_burst(listener: &TcpListener, slab: &mut Slab, ctx: &Ctx) {
+/// eventfd knock. An `Err` is an accept failure that retrying at once
+/// cannot fix, such as `EMFILE`/`ENFILE` (fd table full).
+fn accept_burst(listener: &Listener, slab: &mut Slab, ctx: &Ctx) -> io::Result<()> {
     for _ in 0..ACCEPT_BURST {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let n = ctx.shared.shards.len();
-                let target = if n <= 1 {
-                    ctx.shard
-                } else {
-                    ctx.shared.next_conn.fetch_add(1, Ordering::Relaxed) % n
-                };
-                if target == ctx.shard {
-                    slab.adopt(ctx, stream);
-                } else {
-                    ctx.shared.shards[target]
-                        .incoming
-                        .lock()
-                        .unwrap()
-                        .push(stream);
-                    ctx.shared.shards[target].wake.signal();
-                }
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(_) => return,
+            Err(e) => return Err(e),
+        };
+        let n = ctx.shared.shards.len();
+        let target = if n <= 1 {
+            ctx.shard
+        } else {
+            ctx.shared.next_conn.fetch_add(1, Ordering::Relaxed) % n
+        };
+        if target == ctx.shard {
+            slab.adopt(ctx, stream);
+        } else {
+            let remote = &ctx.shared.shards[target];
+            remote.incoming.lock().unwrap().push(stream);
+            remote.wake.signal();
         }
     }
+    Ok(())
 }
 
-fn shard_loop(shard_id: usize, mut listener: Option<TcpListener>, shared: Arc<ReactorShared>) {
+fn shard_loop(shard_id: usize, mut listener: Option<Listener>, shared: Arc<ReactorShared>) {
     let mailbox = Arc::clone(&shared.shards[shard_id]);
     let Ok(ep) = EpollFd::new() else { return };
     if ep.add(mailbox.wake.0, sys::EPOLLIN, WAKE_TOKEN).is_err() {
         return;
     }
     if let Some(l) = &listener {
-        if l.set_nonblocking(true).is_err() {
-            return;
-        }
         if ep.add(l.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN).is_err() {
             return;
         }
     }
+    // Set while the listener sits out of the poll set after an accept
+    // error: a full fd table leaves the backlog readable, and
+    // level-triggered epoll would report it again at once — a busy spin
+    // until some fd frees. Re-armed once a poll interval has passed.
+    let mut accept_paused_until: Option<Instant> = None;
     let mut slab = Slab::default();
     let mut draining = false;
     let mut events = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
     loop {
-        let n = ep.wait(&mut events, shared.limits.poll_interval);
+        let n = ep.wait(&mut events, POLL_INTERVAL);
+        if let (Some(until), Some(l)) = (accept_paused_until, &listener) {
+            if Instant::now() >= until
+                && ep
+                    .modify(l.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN)
+                    .is_ok()
+            {
+                accept_paused_until = None;
+            }
+        }
         if shared.shutdown.load(Ordering::Acquire) && !draining {
             draining = true;
             if let Some(l) = listener.take() {
@@ -692,7 +766,7 @@ fn shard_loop(shard_id: usize, mut listener: Option<TcpListener>, shared: Arc<Re
             match token {
                 WAKE_TOKEN => {
                     mailbox.wake.drain();
-                    let incoming: Vec<TcpStream> =
+                    let incoming: Vec<Stream> =
                         std::mem::take(&mut *mailbox.incoming.lock().unwrap());
                     for stream in incoming {
                         slab.adopt(&ctx, stream);
@@ -705,7 +779,11 @@ fn shard_loop(shard_id: usize, mut listener: Option<TcpListener>, shared: Arc<Re
                 }
                 LISTENER_TOKEN => {
                     if let Some(l) = &listener {
-                        accept_burst(l, &mut slab, &ctx);
+                        if accept_burst(l, &mut slab, &ctx).is_err()
+                            && ep.modify(l.as_raw_fd(), 0, LISTENER_TOKEN).is_ok()
+                        {
+                            accept_paused_until = Some(Instant::now() + POLL_INTERVAL);
+                        }
                     }
                 }
                 token => slab.handle_event(&ctx, token, mask),
@@ -732,6 +810,28 @@ fn shard_loop(shard_id: usize, mut listener: Option<TcpListener>, shared: Arc<Re
     }
 }
 
+/// Split a request line into its optional model route and document text:
+/// `@name text…` routes to `name`, anything else is text for the default
+/// model.
+fn parse_request_line(line: &str) -> (Option<&str>, &str) {
+    match line.strip_prefix('@') {
+        Some(rest) => match rest.split_once(char::is_whitespace) {
+            Some((name, text)) => (Some(name), text),
+            None => (Some(rest), ""),
+        },
+        None => (None, line),
+    }
+}
+
+/// Answer one request line as one response line (without the newline).
+fn answer_line(router: &dyn Router, line: &str) -> String {
+    let (model, text) = parse_request_line(line);
+    match router.answer(model, text) {
+        Ok(response) => response.to_json(),
+        Err(e) => e.to_json(),
+    }
+}
+
 fn worker_loop(shared: Arc<ReactorShared>) {
     while let Some(job) = shared.queue.pop() {
         if shared.discard.load(Ordering::Relaxed) {
@@ -747,23 +847,26 @@ fn worker_loop(shared: Arc<ReactorShared>) {
     }
 }
 
-/// A running epoll reactor: the [`Transport::Reactor`](crate::Transport)
-/// engine behind [`TcpServer`](crate::TcpServer) on Linux.
-pub struct Reactor {
+/// A running epoll reactor: the connection machinery behind
+/// [`TcpServer`](crate::TcpServer) and [`UnixServer`](crate::UnixServer).
+/// Dropping it stops and joins every thread it started.
+pub(crate) struct Reactor {
     shared: Arc<ReactorShared>,
     shard_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Reactor {
+    /// Start serving `listener`, routing each request line through
+    /// `router`.
     pub(crate) fn start(
-        listener: TcpListener,
+        listener: Listener,
         router: Arc<dyn Router>,
         limits: ProtocolLimits,
-        config: ReactorConfig,
     ) -> io::Result<Self> {
-        let shard_count = config.shard_count();
-        let worker_count = config.worker_count();
+        listener.set_nonblocking()?;
+        let shard_count = shard_count();
+        let worker_count = worker_count();
         let mut mailboxes = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             mailboxes.push(Arc::new(ShardShared {
@@ -821,10 +924,16 @@ impl Reactor {
     }
 
     pub(crate) fn shutdown_handle(&self) -> Shutdown {
-        Shutdown::from_flag(Arc::clone(&self.shared.shutdown))
+        Shutdown {
+            flag: Arc::clone(&self.shared.shutdown),
+        }
     }
 
-    fn stop(&mut self, drain: Duration) -> ShutdownReport {
+    /// Signal shutdown, give connections with a request in flight until
+    /// `drain` to receive their response, force-close stragglers, and
+    /// join every thread. Calling it again after the threads are joined
+    /// only re-reads the report.
+    pub(crate) fn stop(&mut self, drain: Duration) -> ShutdownReport {
         *self.shared.deadline.lock().unwrap() = Some(Instant::now() + drain);
         self.shared.shutdown.store(true, Ordering::Release);
         for mailbox in &self.shared.shards {
@@ -846,11 +955,9 @@ impl Reactor {
         }
     }
 
-    pub(crate) fn shutdown(mut self, drain: Duration) -> ShutdownReport {
-        self.stop(drain)
-    }
-
-    pub(crate) fn join(mut self) -> ShutdownReport {
+    /// Block until a [`Shutdown`] signal (or until every shard exited on
+    /// a listener error), then drain with a 5 s deadline.
+    pub(crate) fn join(&mut self) -> ShutdownReport {
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 break;
@@ -872,5 +979,22 @@ impl Drop for Reactor {
         if !self.shard_threads.is_empty() || !self.worker_threads.is_empty() {
             self.stop(Duration::ZERO);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_request_line_routes_models() {
+        assert_eq!(
+            parse_request_line("plain doc text"),
+            (None, "plain doc text")
+        );
+        assert_eq!(parse_request_line("@t1 doc text"), (Some("t1"), "doc text"));
+        assert_eq!(parse_request_line("@t1"), (Some("t1"), ""));
+        assert_eq!(parse_request_line(""), (None, ""));
+        assert_eq!(parse_request_line(" @not-a-route"), (None, " @not-a-route"));
     }
 }

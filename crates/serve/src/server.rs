@@ -1,14 +1,15 @@
-//! Unix-domain-socket front-end (and matching client) for the engine.
+//! The network front ends: a TCP server and a Unix-socket server, both
+//! thin shells over one epoll reactor (Linux only).
 //!
-//! Speaks the same line protocol as the TCP front end — see
-//! [`crate::net`] for the framing, routing, and shutdown machinery both
-//! transports share. A connection serves any number of request/response
-//! pairs on its own tracked thread; concurrent connections naturally
-//! feed the engine's micro-batcher.
+//! The two servers differ only in how they bind. Accept, framing,
+//! routing, replies and graceful shutdown are one code path in the
+//! reactor, so the wire protocol (see [`crate::net`]) behaves the same on
+//! either socket family. [`UnixServer`] additionally owns the socket
+//! file: it probes a leftover path before binding and removes the file
+//! when it stops.
 
-#![cfg(unix)]
-
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -16,15 +17,78 @@ use std::time::Duration;
 
 use crate::encode::DocEncoder;
 use crate::engine::{InferenceModel, ServeHandle};
-use crate::net::{ProtocolLimits, Router, ServerCore, Shutdown, ShutdownReport, SingleModel};
+use crate::net::{ProtocolLimits, Router, Shutdown, ShutdownReport, SingleModel};
+use crate::reactor::{Listener, Reactor};
+
+/// A TCP front end for the serving engine, with graceful shutdown.
+///
+/// ```no_run
+/// # use std::sync::Arc;
+/// # use ct_serve::{ModelRegistry, ProtocolLimits, RegistryConfig, TcpServer};
+/// let registry: Arc<ModelRegistry> = Arc::new(ModelRegistry::new(RegistryConfig::default()));
+/// // … register_snapshot("tenant-a", snapshot) …
+/// let server = TcpServer::bind("127.0.0.1:7070", registry, ProtocolLimits::default())?;
+/// let stop = server.shutdown_handle();
+/// // … later, from any thread:
+/// stop.signal();
+/// let report = server.shutdown(std::time::Duration::from_secs(5));
+/// assert_eq!(report.connections_aborted, 0);
+/// # Ok::<(), std::io::Error>(())
+/// ```
+pub struct TcpServer {
+    reactor: Reactor,
+    local_addr: SocketAddr,
+}
+
+impl TcpServer {
+    /// Bind `addr` (use port 0 for an ephemeral port) and start
+    /// accepting connections routed through `router`.
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        router: Arc<dyn Router>,
+        limits: ProtocolLimits,
+    ) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let reactor = Reactor::start(Listener::Tcp(listener), router, limits)?;
+        Ok(Self {
+            reactor,
+            local_addr,
+        })
+    }
+
+    /// The bound address (resolves the actual port when bound to port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// A cloneable [`Shutdown`] trigger for this server.
+    pub fn shutdown_handle(&self) -> Shutdown {
+        self.reactor.shutdown_handle()
+    }
+
+    /// Gracefully shut down: stop accepting, give in-flight connections
+    /// until `drain` to finish, force-close stragglers, join every
+    /// server thread. Idle connections with no request in flight are
+    /// closed (and counted as drained) immediately.
+    pub fn shutdown(mut self, drain: Duration) -> ShutdownReport {
+        self.reactor.stop(drain)
+    }
+
+    /// Block for the lifetime of the server (foreground mode): returns
+    /// only after a [`Shutdown`] signal or a listener error, then drains.
+    pub fn join(mut self) -> ShutdownReport {
+        self.reactor.join()
+    }
+}
 
 /// A listening Unix-socket server bound to a path.
 ///
-/// The transport twin of [`crate::TcpServer`]: same protocol, same
-/// routing, same graceful shutdown. Dropping the server (or calling
-/// [`UnixServer::shutdown`]) removes the socket file.
+/// The socket-family twin of [`TcpServer`]: same reactor, protocol,
+/// routing and graceful shutdown. Shutting down, joining or dropping
+/// the server removes the socket file.
 pub struct UnixServer {
-    core: Option<ServerCore<UnixStream>>,
+    reactor: Reactor,
     path: PathBuf,
 }
 
@@ -51,8 +115,8 @@ impl UnixServer {
     /// A leftover socket file is only removed after probing it: if
     /// something still accepts connections on `path`, binding fails with
     /// [`io::ErrorKind::AddrInUse`] instead of silently clobbering a
-    /// live server (the historic behavior unconditionally deleted the
-    /// path, stranding the running server on an unlinked socket).
+    /// live server (unlinking it would strand that server on a socket
+    /// nobody can reach).
     pub fn bind_router(
         path: impl AsRef<Path>,
         router: Arc<dyn Router>,
@@ -75,82 +139,41 @@ impl UnixServer {
             }
         }
         let listener = UnixListener::bind(&path)?;
-        Ok(Self {
-            core: Some(ServerCore::start(listener, router, limits)?),
-            path,
-        })
+        let reactor = match Reactor::start(Listener::Unix(listener), router, limits) {
+            Ok(reactor) => reactor,
+            Err(e) => {
+                std::fs::remove_file(&path).ok();
+                return Err(e);
+            }
+        };
+        Ok(Self { reactor, path })
     }
 
     /// A cloneable [`Shutdown`] trigger for this server.
     pub fn shutdown_handle(&self) -> Shutdown {
-        self.core
-            .as_ref()
-            .expect("server running")
-            .shutdown_handle()
+        self.reactor.shutdown_handle()
     }
 
     /// Gracefully shut down: stop accepting, give in-flight connections
     /// until `drain` to finish the request they are serving, force-close
-    /// stragglers, join every connection thread, and remove the socket
-    /// file.
+    /// stragglers, join every server thread, and remove the socket file.
     pub fn shutdown(mut self, drain: Duration) -> ShutdownReport {
-        let report = match self.core.take() {
-            Some(core) => core.shutdown(drain),
-            None => ShutdownReport {
-                connections_drained: 0,
-                connections_aborted: 0,
-            },
-        };
-        std::fs::remove_file(&self.path).ok();
-        report
+        self.reactor.stop(drain)
     }
 
     /// Block the calling thread for the lifetime of the server (the
     /// `contratopic serve` foreground mode): returns only after a
-    /// [`Shutdown`] signal or a listener error, then drains.
+    /// [`Shutdown`] signal or a listener error, then drains and removes
+    /// the socket file.
     pub fn join(mut self) -> ShutdownReport {
-        let report = match self.core.take() {
-            Some(core) => core.join(),
-            None => ShutdownReport {
-                connections_drained: 0,
-                connections_aborted: 0,
-            },
-        };
-        std::fs::remove_file(&self.path).ok();
-        report
+        self.reactor.join()
     }
 }
 
 impl Drop for UnixServer {
     fn drop(&mut self) {
-        if let Some(core) = self.core.take() {
-            drop(core); // signals, force-closes reads, joins threads
-            std::fs::remove_file(&self.path).ok();
-        }
+        // Stop before unlinking (a no-op after `shutdown`/`join`).
+        self.reactor.stop(Duration::ZERO);
+        std::fs::remove_file(&self.path).ok();
     }
-}
-
-/// Client side of the wire protocol: connect to `path`, send each
-/// document of `texts` as one line, and collect one JSON response line
-/// per document.
-pub fn query_unix(path: impl AsRef<Path>, texts: &[&str]) -> io::Result<Vec<String>> {
-    let stream = UnixStream::connect(path)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut responses = Vec::with_capacity(texts.len());
-    for text in texts {
-        let one_line = text.replace('\n', " ");
-        writer.write_all(one_line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        responses.push(line.trim_end().to_string());
-    }
-    Ok(responses)
 }

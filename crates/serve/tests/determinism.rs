@@ -132,7 +132,7 @@ fn cache_hit_returns_identical_bytes_as_the_miss() {
     engine.shutdown();
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 #[test]
 fn unix_round_trip_serves_json_responses() {
     use ct_serve::{query_unix, DocEncoder, UnixServer};

@@ -1,7 +1,9 @@
 //! Serving-tier lifecycle contracts, end to end over real sockets:
-//! transport equivalence (TCP == Unix == offline, bitwise), registry
+//! socket-family equivalence (TCP == Unix == offline, bitwise), registry
 //! routing under concurrency, hot promotion that drops nothing,
 //! drain-on-shutdown, and fair-share admission.
+
+#![cfg(target_os = "linux")]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -11,25 +13,11 @@ use ct_corpus::{BowCorpus, SparseDoc};
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
 use ct_serve::{
-    query_tcp, DocEncoder, InferenceModel, ModelRegistry, ModelSnapshot, ProtocolLimits,
-    QueryResponse, RegistryConfig, Router, ServeConfig, ServeError, TcpClient, TcpServer,
-    Transport,
+    query_tcp, query_unix, DocEncoder, InferenceModel, ModelRegistry, ModelSnapshot,
+    ProtocolLimits, QueryResponse, RegistryConfig, Router, ServeConfig, ServeError, TcpClient,
+    TcpServer, UnixServer,
 };
 use ct_tensor::Tensor;
-
-/// Every transport the host supports: the lifecycle contracts (bitwise
-/// equivalence, hot promotion, drain, routing) must hold identically on
-/// the threaded core and the epoll reactor.
-fn transports() -> Vec<Transport> {
-    #[cfg(target_os = "linux")]
-    {
-        vec![Transport::Threaded, Transport::Reactor]
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        vec![Transport::Threaded]
-    }
-}
 
 fn trained_with(clusters: usize, seed: u64) -> (BowCorpus, ModelSnapshot) {
     let corpus = cluster_corpus(clusters, 5, 12);
@@ -51,7 +39,7 @@ fn trained_with(clusters: usize, seed: u64) -> (BowCorpus, ModelSnapshot) {
 /// the same tokenizer, run the snapshot's own forward pass on a
 /// single-document batch, and render through the same serializer. The
 /// bitwise-determinism contract says batch composition cannot change
-/// θ, so this one string is *the* answer for every transport.
+/// θ, so this one string is *the* answer over every socket.
 fn offline_response(snapshot: &ModelSnapshot, vocab: &ct_corpus::Vocab, text: &str) -> String {
     let doc = DocEncoder::new(vocab.clone()).encode(text).expect("encode");
     let x = snapshot.dense_batch(&[&doc]);
@@ -61,12 +49,11 @@ fn offline_response(snapshot: &ModelSnapshot, vocab: &ct_corpus::Vocab, text: &s
         .to_json()
 }
 
-fn registry_server(registry: Arc<ModelRegistry>, transport: Transport) -> (TcpServer, String) {
-    let server = TcpServer::bind_with(
+fn registry_server(registry: Arc<ModelRegistry>) -> (TcpServer, String) {
+    let server = TcpServer::bind(
         "127.0.0.1:0",
         registry as Arc<dyn Router>,
         ProtocolLimits::default(),
-        transport,
     )
     .expect("bind");
     let addr = server.local_addr().to_string();
@@ -75,12 +62,6 @@ fn registry_server(registry: Arc<ModelRegistry>, transport: Transport) -> (TcpSe
 
 #[test]
 fn tcp_unix_and_offline_paths_serve_identical_bytes() {
-    for transport in transports() {
-        tcp_unix_and_offline_case(transport);
-    }
-}
-
-fn tcp_unix_and_offline_case(transport: Transport) {
     let (corpus, snapshot) = trained_with(3, 5);
     let texts = ["w0 w1 w2 w0", "w5 w6", "w10 w11 w12 w13 w14"];
     let expected: Vec<String> = texts
@@ -90,30 +71,25 @@ fn tcp_unix_and_offline_case(transport: Transport) {
 
     let registry: Arc<ModelRegistry> = Arc::new(ModelRegistry::new(RegistryConfig::default()));
     registry.register_snapshot("m", snapshot).expect("register");
-    let (server, addr) = registry_server(Arc::clone(&registry), transport);
+    let (server, addr) = registry_server(Arc::clone(&registry));
 
     let over_tcp = query_tcp(&addr, &texts).expect("tcp");
     assert_eq!(over_tcp, expected, "TCP responses must match offline bytes");
 
-    #[cfg(unix)]
-    {
-        use ct_serve::UnixServer;
-        let path =
-            std::env::temp_dir().join(format!("ct-lifecycle-eq-{}.sock", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let unix = UnixServer::bind_router(
-            &path,
-            Arc::clone(&registry) as Arc<dyn Router>,
-            ProtocolLimits::default(),
-        )
-        .expect("bind unix");
-        let over_unix = ct_serve::query_unix(&path, &texts).expect("unix");
-        assert_eq!(
-            over_unix, expected,
-            "Unix responses must match offline bytes"
-        );
-        unix.shutdown(Duration::from_secs(5));
-    }
+    let path = std::env::temp_dir().join(format!("ct-lifecycle-eq-{}.sock", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let unix = UnixServer::bind_router(
+        &path,
+        Arc::clone(&registry) as Arc<dyn Router>,
+        ProtocolLimits::default(),
+    )
+    .expect("bind unix");
+    let over_unix = query_unix(&path, &texts).expect("unix");
+    assert_eq!(
+        over_unix, expected,
+        "Unix responses must match offline bytes"
+    );
+    unix.shutdown(Duration::from_secs(5));
 
     let report = server.shutdown(Duration::from_secs(5));
     assert_eq!(report.connections_aborted, 0);
@@ -125,12 +101,6 @@ fn tcp_unix_and_offline_case(transport: Transport) {
 
 #[test]
 fn registry_routes_concurrent_clients_to_differently_shaped_models() {
-    for transport in transports() {
-        registry_routing_case(transport);
-    }
-}
-
-fn registry_routing_case(transport: Transport) {
     // Two tenants with *different vocabularies and topic counts*: any
     // cross-routing produces either a vocab error or a wrong-length θ,
     // so exact-bytes assertions catch it.
@@ -149,7 +119,7 @@ fn registry_routing_case(transport: Transport) {
     registry
         .register_snapshot("beta", snap_b)
         .expect("register beta");
-    let (server, addr) = registry_server(Arc::clone(&registry), transport);
+    let (server, addr) = registry_server(Arc::clone(&registry));
 
     let clients: Vec<_> = (0..4)
         .map(|c| {
@@ -188,12 +158,6 @@ fn registry_routing_case(transport: Transport) {
 
 #[test]
 fn hot_promotion_mid_traffic_drops_nothing_and_serves_old_or_new_exactly() {
-    for transport in transports() {
-        hot_promotion_case(transport);
-    }
-}
-
-fn hot_promotion_case(transport: Transport) {
     let (corpus, snap_old) = trained_with(3, 5);
     let (_, snap_new) = trained_with(3, 21); // same vocab/shape, different weights
     let text = "w0 w1 w2 w5 w6";
@@ -211,7 +175,7 @@ fn hot_promotion_case(transport: Transport) {
     }));
     registry.register_snapshot("m", snap_old).expect("register");
     let gen_before = registry.stats("m").expect("stats").generation;
-    let (server, addr) = registry_server(Arc::clone(&registry), transport);
+    let (server, addr) = registry_server(Arc::clone(&registry));
 
     let stop = Arc::new(AtomicUsize::new(0));
     let clients: Vec<_> = (0..3)
@@ -335,12 +299,6 @@ fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn shutdown_drains_the_request_in_flight_instead_of_dropping_it() {
-    for transport in transports() {
-        shutdown_drain_case(transport);
-    }
-}
-
-fn shutdown_drain_case(transport: Transport) {
     let (corpus, snapshot) = trained_with(3, 5);
     let (gated, gate, entered) = GatedModel::new(snapshot);
     let registry: Arc<ModelRegistry<GatedModel>> =
@@ -348,11 +306,10 @@ fn shutdown_drain_case(transport: Transport) {
     registry
         .register("m", gated, DocEncoder::new(corpus.vocab.clone()))
         .expect("register");
-    let server = TcpServer::bind_with(
+    let server = TcpServer::bind(
         "127.0.0.1:0",
         Arc::clone(&registry) as Arc<dyn Router>,
         ProtocolLimits::default(),
-        transport,
     )
     .expect("bind");
     let addr = server.local_addr().to_string();

@@ -39,12 +39,16 @@ cargo test -q -p ct-serve --test backpressure
 # Unix-socket and offline inference serve identical bytes — including
 # across mid-traffic hot promotion; shutdown drains in-flight requests
 # instead of dropping them; and fair-share admission protects a tenant
-# from a noisy neighbor saturating the global budget. Both suites run
-# every socket case against the threaded AND the epoll-reactor
-# transports (`transports()` in each test file).
-echo "== serve protocol + lifecycle tests (threaded + reactor transports)"
+# from a noisy neighbor saturating the global budget. Every case runs
+# once, on the epoll reactor that serves both listener kinds. The last
+# two suites pin the reactor's resource contracts: 200 parked Unix
+# clients cost no threads, and accept at the fd limit backs off instead
+# of spinning and serves the waiting client once fds free.
+echo "== serve protocol + lifecycle tests (epoll reactor, TCP + Unix)"
 cargo test -q -p ct-serve --test protocol
 cargo test -q -p ct-serve --test lifecycle
+cargo test -q -p ct-serve --test unix_fan_in
+cargo test -q -p ct-serve --test accept_emfile
 
 # Latency-under-load + fan-in gate: open-loop TCP traffic against a
 # self-hosted fixture server (epoll reactor transport) must keep p99
