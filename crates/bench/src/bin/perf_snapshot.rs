@@ -3,12 +3,18 @@
 //! Writes two JSON files into the current directory:
 //!
 //! - `BENCH_sgemm.json` — best wall-time (and derived GFLOP/s) for the
-//!   three SGEMM layouts at training shapes, plus the square baseline.
-//! - `BENCH_train_epoch.json` — median wall-time of a one-epoch
+//!   three SGEMM layouts at training shapes, the square baseline, the three
+//!   products of the topic-wise regularizer at the NYTimes-like grid shape
+//!   (`M = K·v = 400`, `V = 2400`) and ETM's topic-word gradient. A
+//!   provenance header records the CPU model, the SIMD level the kernels
+//!   selected and the git revision.
+//! - `BENCH_train_epoch.json` — min/median/max wall-time of a one-epoch
 //!   `fit_contratopic` run on the shared train-epoch fixture, swept over
 //!   1/2/4 pool workers with the sharded data-parallel driver engaged
-//!   (`micro_batch` < `batch_size`). The sweep also asserts the trained
-//!   parameters are bitwise identical across worker counts.
+//!   (`micro_batch` < `batch_size`), plus the one-epoch ETM median on the
+//!   same fixture and the ContraTopic/ETM ratio (the paper's §V-E cost of
+//!   the regularizer). The sweep also asserts the trained parameters are
+//!   bitwise identical across worker counts.
 //!
 //! `--smoke` runs the same code paths on a tiny preset with minimal sample
 //! counts and writes nothing — a CI gate so the binary cannot rot.
@@ -18,18 +24,19 @@
 //! *best* (minimum) time over the sample loop: on a shared box,
 //! interference only ever slows a sample down, so min-time is the stable
 //! estimator a ±10% regression gate can be built on, while medians would
-//! flake with scheduler noise. The epoch sweep keeps medians (its samples
-//! are long enough to average the noise out) over `EPOCH_SAMPLES` runs
-//! after one warm-up, which also spins up the worker pool. Note the
-//! speedup of the worker sweep is bounded by the *physical* cores of the
-//! machine (the `cores` field), not by the worker count.
+//! flake with scheduler noise. The epoch sweep reports min, median and max
+//! over five runs after one warm-up (which also spins up the worker
+//! pool), so a difference between worker counts can be judged against the
+//! spread of each. Note the speedup of the worker sweep is bounded by the
+//! *physical* cores of the machine (the `cores` field), not by the worker
+//! count.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use contratopic::{fit_contratopic, fit_contratopic_traced};
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
-use ct_models::TrainConfig;
+use ct_models::{fit_etm, TrainConfig};
 use ct_tensor::{params_to_bytes, pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,20 +45,30 @@ use std::hint::black_box;
 /// Worker counts swept for `BENCH_train_epoch.json`.
 const WORKER_SWEEP: [usize; 3] = [1, 2, 4];
 
-fn median_ns(samples: &mut [u128]) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+/// Min, median and max of a set of wall times.
+#[derive(Clone, Copy)]
+struct Spread {
+    min_ns: u128,
+    median_ns: u128,
+    max_ns: u128,
 }
 
-fn time_median<F: FnMut()>(samples: usize, mut f: F) -> u128 {
+/// Wall-time spread over `samples` runs after one warm-up.
+fn time_spread<F: FnMut()>(samples: usize, mut f: F) -> Spread {
     f(); // warm-up: allocator, caches, worker pool
-    let mut out = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        out.push(t0.elapsed().as_nanos());
+    let mut out: Vec<u128> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    out.sort_unstable();
+    Spread {
+        min_ns: out[0],
+        median_ns: out[out.len() / 2],
+        max_ns: out[out.len() - 1],
     }
-    median_ns(&mut out)
 }
 
 /// Best (minimum) time over `samples` runs after one warm-up. Used for the
@@ -102,7 +119,13 @@ fn csr_encoder_batch() -> Tensor {
     Tensor::from_csr(ct_tensor::CsrMatrix::from_rows(256, 600, rows))
 }
 
-fn sgemm_cases(samples: usize) -> Vec<SgemmCase> {
+/// Rows `M = K·v` of the regularizer's subset matrix `A` at the
+/// NYTimes-like grid configuration (`K = 40`, `v = 10`).
+const REG_M: usize = 400;
+/// Vocabulary `V` of the regularizer's `(V, V)` kernel `N` there (≈ 2400).
+const REG_V: usize = 2400;
+
+fn sgemm_cases(samples: usize, big_samples: usize) -> Vec<SgemmCase> {
     let mut rng = StdRng::seed_from_u64(1);
     let a = Tensor::randn(256, 256, 1.0, &mut rng);
     let b = Tensor::randn(256, 256, 1.0, &mut rng);
@@ -113,6 +136,12 @@ fn sgemm_cases(samples: usize) -> Vec<SgemmCase> {
     let we = Tensor::randn(600, 128, 1.0, &mut rng); // encoder weights (V, H)
     let ge = Tensor::randn(256, 128, 1.0, &mut rng); // encoder out grad (B, H)
     let mut cbuf = vec![0.0f32; 256 * 600]; // axpy accumulator rows
+    let reg_a = Tensor::randn(REG_M, REG_V, 1.0, &mut rng); // subset matrix A
+    let reg_n = Tensor::randn(REG_V, REG_V, 1.0, &mut rng); // kernel N
+    let reg_t = Tensor::randn(REG_M, REG_V, 1.0, &mut rng); // T = A·N
+    let reg_g = Tensor::randn(REG_M, REG_M, 1.0, &mut rng); // G + Gᵀ
+    let theta = Tensor::randn(256, 40, 1.0, &mut rng); // ETM θ (B, K)
+    let g_rec = Tensor::randn(256, REG_V, 1.0, &mut rng); // reconstruction grad (B, V)
 
     vec![
         SgemmCase {
@@ -158,6 +187,46 @@ fn sgemm_cases(samples: usize) -> Vec<SgemmCase> {
             n: 600,
             best_ns: time_best(samples, || {
                 black_box(x.matmul_tn(&g));
+            }),
+        },
+        // The topic-wise regularizer's three dense products (most of a
+        // ContraTopic training step): T = A·N, S = T·Aᵀ and the backward
+        // (G + Gᵀ)·T. Few samples: each is hundreds of MFLOP.
+        SgemmCase {
+            name: "reg_xn",
+            m: REG_M,
+            k: REG_V,
+            n: REG_V,
+            best_ns: time_best(big_samples, || {
+                black_box(reg_a.matmul(&reg_n));
+            }),
+        },
+        SgemmCase {
+            name: "reg_quad_nt",
+            m: REG_M,
+            k: REG_V,
+            n: REG_M,
+            best_ns: time_best(big_samples, || {
+                black_box(reg_t.matmul_nt(&reg_a));
+            }),
+        },
+        SgemmCase {
+            name: "reg_dx",
+            m: REG_M,
+            k: REG_M,
+            n: REG_V,
+            best_ns: time_best(big_samples, || {
+                black_box(reg_g.matmul(&reg_t));
+            }),
+        },
+        // ETM's topic-word gradient dβ = θᵀ·G at the grid shape.
+        SgemmCase {
+            name: "tn_etm_beta_grad",
+            m: 40,
+            k: 256,
+            n: REG_V,
+            best_ns: time_best(samples, || {
+                black_box(theta.matmul_tn(&g_rec));
             }),
         },
         // CSR rows: GFLOP/s below is *dense-equivalent* (flops = 2mkn as
@@ -215,9 +284,47 @@ fn sgemm_cases(samples: usize) -> Vec<SgemmCase> {
     ]
 }
 
+/// The CPU model string from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| l.strip_prefix("model name"))
+        .and_then(|rest| rest.split_once(':'))
+        .map_or_else(|| "unknown".to_string(), |(_, m)| m.trim().to_string())
+}
+
+/// The revision of the source tree this binary was built from (`-dirty`
+/// when it has uncommitted changes), or `"unknown"` outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR")])
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |r| r.trim().to_string())
+}
+
+/// The provenance fields every artifact starts with.
+fn provenance_json() -> String {
+    format!(
+        "  \"cpu_model\": \"{}\",\n  \"simd\": \"{}\",\n  \"git_rev\": \"{}\",\n",
+        cpu_model().replace(['"', '\\'], ""),
+        ct_tensor::simd::level(),
+        git_rev()
+    )
+}
+
 fn write_sgemm_json(cases: &[SgemmCase]) -> std::io::Result<()> {
-    let mut out = String::from("{\n  \"threads\": ");
-    let _ = write!(out, "{},\n  \"ops\": [\n", pool::configured_threads());
+    let mut out = String::from("{\n");
+    out.push_str(&provenance_json());
+    let _ = write!(
+        out,
+        "  \"threads\": {},\n  \"ops\": [\n",
+        pool::configured_threads()
+    );
     for (i, c) in cases.iter().enumerate() {
         let flops = 2.0 * (c.m * c.k * c.n) as f64;
         let gflops = flops / c.best_ns.max(1) as f64; // ns => GFLOP/s
@@ -301,7 +408,7 @@ fn epoch_fixture(smoke: bool) -> EpochFixture {
 
 struct SweepPoint {
     workers: usize,
-    median_ns: u128,
+    spread: Spread,
 }
 
 /// Time one epoch at each worker count and check the trained parameters
@@ -312,7 +419,7 @@ fn train_epoch_sweep(fix: &EpochFixture, samples: usize) -> (Vec<SweepPoint>, bo
     let mut bitwise_equal = true;
     for &workers in &WORKER_SWEEP {
         pool::with_threads(workers, || {
-            let median = time_median(samples, || {
+            let spread = time_spread(samples, || {
                 black_box(fit_contratopic(
                     &fix.corpus,
                     fix.emb.clone(),
@@ -333,13 +440,20 @@ fn train_epoch_sweep(fix: &EpochFixture, samples: usize) -> (Vec<SweepPoint>, bo
                 None => reference = Some(bytes),
                 Some(r) => bitwise_equal &= *r == bytes,
             }
-            points.push(SweepPoint {
-                workers,
-                median_ns: median,
-            });
+            points.push(SweepPoint { workers, spread });
         });
     }
     (points, bitwise_equal)
+}
+
+/// One-epoch ETM (the backbone alone, no regularizer) on the same fixture
+/// at one worker: the denominator of the §V-E cost ratio.
+fn etm_epoch(fix: &EpochFixture, samples: usize) -> Spread {
+    pool::with_threads(1, || {
+        time_spread(samples, || {
+            black_box(fit_etm(&fix.corpus, fix.emb.clone(), &fix.config));
+        })
+    })
 }
 
 /// Optional extra traced run, outside the timing loop, so the telemetry of
@@ -362,36 +476,54 @@ fn maybe_trace(fix: &EpochFixture) {
 fn write_train_json(
     fix: &EpochFixture,
     points: &[SweepPoint],
+    etm: Spread,
     bitwise_equal: bool,
 ) -> std::io::Result<()> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ms = |ns: u128| ns as f64 / 1e6;
     let mut out = String::from("{\n");
+    out.push_str(&provenance_json());
     let _ = write!(
         out,
         "  \"model\": \"ContraTopic\",\n  \"epochs\": 1,\n  \"cores\": {},\n  \"batch_size\": {},\n  \"micro_batch\": {},\n  \"bitwise_equal_across_workers\": {},\n  \"sweep\": [\n",
         cores, fix.config.batch_size, fix.config.micro_batch, bitwise_equal
     );
     for (i, p) in points.iter().enumerate() {
+        let s = p.spread;
         let _ = writeln!(
             out,
-            "    {{\"workers\": {}, \"median_ns\": {}, \"median_ms\": {:.3}}}{}",
+            "    {{\"workers\": {}, \"min_ms\": {:.3}, \"median_ms\": {:.3}, \"max_ms\": {:.3}}}{}",
             p.workers,
-            p.median_ns,
-            p.median_ns as f64 / 1e6,
+            ms(s.min_ns),
+            ms(s.median_ns),
+            ms(s.max_ns),
             if i + 1 < points.len() { "," } else { "" }
         );
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n");
+    // The ratio compares like with like: both models at one worker.
+    let ct_one = points
+        .iter()
+        .find(|p| p.workers == 1)
+        .map_or(0, |p| p.spread.median_ns);
+    let _ = write!(
+        out,
+        "  \"etm_workers\": 1,\n  \"etm_median_ms\": {:.3},\n  \"contratopic_etm_ratio\": {:.3}\n}}\n",
+        ms(etm.median_ns),
+        ct_one as f64 / etm.median_ns.max(1) as f64
+    );
     std::fs::write("BENCH_train_epoch.json", out)
 }
 
 fn main() -> std::io::Result<()> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let sgemm_samples = if smoke { 3 } else { 30 };
+    let reg_samples = if smoke { 1 } else { 5 };
     let epoch_samples = if smoke { 1 } else { 5 };
 
     println!("threads: {}", pool::configured_threads());
-    let cases = sgemm_cases(sgemm_samples);
+    println!("simd: {}", ct_tensor::simd::level());
+    let cases = sgemm_cases(sgemm_samples, reg_samples);
     for c in &cases {
         println!(
             "sgemm {:<16} {:>4}x{:<4}x{:<4} best {:>10.3} ms",
@@ -410,6 +542,7 @@ fn main() -> std::io::Result<()> {
     let csr_before = ct_tensor::csr_matmuls();
     let fix = epoch_fixture(smoke);
     let (points, bitwise_equal) = train_epoch_sweep(&fix, epoch_samples);
+    let etm = etm_epoch(&fix, epoch_samples);
     let csr_delta = ct_tensor::csr_matmuls() - csr_before;
     println!("csr_matmuls during epoch sweep: {csr_delta}");
     if csr_delta == 0 {
@@ -417,12 +550,19 @@ fn main() -> std::io::Result<()> {
         std::process::exit(1);
     }
     for p in &points {
+        let s = p.spread;
         println!(
-            "train_one_epoch ContraTopic workers={} median {:>10.3} ms",
+            "train_one_epoch ContraTopic workers={} min {:>9.3} median {:>9.3} max {:>9.3} ms",
             p.workers,
-            p.median_ns as f64 / 1e6
+            s.min_ns as f64 / 1e6,
+            s.median_ns as f64 / 1e6,
+            s.max_ns as f64 / 1e6
         );
     }
+    println!(
+        "train_one_epoch ETM workers=1 median {:>9.3} ms",
+        etm.median_ns as f64 / 1e6
+    );
     println!("bitwise_equal_across_workers: {bitwise_equal}");
     if !bitwise_equal {
         eprintln!("error: trained parameters differ across worker counts");
@@ -436,7 +576,7 @@ fn main() -> std::io::Result<()> {
     }
     write_sgemm_json(&cases)?;
     println!("wrote BENCH_sgemm.json");
-    write_train_json(&fix, &points, bitwise_equal)?;
+    write_train_json(&fix, &points, etm, bitwise_equal)?;
     println!("wrote BENCH_train_epoch.json");
     Ok(())
 }

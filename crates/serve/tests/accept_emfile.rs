@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
@@ -56,14 +56,22 @@ fn set_nofile_limit(lim: sys::RLimit) {
 
 /// The open `/proc/self/task/<tid>/stat` of the thread named `name`.
 /// Kept open so it can be re-read while no fd can be allocated.
+///
+/// A spawned thread sets its own name once it first runs, which can be
+/// after `spawn` has returned to the caller, so the lookup retries for a
+/// while before giving up.
 fn thread_stat(name: &str) -> File {
-    for task in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task") {
-        let dir = task.expect("task entry").path();
-        if std::fs::read_to_string(dir.join("comm")).is_ok_and(|comm| comm.trim_end() == name) {
-            return File::open(dir.join("stat")).expect("open thread stat");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        for task in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task") {
+            let dir = task.expect("task entry").path();
+            if std::fs::read_to_string(dir.join("comm")).is_ok_and(|comm| comm.trim_end() == name) {
+                return File::open(dir.join("stat")).expect("open thread stat");
+            }
         }
+        assert!(Instant::now() < deadline, "no thread named {name}");
+        std::thread::sleep(Duration::from_millis(1));
     }
-    panic!("no thread named {name}");
 }
 
 /// The thread's user + system CPU time so far, in clock ticks.

@@ -2,40 +2,68 @@
 //!
 //! Three layouts are provided so callers never materialize transposes in hot
 //! paths: `C = A·B` (nn), `C = A·Bᵀ` (nt), and `C = Aᵀ·B` (tn). All operate
-//! on row-major slices. The `nn` and `tn` kernels use loop orders whose
-//! innermost loop is a unit-stride axpy over a row of `B`, which LLVM
-//! autovectorizes; the `nt` kernel is an unrolled dot-product.
+//! on row-major slices and accumulate into `C` (`C +=`).
+//!
+//! # One register-blocked kernel
+//!
+//! The dense `nn` and `tn` products and the large-`nt` route all run one
+//! Goto/BLIS-style blocked loop (`gemm_blocked`), which reads `A` and `B`
+//! through (row, column) strides, so a transposed operand is just another
+//! stride pair and never a copy:
+//!
+//! - `C` is cut into `MR × NR` (6 × 16) tiles; the micro-kernel
+//!   ([`crate::simd`]'s register tile) keeps one tile in registers for a
+//!   whole k-panel of depth `KC`, so each `C` element is loaded and stored
+//!   once per `KC` multiply-adds instead of once per multiply-add.
+//! - `B` is packed, `KC` rows × `NC` columns at a time, into contiguous
+//!   `KC × NR` strips in a reused thread-local buffer (zero-padded to a
+//!   whole strip). Slabs of fewer than `PACK_B_MIN_M` rows read a
+//!   unit-stride `B` in place instead, so small inference-sized products do
+//!   not pay a packing pass that would not be reused.
+//! - `A` is packed one `MR`-row strip at a time (`kc × MR`).
+//! - The tile runs on as many rows as the strip has (1 to `MR`), so the
+//!   bottom edge of `C`, and a one-row product, costs only its own rows. A
+//!   ragged right edge runs on a stack copy of the `C` tile and stores back
+//!   only the valid columns.
+//!
+//! Bitwise contract: every `C` element still sees `c = c + (a·b)` (separate
+//! multiply and add, never FMA) once per `k`, in ascending `k` order — the
+//! order of the naive triple loop. Blocking, packing, the SIMD body and the
+//! worker count change none of the bits.
 //!
 //! Large multiplies are partitioned across the persistent worker pool in
 //! [`crate::pool`]: `nn`/`nt` split the output *row* range, `tn` splits the
-//! output *column* range (its outer loop walks the shared `k` dimension, so
-//! rows cannot be split without changing accumulation order). Each worker
-//! owns a disjoint slab of `C` and accumulates into each element in the same
-//! sequential `k` order regardless of the worker count, so results are
-//! bitwise identical for any `CT_NUM_THREADS`.
+//! output *column* range. Each worker owns a disjoint slab of `C`, so results
+//! are bitwise identical for any `CT_NUM_THREADS`.
 //!
-//! The dense inner loops carry no `aik == 0.0` branch — on dense training
-//! data the branch is pure overhead and blocks vectorization. Callers with
-//! genuinely sparse left operands have two tiers: [`sgemm_nn_sparse_a`]
-//! keeps the per-element skip on a dense buffer, while [`sgemm_csr_dense`] /
-//! [`sgemm_csr_t_dense`] take a [`CsrMatrix`] and never touch the zeros at
-//! all (no `O(mk)` scan, no branch). All inner loops go through the
-//! explicitly vectorized micro-kernels in [`crate::simd`], which are
-//! bitwise identical to the scalar loops they replace.
+//! The small `nt` route keeps its own dot-product kernel (four interleaved
+//! partial sums, [`simd::dot4`]): that grouping is pinned by the training
+//! trajectories of the shapes below `NT_VIA_BLOCKED_MIN_FLOPS`.
+//!
+//! Callers with genuinely sparse left operands have two more tiers:
+//! [`sgemm_nn_sparse_a`] skips zero entries of a dense buffer, while
+//! [`sgemm_csr_dense`] / [`sgemm_csr_t_dense`] take a [`CsrMatrix`] and never
+//! touch the zeros at all. Their inner loop is [`simd::axpy`]; both are
+//! bitwise identical to the dense kernels on finite inputs.
 
 use crate::csr::CsrMatrix;
 use crate::pool;
-use crate::simd;
+use crate::simd::{self, TileBody, MR, NR};
 
-/// Rows of `B` kept hot per k-panel (L1-sized: 64 rows × 4 B × ~256 cols).
-const KB: usize = 64;
+/// Depth of one k-panel: the `k` range a `C` tile accumulates in registers
+/// between a load and a store. A packed `A` strip (`KC × MR`) and `B` strip
+/// (`KC × NR`) together take 22 KB, inside a 32 KB L1.
+const KC: usize = 256;
 
-/// Column tile width for the packed `nn` path.
-const NB_PACK: usize = 256;
+/// Columns of `B` packed per panel: a `KC × NC` panel is 512 KB, which sits
+/// in L2 while every `A` strip of the slab streams over it.
+const NC: usize = 512;
 
-/// Minimum `n` before packing `B` tiles pays for the copy: below this a full
-/// row of `B` already fits comfortably in L1 and packing is pure overhead.
-const PACK_MIN_N: usize = 192;
+/// Slabs with fewer rows than this read a unit-stride `B` in place: a
+/// packed strip would be reused by at most ten `A` strips, too few to repay
+/// the copy. (At the 32-row held-out inference batch the in-place read is
+/// ~30% faster on an AVX2 Xeon; from 64 rows up the two are even.)
+const PACK_B_MIN_M: usize = 64;
 
 #[derive(Clone, Copy)]
 struct MutPtr(*mut f32);
@@ -53,75 +81,194 @@ impl MutPtr {
     }
 }
 
-/// `C += A(m x k) · B(k x n)`, all row-major. `c` must be zeroed by the
-/// caller if a pure product is wanted.
-pub fn sgemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let c_ptr = MutPtr(c.as_mut_ptr());
-    pool::run_partitioned(m, pool::min_items_for_grain(k * n), |rows| {
-        let base = c_ptr.get();
-        let slab = rows.len();
-        // SAFETY: row ranges from `run_partitioned` are disjoint, so the
-        // `C` slabs are non-overlapping.
-        let c_slab = unsafe { std::slice::from_raw_parts_mut(base.add(rows.start * n), slab * n) };
-        let a_slab = &a[rows.start * k..(rows.start + slab) * k];
-        sgemm_nn_rows(slab, k, n, a_slab, b, c_slab);
-    });
+/// A read-only matrix view: element `(r, c)` is `data[r * rs + c * cs]`.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
 }
 
-fn sgemm_nn_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    if n >= PACK_MIN_N {
-        sgemm_nn_rows_packed(m, k, n, a, b, c);
-        return;
+impl Strided<'_> {
+    fn at(&self, r: usize, c: usize) -> f32 {
+        self.data[r * self.rs + c * self.cs]
     }
-    // i-k-j with k blocked for L1 reuse of B rows.
-    for kb in (0..k).step_by(KB) {
-        let kend = (kb + KB).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for kk in kb..kend {
-                simd::axpy(c_row, a_row[kk], &b[kk * n..(kk + 1) * n]);
+}
+
+thread_local! {
+    /// Reused `B`-panel packing buffer — one per thread, so pool workers
+    /// packing concurrently never contend or allocate after warm-up.
+    static PACK_BUF: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Pack rows `i0..i0 + mr` × columns `p0..p0 + kc` of `a` into `out` as
+/// `kc` groups of `MR` slots (row-interleaved); slots past `mr` are left
+/// as they are, since an `mr`-row tile never reads them.
+fn pack_a(a: Strided, i0: usize, mr: usize, p0: usize, kc: usize, out: &mut [f32]) {
+    for (kk, dst) in out[..kc * MR].chunks_exact_mut(MR).enumerate() {
+        for (r, d) in dst[..mr].iter_mut().enumerate() {
+            *d = a.at(i0 + r, p0 + kk);
+        }
+    }
+}
+
+/// Pack rows `p0..p0 + kc` × columns `j0..j0 + nc` of `b` into `out` as
+/// consecutive `kc × NR` strips, zero-padding the last strip's columns past
+/// `nc`.
+fn pack_b(b: Strided, p0: usize, kc: usize, j0: usize, nc: usize, out: &mut [f32]) {
+    for (s, strip) in out.chunks_exact_mut(kc * NR).enumerate() {
+        let js = j0 + s * NR;
+        let w = NR.min(j0 + nc - js);
+        if b.cs == 1 {
+            for (kk, dst) in strip.chunks_exact_mut(NR).enumerate() {
+                let src = (p0 + kk) * b.rs + js;
+                dst[..w].copy_from_slice(&b.data[src..src + w]);
+                dst[w..].fill(0.0);
+            }
+        } else {
+            // Column-major walk: reads along `k` are the unit stride here.
+            for jj in 0..NR {
+                for kk in 0..kc {
+                    strip[kk * NR + jj] = if jj < w { b.at(p0 + kk, js + jj) } else { 0.0 };
+                }
             }
         }
     }
 }
 
-thread_local! {
-    /// Reused `B`-tile packing buffer — one per thread, so pool workers
-    /// packing concurrently never contend or allocate after warm-up.
-    static PACK_BUF: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Packed variant for wide outputs: copies each `KB x NB_PACK` tile of `B`
-/// into a contiguous per-thread buffer, then streams the whole row slab of
-/// `A`/`C` over it. For vocabulary-sized `n` (hundreds to thousands) the
-/// strided tile of `B` spans many cache lines per column step; packing turns
-/// the inner axpy into purely sequential reads. Accumulation order over `k`
-/// is unchanged (`kb` ascending, `kk` ascending), so results stay bitwise
-/// identical to the unpacked kernel.
-fn sgemm_nn_rows_packed(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// `C += A(m x k) · B(k x n)` with `A`, `B` read through their strides and
+/// `C` row-major at `c` with row stride `ldc`, on the calling thread.
+///
+/// # Safety
+///
+/// `c + i * ldc + j` must be valid for reads and writes for every `i < m`,
+/// `j < n`, and no other thread may touch those elements during the call.
+/// `a` must hold every `(i, p)` and `b` every `(p, j)` for `i < m`,
+/// `p < k`, `j < n` (the slices bound what `Strided::at` reads; `b`'s
+/// in-place strips are read through a raw pointer, so this must hold).
+unsafe fn gemm_blocked(
+    body: TileBody,
+    (m, k, n): (usize, usize, usize),
+    a: Strided,
+    b: Strided,
+    c: *mut f32,
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let b_in_place = b.cs == 1 && m < PACK_B_MIN_M;
     PACK_BUF.with(|buf| {
-        let mut pack = buf.borrow_mut();
-        pack.resize(KB * NB_PACK, 0.0);
-        for jb in (0..n).step_by(NB_PACK) {
-            let jw = (jb + NB_PACK).min(n) - jb;
-            for kb in (0..k).step_by(KB) {
-                let kw = (kb + KB).min(k) - kb;
-                for kk in 0..kw {
-                    let src = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + jw];
-                    pack[kk * jw..kk * jw + jw].copy_from_slice(src);
+        let mut buf = buf.borrow_mut();
+        let mut a_pack = [0.0f32; KC * MR];
+        let mut edge = [0.0f32; MR * NR];
+        for j0 in (0..n).step_by(NC) {
+            let nc = NC.min(n - j0);
+            let strips = nc.div_ceil(NR);
+            for p0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - p0);
+                if b_in_place {
+                    // Only a ragged last strip needs a padded copy.
+                    if !nc.is_multiple_of(NR) {
+                        buf.resize(kc * NR, 0.0);
+                        let js = (strips - 1) * NR;
+                        pack_b(b, p0, kc, j0 + js, nc - js, &mut buf[..kc * NR]);
+                    }
+                } else {
+                    buf.resize(strips * kc * NR, 0.0);
+                    pack_b(b, p0, kc, j0, nc, &mut buf[..strips * kc * NR]);
                 }
-                for i in 0..m {
-                    let a_seg = &a[i * k + kb..i * k + kb + kw];
-                    let c_row = &mut c[i * n + jb..i * n + jb + jw];
-                    for (kk, &aik) in a_seg.iter().enumerate() {
-                        simd::axpy(c_row, aik, &pack[kk * jw..(kk + 1) * jw]);
+                for i0 in (0..m).step_by(MR) {
+                    let mr = MR.min(m - i0);
+                    pack_a(a, i0, mr, p0, kc, &mut a_pack);
+                    for s in 0..strips {
+                        let js = s * NR;
+                        let nr = NR.min(nc - js);
+                        // SAFETY: a packed strip lies inside `buf`, resized
+                        // above to `strips · kc · NR` (or `kc · NR` for the
+                        // one ragged in-place strip); a full in-place strip
+                        // reads `NR` columns below `j0 + nc ≤ n` on rows
+                        // below `p0 + kc ≤ k`, which `b` holds. The `C`
+                        // tile's `mr` rows of `nr` columns lie inside the
+                        // caller's `m × n` block. The tile reads at most
+                        // `kc · MR` values of `a_pack` and `NR` per `k` step
+                        // of the strip, and writes `mr × NR` at `c_tile` only
+                        // for a full-width strip — a ragged one goes through
+                        // `edge`.
+                        let (b_strip, b_rs) = if !b_in_place {
+                            (buf.as_ptr().add(s * kc * NR), NR)
+                        } else if nr == NR {
+                            (b.data.as_ptr().add(p0 * b.rs + j0 + js), b.rs)
+                        } else {
+                            (buf.as_ptr(), NR)
+                        };
+                        let c_tile = c.add(i0 * ldc + j0 + js);
+                        let a_strip = a_pack.as_ptr();
+                        if nr == NR {
+                            simd::tile(body, mr, kc, a_strip, b_strip, b_rs, c_tile, ldc);
+                        } else {
+                            // Ragged right edge: run the tile on a stack
+                            // copy and store back only the valid columns.
+                            for r in 0..mr {
+                                let src = std::slice::from_raw_parts(c_tile.add(r * ldc), nr);
+                                edge[r * NR..r * NR + nr].copy_from_slice(src);
+                            }
+                            simd::tile(body, mr, kc, a_strip, b_strip, b_rs, edge.as_mut_ptr(), NR);
+                            for r in 0..mr {
+                                let dst = std::slice::from_raw_parts_mut(c_tile.add(r * ldc), nr);
+                                dst.copy_from_slice(&edge[r * NR..r * NR + nr]);
+                            }
+                        }
                     }
                 }
             }
+        }
+    });
+}
+
+/// `C += A(m x k) · B(k x n)`, all row-major. `c` must be zeroed by the
+/// caller if a pure product is wanted.
+pub fn sgemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    sgemm_nn_with(TileBody::host(), m, k, n, a, b, c);
+}
+
+fn sgemm_nn_with(
+    body: TileBody,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    // Full asserts, not debug ones: the blocked kernel reads and writes
+    // through raw pointers that these lengths bound.
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(c.len(), m * n);
+    let b = Strided {
+        data: b,
+        rs: n,
+        cs: 1,
+    };
+    sgemm_rows(body, m, k, n, a, b, c);
+}
+
+/// Row-partitioned driver shared by `nn` and the large `nt` route: each
+/// worker runs [`gemm_blocked`] on its own slab of `A` rows and `C` rows.
+fn sgemm_rows(body: TileBody, m: usize, k: usize, n: usize, a: &[f32], b: Strided, c: &mut [f32]) {
+    let c_ptr = MutPtr(c.as_mut_ptr());
+    pool::run_partitioned(m, pool::min_items_for_grain(k * n), |rows| {
+        let a_slab = Strided {
+            data: &a[rows.start * k..rows.end * k],
+            rs: k,
+            cs: 1,
+        };
+        // SAFETY: row ranges from `run_partitioned` are disjoint, so the
+        // `C` slabs are non-overlapping.
+        unsafe {
+            let c_slab = c_ptr.get().add(rows.start * n);
+            gemm_blocked(body, (rows.len(), k, n), a_slab, b, c_slab, n);
         }
     });
 }
@@ -141,7 +288,7 @@ pub fn sgemm_nn_sparse_a(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: 
     pool::run_partitioned(m, pool::min_items_for_grain(k * n), |rows| {
         let base = c_ptr.get();
         let slab = rows.len();
-        // SAFETY: disjoint row ranges — see `sgemm_nn`.
+        // SAFETY: disjoint row ranges — see `sgemm_rows`.
         let c_slab = unsafe { std::slice::from_raw_parts_mut(base.add(rows.start * n), slab * n) };
         for i in 0..slab {
             let a_row = &a[(rows.start + i) * k..(rows.start + i + 1) * k];
@@ -177,7 +324,7 @@ pub fn sgemm_csr_dense(a: &CsrMatrix, n: usize, b: &[f32], c: &mut [f32]) {
     let c_ptr = MutPtr(c.as_mut_ptr());
     pool::run_partitioned(m, pool::min_items_for_grain(cost_per_row), |rows| {
         let base = c_ptr.get();
-        // SAFETY: disjoint row ranges — see `sgemm_nn`.
+        // SAFETY: disjoint row ranges — see `sgemm_rows`.
         let c_slab =
             unsafe { std::slice::from_raw_parts_mut(base.add(rows.start * n), rows.len() * n) };
         for (i, r) in rows.clone().enumerate() {
@@ -239,60 +386,53 @@ pub fn sparse_a_worthwhile(m: usize, k: usize, n: usize, a: &[f32]) -> bool {
     zeros * 10 >= a.len() * 6
 }
 
-/// Minimum multiply-add count before `nt` pays to transpose `B` and run
-/// through the (packed, axpy-based) `nn` path. The dot-product kernel below
-/// streams `B` column-major through cache `m` times, which caps it at a
-/// fraction of the `nn` throughput — but the `O(nk)` transpose plus a second
-/// pass over `B` only amortizes on large multiplies. The crossover is set
-/// conservatively high because rerouting also changes the accumulation
-/// grouping (four interleaved partial sums vs. sequential axpy), and the
-/// mid-size shapes below it sit on training paths whose float-exact
-/// trajectories are pinned by seed-sensitive quality tests.
-const NT_VIA_NN_MIN_FLOPS: usize = 1 << 23;
-
-thread_local! {
-    /// Reused `Bᵀ` buffer for the transposing `nt` route.
-    static NT_TRANSPOSE_BUF: std::cell::RefCell<Vec<f32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
+/// Minimum multiply-add count before `nt` leaves the dot-product kernel
+/// for the blocked kernel, which reads `B (n x k)` as `Bᵀ` through its
+/// strides while packing. The dot-product kernel streams `B` through cache
+/// `m` times, which caps it at a fraction of the blocked throughput, but
+/// switching routes also changes the accumulation grouping (four
+/// interleaved partial sums vs. sequential), and the mid-size shapes below
+/// the crossover sit on training paths whose float-exact trajectories are
+/// pinned by seed-sensitive quality tests.
+const NT_VIA_BLOCKED_MIN_FLOPS: usize = 1 << 23;
 
 /// `C += A(m x k) · B(n x k)ᵀ`, producing `C (m x n)`.
 ///
-/// Large multiplies transpose `B` once into a thread-local buffer and
-/// reuse the `nn` kernel (packed axpy inner loop); small and mid-size
-/// shapes keep the unrolled dot-product kernel (see the
-/// `NT_VIA_NN_MIN_FLOPS` crossover above). Both routes partition output rows, so results
-/// are bitwise identical across worker counts.
+/// Large multiplies run the blocked kernel with `B` read transposed (no
+/// transpose buffer); small and mid-size shapes keep the unrolled
+/// dot-product kernel (see the `NT_VIA_BLOCKED_MIN_FLOPS` crossover above).
+/// Both routes partition output rows, so results are bitwise identical
+/// across worker counts.
 pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    if m * k * n >= NT_VIA_NN_MIN_FLOPS {
-        NT_TRANSPOSE_BUF.with(|buf| {
-            let mut bt = buf.borrow_mut();
-            bt.clear();
-            bt.resize(k * n, 0.0);
-            // Blocked transpose of B (n x k) into Bᵀ (k x n): trivial next
-            // to the O(mkn) multiply.
-            const TB: usize = 32;
-            for rb in (0..n).step_by(TB) {
-                for cb in (0..k).step_by(TB) {
-                    for r in rb..(rb + TB).min(n) {
-                        for cc in cb..(cb + TB).min(k) {
-                            bt[cc * n + r] = b[r * k + cc];
-                        }
-                    }
-                }
-            }
-            sgemm_nn(m, k, n, a, &bt, c);
-        });
+    sgemm_nt_with(TileBody::host(), m, k, n, a, b, c);
+}
+
+fn sgemm_nt_with(
+    body: TileBody,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(c.len(), m * n);
+    if m * k * n >= NT_VIA_BLOCKED_MIN_FLOPS {
+        let bt = Strided {
+            data: b,
+            rs: 1,
+            cs: k,
+        };
+        sgemm_rows(body, m, k, n, a, bt, c);
         return;
     }
     let c_ptr = MutPtr(c.as_mut_ptr());
     pool::run_partitioned(m, pool::min_items_for_grain(k * n), |rows| {
         let base = c_ptr.get();
         let slab = rows.len();
-        // SAFETY: disjoint row ranges — see `sgemm_nn`.
+        // SAFETY: disjoint row ranges — see `sgemm_rows`.
         let c_slab = unsafe { std::slice::from_raw_parts_mut(base.add(rows.start * n), slab * n) };
         let a_slab = &a[rows.start * k..(rows.start + slab) * k];
         sgemm_nt_rows(slab, k, n, a_slab, b, c_slab);
@@ -311,31 +451,45 @@ fn sgemm_nt_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
 
 /// `C += A(k x m)ᵀ · B(k x n)`, producing `C (m x n)`.
 ///
-/// The outer loop walks the shared `k` dimension (each step a rank-1
-/// update), so splitting *rows* would interleave partial sums and change
-/// accumulation order. Instead the output **columns** are split: each worker
-/// owns `C[:, j0..j1]` and applies every rank-1 update to its slab in the
-/// same `k` order, preserving bitwise determinism. This is the gradient
-/// kernel (`dW = Xᵀ·dY`), the single biggest matmul in the backward pass.
+/// The blocked kernel reads `A` transposed through its strides. Output
+/// **columns** are split across workers: each owns `C[:, j0..j1]` and
+/// accumulates every element in ascending `k` order, as the `nn` layout
+/// does, so results are bitwise identical at any worker count. (Splitting
+/// columns keeps the parallel grain on the wide dimension of this layout's
+/// typical use, the weight gradient `dW = Xᵀ·dY`.)
 pub fn sgemm_tn(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    sgemm_tn_with(TileBody::host(), k, m, n, a, b, c);
+}
+
+fn sgemm_tn_with(
+    body: TileBody,
+    k: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert_eq!(a.len(), k * m);
+    assert_eq!(b.len(), k * n);
+    assert_eq!(c.len(), m * n);
+    let at = Strided {
+        data: a,
+        rs: 1,
+        cs: m,
+    };
     let c_ptr = MutPtr(c.as_mut_ptr());
     pool::run_partitioned(n, pool::min_items_for_grain(k * m), |cols| {
-        let base = c_ptr.get();
-        let jw = cols.len();
-        for kk in 0..k {
-            let a_col = &a[kk * m..(kk + 1) * m];
-            let b_seg = &b[kk * n + cols.start..kk * n + cols.end];
-            for (i, &aik) in a_col.iter().enumerate() {
-                // SAFETY: column slabs are disjoint across workers, so the
-                // `jw` elements starting at `i*n + cols.start` are only ever
-                // written by this worker.
-                let c_seg =
-                    unsafe { std::slice::from_raw_parts_mut(base.add(i * n + cols.start), jw) };
-                simd::axpy(c_seg, aik, b_seg);
-            }
+        let b_slab = Strided {
+            data: &b[cols.start..],
+            rs: n,
+            cs: 1,
+        };
+        // SAFETY: column slabs are disjoint across workers, so the `C`
+        // elements `(i, cols)` are only ever touched by this worker.
+        unsafe {
+            let c_slab = c_ptr.get().add(cols.start);
+            gemm_blocked(body, (m, k, cols.len()), at, b_slab, c_slab, n);
         }
     });
 }
@@ -382,21 +536,6 @@ mod tests {
             for (x, y) in c.iter().zip(&expect) {
                 assert!((x - y).abs() < 1e-4, "{x} vs {y}");
             }
-        }
-    }
-
-    #[test]
-    fn nn_packed_path_matches_naive() {
-        // n >= PACK_MIN_N and n not a multiple of NB_PACK, k not a multiple
-        // of KB: exercises ragged tiles on the packed path.
-        let (m, k, n) = (9, 70, PACK_MIN_N + 61);
-        let a = rand_vec(m * k, 11);
-        let b = rand_vec(k * n, 12);
-        let mut c = vec![0.0; m * n];
-        sgemm_nn(m, k, n, &a, &b, &mut c);
-        let expect = naive_nn(m, k, n, &a, &b);
-        for (x, y) in c.iter().zip(&expect) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
     }
 
@@ -473,27 +612,157 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nt_large_route_matches_small_route_numerically() {
-        // A shape above NT_VIA_NN_MIN_FLOPS takes the transpose+nn route;
-        // compare it against the naive product (not bitwise — the route
-        // legitimately changes the accumulation grouping).
-        let (m, k, n) = (64, 512, 256); // 8.4M ≥ 1<<23
-        assert!(m * k * n >= NT_VIA_NN_MIN_FLOPS);
-        let a = rand_vec(m * k, 21);
-        let bt = rand_vec(n * k, 22);
-        let mut c = vec![0.0; m * n];
-        sgemm_nt(m, k, n, &a, &bt, &mut c);
-        let mut b = vec![0.0; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
+    /// `C += A·B` with `A(i, kk) = a[i * a_rs + kk * a_cs]` and
+    /// `B(kk, j) = b[kk * b_rs + j * b_cs]`: each element sees
+    /// `c = c + a·b` in ascending `k` order — the order every blocked
+    /// route must reproduce bit for bit.
+    fn reference(
+        (m, k, n): (usize, usize, usize),
+        a: &[f32],
+        (a_rs, a_cs): (usize, usize),
+        b: &[f32],
+        (b_rs, b_cs): (usize, usize),
+        c: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = c[i * n + j];
+                for kk in 0..k {
+                    acc += a[i * a_rs + kk * a_cs] * b[kk * b_rs + j * b_cs];
+                }
+                c[i * n + j] = acc;
             }
         }
-        let expect = naive_nn(m, k, n, &a, &b);
-        for (x, y) in c.iter().zip(&expect) {
-            assert!((x - y).abs() < 2e-2, "{x} vs {y}");
+    }
+
+    /// A non-zero starting `C` with signed zeros sprinkled in: a kernel
+    /// that seeded its accumulators with `+0.0` would turn them positive.
+    fn initial_c(len: usize, seed: u64) -> Vec<f32> {
+        let mut c = rand_vec(len, seed);
+        for (idx, v) in c.iter_mut().enumerate() {
+            if idx % 3 == 0 {
+                *v = -0.0;
+            }
         }
+        c
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (idx, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: element {idx}: {x} vs {y}"
+            );
+        }
+    }
+
+    /// Shapes straddling every blocking boundary: `m` around `MR` (bottom
+    /// tiles of every height 1..=5) and at the packed-`B` cut-off, `n`
+    /// around `NR` and `NC`, `k` around `KC`.
+    fn edge_shapes() -> Vec<(usize, usize, usize)> {
+        let ms = [0, 1, 2, MR - 1, MR + 1, 2 * MR + 3, PACK_B_MIN_M];
+        let ns = [0, 1, NR - 1, NR + 1, NC + 1];
+        let ks = [0, 1, KC + 1];
+        let mut shapes = Vec::new();
+        for &m in &ms {
+            for &n in &ns {
+                for &k in &ks {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes
+    }
+
+    fn bodies() -> Vec<TileBody> {
+        let mut bodies = vec![TileBody::Portable];
+        if TileBody::host() != TileBody::Portable {
+            bodies.push(TileBody::host());
+        }
+        bodies
+    }
+
+    #[test]
+    fn nn_edge_shapes_bitwise_match_reference() {
+        for (m, k, n) in edge_shapes() {
+            let a = rand_vec(m * k, 51);
+            let b = rand_vec(k * n, 52);
+            let mut want = initial_c(m * n, 53);
+            reference((m, k, n), &a, (k, 1), &b, (n, 1), &mut want);
+            for body in bodies() {
+                let mut c = initial_c(m * n, 53);
+                // One worker, so the slab is the whole `m` and the packed
+                // path runs from `PACK_B_MIN_M` rows.
+                pool::with_threads(1, || sgemm_nn_with(body, m, k, n, &a, &b, &mut c));
+                assert_bits(&c, &want, &format!("nn {body:?} {m}x{k}x{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn tn_edge_shapes_bitwise_match_reference() {
+        for (m, k, n) in edge_shapes() {
+            let at = rand_vec(k * m, 54);
+            let b = rand_vec(k * n, 55);
+            let mut want = initial_c(m * n, 56);
+            reference((m, k, n), &at, (1, m), &b, (n, 1), &mut want);
+            for body in bodies() {
+                let mut c = initial_c(m * n, 56);
+                pool::with_threads(1, || sgemm_tn_with(body, k, m, n, &at, &b, &mut c));
+                assert_bits(&c, &want, &format!("tn {body:?} {m}x{k}x{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn nt_blocked_route_edge_shapes_bitwise_match_reference() {
+        // The large-`nt` route at every edge shape, called below the
+        // crossover too so the small shapes reach it.
+        for (m, k, n) in edge_shapes() {
+            let a = rand_vec(m * k, 57);
+            let bt = rand_vec(n * k, 58);
+            let mut want = initial_c(m * n, 59);
+            reference((m, k, n), &a, (k, 1), &bt, (1, k), &mut want);
+            for body in bodies() {
+                let mut c = initial_c(m * n, 59);
+                let b = Strided {
+                    data: &bt,
+                    rs: 1,
+                    cs: k,
+                };
+                pool::with_threads(1, || sgemm_rows(body, m, k, n, &a, b, &mut c));
+                assert_bits(&c, &want, &format!("nt {body:?} {m}x{k}x{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn nn_packed_path_matches_naive() {
+        // One slab of at least `PACK_B_MIN_M` rows packs `B`; `n` spans two
+        // column panels and `k` two k-panels, all with ragged ends.
+        let (m, k, n) = (PACK_B_MIN_M + 5, KC + 70, NC + 61);
+        let a = rand_vec(m * k, 11);
+        let b = rand_vec(k * n, 12);
+        let mut want = initial_c(m * n, 13);
+        reference((m, k, n), &a, (k, 1), &b, (n, 1), &mut want);
+        let mut c = initial_c(m * n, 13);
+        pool::with_threads(1, || sgemm_nn(m, k, n, &a, &b, &mut c));
+        assert_bits(&c, &want, "nn packed path");
+    }
+
+    #[test]
+    fn nt_above_crossover_bitwise_matches_reference() {
+        let (m, k, n) = (64, 512, 256); // 8.4M ≥ 1<<23
+        assert!(m * k * n >= NT_VIA_BLOCKED_MIN_FLOPS);
+        let a = rand_vec(m * k, 21);
+        let bt = rand_vec(n * k, 22);
+        let mut want = initial_c(m * n, 23);
+        reference((m, k, n), &a, (k, 1), &bt, (1, k), &mut want);
+        let mut c = initial_c(m * n, 23);
+        sgemm_nt(m, k, n, &a, &bt, &mut c);
+        assert_bits(&c, &want, "nt above crossover");
     }
 
     fn csr_from_dense(m: usize, k: usize, a: &[f32]) -> CsrMatrix {

@@ -1,25 +1,203 @@
 //! Explicitly vectorized inner micro-kernels for the SGEMM paths.
 //!
-//! Two primitives cover every hot inner loop in [`crate::sgemm`]:
+//! Three primitives cover every hot inner loop in [`crate::sgemm`]:
 //!
+//! - the **register tile** (`tile`, crate-private): a block of up to
+//!   `MR × NR` (6 × 16) elements of `C` held in registers while it
+//!   accumulates one packed k-panel of `A` (`MR` slots per `k` step)
+//!   against one strip of `B` (`NR` values per `k` step). It is the only
+//!   kernel of the dense `nn`, `tn` and large-`nt` products.
 //! - [`axpy`]: `c[j] += a * b[j]` over a contiguous span — the innermost
-//!   loop of the `nn` (packed and unpacked), `tn`, sparse-A and CSR
-//!   kernels.
+//!   loop of the sparse-A and CSR kernels and of `Tensor::axpy`.
 //! - [`dot4`]: a dot product accumulated in **four interleaved partial
 //!   sums** (lane `j` holds the terms with index ≡ `j` mod 4) — the exact
-//!   accumulation grouping of the `nt` dot-product kernel.
+//!   accumulation grouping of the small `nt` dot-product kernel.
 //!
-//! Dispatch is per-architecture at compile time with a scalar fallback:
-//! on `x86_64`, `axpy` additionally selects an AVX2 body at runtime
-//! (`is_x86_feature_detected!`, cached) over the SSE2 baseline. All
-//! variants are **bitwise identical** to the scalar loops: `axpy` is
-//! lane-independent (each output element sees the same single
-//! multiply-add), and `dot4`'s SIMD lanes reproduce the scalar version's
-//! four accumulators and their exact combine order. No FMA is ever
-//! emitted — a fused multiply-add rounds once instead of twice and would
-//! break bitwise equality between the dispatch variants (and with it the
-//! cross-worker determinism contract, since different machines could pick
-//! different paths).
+//! Dispatch is per-architecture with a portable fallback: on `x86_64` the
+//! tile and `axpy` select an AVX2 body at runtime (`is_x86_feature_detected!`,
+//! cached, see [`level`]) over the SSE2 baseline / portable loops. All
+//! variants are **bitwise identical** to the scalar loops:
+//!
+//! - every output element sees `c = c + (a · b)` once per `k`, in ascending
+//!   `k` order, as a separate multiply then add. The tile loads `C` into its
+//!   accumulators and stores them back (`C +=` semantics); it never seeds an
+//!   accumulator with zero, since `0.0 + -0.0` would turn a `-0.0` in `C`
+//!   into `+0.0`.
+//! - `axpy` is lane-independent (each output element sees the same single
+//!   multiply-add), and `dot4`'s SIMD lanes reproduce the scalar version's
+//!   four accumulators and their exact combine order.
+//!
+//! No FMA is ever emitted — a fused multiply-add rounds once instead of
+//! twice and would break bitwise equality between the dispatch variants
+//! (and with it the cross-worker determinism contract, since different
+//! machines could pick different paths).
+
+/// Rows of the register tile.
+pub(crate) const MR: usize = 6;
+/// Columns of the register tile: two 8-lane AVX2 vectors.
+pub(crate) const NR: usize = 16;
+
+/// Which body the register tile runs. Both produce the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TileBody {
+    /// Twelve `ymm` accumulators; `x86_64` with AVX2 only.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// Plain loops over a stack tile, for every CPU.
+    Portable,
+}
+
+impl TileBody {
+    /// The body this host runs: AVX2 where available, else portable.
+    pub(crate) fn host() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            return TileBody::Avx2;
+        }
+        TileBody::Portable
+    }
+}
+
+/// The SIMD level the kernels select on this host: `"avx2"`, `"sse2"`
+/// (the `x86_64` baseline) or `"scalar"` (portable loops elsewhere).
+pub fn level() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx2_available() {
+            "avx2"
+        } else {
+            "sse2"
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        "scalar"
+    }
+}
+
+/// `C[r][j] = C[r][j] + a[kk·MR + r] · b[kk·b_rs + j]` for `kk` ascending
+/// over `0..kc`, on the first `rows` (1 to `MR`) rows of the `MR × NR`
+/// tile of `C` at `c` (row stride `ldc`). A short tile at the bottom edge
+/// of `C` thus costs only its own rows.
+///
+/// # Safety
+///
+/// `a` must be readable for `kc · MR` values, `b` for `NR` values at each
+/// of `b + kk·b_rs`, and `c` readable and writable for `NR` values at each
+/// of `c + r·ldc` (`r < rows`), with no other thread touching them. `body`
+/// must be supported by the CPU (as [`TileBody::host`] guarantees).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn tile(
+    body: TileBody,
+    rows: usize,
+    kc: usize,
+    a: *const f32,
+    b: *const f32,
+    b_rs: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    macro_rules! by_rows {
+        ($f:ident) => {
+            match rows {
+                1 => $f::<1>(kc, a, b, b_rs, c, ldc),
+                2 => $f::<2>(kc, a, b, b_rs, c, ldc),
+                3 => $f::<3>(kc, a, b, b_rs, c, ldc),
+                4 => $f::<4>(kc, a, b, b_rs, c, ldc),
+                5 => $f::<5>(kc, a, b, b_rs, c, ldc),
+                6 => $f::<6>(kc, a, b, b_rs, c, ldc),
+                _ => unreachable!("tile rows must be 1..=MR"),
+            }
+        };
+    }
+    // SAFETY: the pointer contract is the caller's (see `# Safety`);
+    // `TileBody::Avx2` is only constructed on a CPU that reports AVX2.
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        TileBody::Avx2 => by_rows!(tile_avx2),
+        TileBody::Portable => by_rows!(tile_portable),
+    }
+}
+
+/// Portable tile: the same per-element operation order as the AVX2 body,
+/// on a stack copy of the `R × NR` tile.
+///
+/// # Safety
+///
+/// As for [`tile`], with `rows = R`.
+unsafe fn tile_portable<const R: usize>(
+    kc: usize,
+    a: *const f32,
+    b: *const f32,
+    b_rs: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    let mut acc = [[0.0f32; NR]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc), NR));
+    }
+    for kk in 0..kc {
+        let a_k = std::slice::from_raw_parts(a.add(kk * MR), R);
+        let b_k = std::slice::from_raw_parts(b.add(kk * b_rs), NR);
+        for (row, &av) in acc.iter_mut().zip(a_k) {
+            for (cv, &bv) in row.iter_mut().zip(b_k) {
+                *cv += av * bv;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        std::slice::from_raw_parts_mut(c.add(r * ldc), NR).copy_from_slice(row);
+    }
+}
+
+/// AVX2 tile: `2·R` accumulators (two 8-lane halves per row; twelve at
+/// `R = MR`) live in `ymm` registers for the whole k-panel; each `k` step
+/// loads one 16-wide row of the `B` strip and broadcasts `R` values of the
+/// `A` panel. Separate `mul` + `add` — see the module docs for why FMA is
+/// forbidden.
+///
+/// # Safety
+///
+/// As for [`tile`], with `rows = R`, and the CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2<const R: usize>(
+    kc: usize,
+    a: *const f32,
+    b: *const f32,
+    b_rs: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    use std::arch::x86_64::*;
+    // Every accumulator is loaded from `C` before the first add; the zero
+    // fill only gives the arrays a value to start from.
+    let mut lo = [_mm256_setzero_ps(); R];
+    let mut hi = [_mm256_setzero_ps(); R];
+    for r in 0..R {
+        lo[r] = _mm256_loadu_ps(c.add(r * ldc));
+        hi[r] = _mm256_loadu_ps(c.add(r * ldc + 8));
+    }
+    let mut ap = a;
+    let mut bp = b;
+    for _ in 0..kc {
+        let b0 = _mm256_loadu_ps(bp);
+        let b1 = _mm256_loadu_ps(bp.add(8));
+        for r in 0..R {
+            let av = _mm256_set1_ps(*ap.add(r));
+            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b0));
+            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b1));
+        }
+        ap = ap.add(MR);
+        bp = bp.add(b_rs);
+    }
+    for r in 0..R {
+        _mm256_storeu_ps(c.add(r * ldc), lo[r]);
+        _mm256_storeu_ps(c.add(r * ldc + 8), hi[r]);
+    }
+}
 
 /// `c[j] += a * b[j]` for every `j`. Panics in debug builds on length
 /// mismatch; the slices must be equal length.

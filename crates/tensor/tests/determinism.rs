@@ -55,6 +55,38 @@ fn sgemm_nn_bitwise_deterministic_across_thread_counts() {
     });
 }
 
+/// The topic-wise regularizer's products at the NYTimes-like grid shape
+/// (`M = K·v = 400` subset rows over a 2400-word kernel): `T = A·N`,
+/// `S = T·Aᵀ` and the backward `(G + Gᵀ)·T` — the largest multiplies of
+/// training, split across several workers in practice.
+#[test]
+fn regularizer_shapes_bitwise_deterministic_across_thread_counts() {
+    let (m, v) = (400, 2400);
+    let a = rand_vec(m * v, 9);
+    let n = rand_vec(v * v, 10);
+    let g = rand_vec(m * m, 11);
+    let t = pool::with_threads(1, || {
+        let mut t = vec![0.0; m * v];
+        sgemm::sgemm_nn(m, v, v, &a, &n, &mut t);
+        t
+    });
+    check_layout("regularizer T = A·N", || {
+        let mut c = vec![0.0; m * v];
+        sgemm::sgemm_nn(m, v, v, &a, &n, &mut c);
+        c
+    });
+    check_layout("regularizer S = T·Aᵀ", || {
+        let mut c = vec![0.0; m * m];
+        sgemm::sgemm_nt(m, v, m, &t, &a, &mut c);
+        c
+    });
+    check_layout("regularizer dA = (G + Gᵀ)·T", || {
+        let mut c = vec![0.0; m * v];
+        sgemm::sgemm_nn(m, m, v, &g, &t, &mut c);
+        c
+    });
+}
+
 #[test]
 fn sgemm_nt_bitwise_deterministic_across_thread_counts() {
     let (m, k, n) = (256, 80, 120);
