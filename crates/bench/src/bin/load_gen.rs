@@ -41,20 +41,20 @@
 //! self-hosting (the fixture corpus vocabulary must match; thread
 //! counting is skipped since the server is out-of-process).
 
-use std::fmt::Write as _;
 use std::io::Read as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ct_bench::merge_top_level_json;
+use ct_bench::merge_bench_json;
 use ct_corpus::{generate, train_embeddings, BowCorpus, DatasetPreset, Scale};
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
 use ct_serve::{
     ModelRegistry, ModelSnapshot, ProtocolLimits, RegistryConfig, ServeConfig, TcpClient, TcpServer,
 };
+use ct_tensor::codec::json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -301,15 +301,11 @@ fn thread_counts() -> (usize, usize) {
 /// Pull `p99_gate.p99_ms` out of an existing BENCH_serve.json so the
 /// fan-in run can compare against the no-idle-load baseline.
 fn baseline_p99_ms(doc: &str) -> Option<f64> {
-    let gate = doc.find("\"p99_gate\"")?;
-    let rest = &doc[gate..];
-    let key = rest.find("\"p99_ms\"")?;
-    let rest = &rest[key + "\"p99_ms\"".len()..];
-    let rest = rest[rest.find(':')? + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    json::parse(doc)
+        .ok()?
+        .get("p99_gate")?
+        .get("p99_ms")?
+        .as_f64()
 }
 
 /// Decode a corpus back into request-line texts (token id → word,
@@ -728,7 +724,7 @@ fn run_fan_in(args: &Args) {
         process_threads,
         pass
     );
-    let doc = merge_top_level_json(&doc, "fan_in", &fan_in);
+    let doc = merge_bench_json(&doc, &[("fan_in", &fan_in)]);
     std::fs::write(&args.out, &doc).expect("write BENCH output");
     println!("{doc}");
     eprintln!(
@@ -795,14 +791,8 @@ fn run_sweep(args: &Args) {
         drop(registry);
     }
 
-    let mut curve = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            curve.push_str(",\n");
-        }
-        let _ = write!(curve, "    {}", render_point(p));
-    }
-    curve.push_str("\n  ]");
+    let curve: Vec<String> = points.iter().map(render_point).collect();
+    let curve = format!("[{}]", curve.join(","));
 
     // Gate: p99 at the slowest swept rate >= the target must hold.
     let gated = points
@@ -820,8 +810,7 @@ fn run_sweep(args: &Args) {
     );
 
     let doc = std::fs::read_to_string(&args.out).unwrap_or_default();
-    let doc = merge_top_level_json(&doc, "latency_under_load", &curve);
-    let doc = merge_top_level_json(&doc, "p99_gate", &gate);
+    let doc = merge_bench_json(&doc, &[("latency_under_load", &curve), ("p99_gate", &gate)]);
     std::fs::write(&args.out, &doc).expect("write BENCH output");
     println!("{doc}");
     eprintln!(

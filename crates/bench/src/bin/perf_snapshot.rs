@@ -37,6 +37,7 @@ use std::time::Instant;
 use contratopic::{fit_contratopic, fit_contratopic_traced};
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
 use ct_models::{fit_etm, TrainConfig};
+use ct_tensor::codec::json::json_str;
 use ct_tensor::{params_to_bytes, pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -310,10 +311,10 @@ fn git_rev() -> String {
 /// The provenance fields every artifact starts with.
 fn provenance_json() -> String {
     format!(
-        "  \"cpu_model\": \"{}\",\n  \"simd\": \"{}\",\n  \"git_rev\": \"{}\",\n",
-        cpu_model().replace(['"', '\\'], ""),
-        ct_tensor::simd::level(),
-        git_rev()
+        "  \"cpu_model\": {},\n  \"simd\": {},\n  \"git_rev\": {},\n",
+        json_str(&cpu_model()),
+        json_str(ct_tensor::simd::level()),
+        json_str(&git_rev())
     )
 }
 

@@ -22,11 +22,10 @@
 //! is an expectation to eyeball in the committed numbers, not a gate a
 //! 1-core CI box would always fail.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ct_bench::merge_top_level_json;
+use ct_bench::merge_bench_json;
 use ct_corpus::train_embeddings;
 use ct_corpus::{generate, DatasetPreset, Scale};
 use ct_models::{fit_etm, TrainConfig};
@@ -236,19 +235,17 @@ fn main() {
         .unwrap_or(0.0);
     let speedup_4t = engine_4t_qps / baseline_qps;
 
-    let mut runs = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            runs.push_str(",\n");
-        }
-        let _ = write!(
-            runs,
-            "    {{\"name\": \"{}\", \"clients\": {}, \"queries\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"qps\": {:.1}}}",
-            r.name, r.clients, r.queries, r.p50_us, r.p99_us, r.qps
-        );
-    }
-    runs.push_str("\n  ]");
+    let runs: Vec<String> = results
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\": \"{}\", \"clients\": {}, \"queries\": {}, \
+                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"qps\": {:.1}}}",
+                r.name, r.clients, r.queries, r.p50_us, r.p99_us, r.qps
+            )
+        })
+        .collect();
+    let runs = format!("[{}]", runs.join(","));
     let bf16 = format!(
         "{{\"score_f32_ns\": {score_f32_ns}, \
          \"score_bf16_ns\": {score_bf16_ns}, \
@@ -266,10 +263,16 @@ fn main() {
     // Splice this bench's keys into the existing file so load_gen's
     // latency_under_load / p99_gate / fan_in keys survive a rerun.
     let doc = std::fs::read_to_string("BENCH_serve.json").unwrap_or_default();
-    let doc = merge_top_level_json(&doc, "runs", &runs);
-    let doc = merge_top_level_json(&doc, "speedup_4t_vs_unbatched", &format!("{speedup_4t:.2}"));
-    let doc = merge_top_level_json(&doc, "speedup_4t_gate", &speedup_gate);
-    let doc = merge_top_level_json(&doc, "bf16_scoring", &bf16);
+    let speedup = format!("{speedup_4t:.2}");
+    let doc = merge_bench_json(
+        &doc,
+        &[
+            ("runs", &runs),
+            ("speedup_4t_vs_unbatched", &speedup),
+            ("speedup_4t_gate", &speedup_gate),
+            ("bf16_scoring", &bf16),
+        ],
+    );
     std::fs::write("BENCH_serve.json", &doc).expect("write BENCH_serve.json");
     println!("{doc}");
     eprintln!(

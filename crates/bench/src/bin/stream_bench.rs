@@ -19,12 +19,12 @@
 //! `--smoke` shrinks every dimension for the CI gate; the JSON artifact
 //! is only meaningful from a full run.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use contratopic::{ContraTopicConfig, OnlineContraTopic};
+use ct_bench::merge_bench_json;
 use ct_corpus::stream::{DocStream, StreamSpec};
 use ct_corpus::synth::CORE_SIZE;
 use ct_corpus::{parse_drift_script, train_embeddings};
@@ -251,51 +251,45 @@ fn main() {
     // ------------------------------------------------------------------
     // Artifact.
     // ------------------------------------------------------------------
-    let mut out = String::new();
-    writeln!(out, "{{").unwrap();
-    writeln!(
-        out,
-        "  \"generator\": {{\"docs\": {docs}, \"tokens\": {tokens:.0}, \
-         \"secs\": {gen_secs:.3}, \"docs_per_sec\": {gen_docs_per_sec:.1}, \
-         \"tokens_per_sec\": {:.1}}},",
+    let generator = format!(
+        "{{\"docs\": {docs}, \"tokens\": {tokens:.0}, \"secs\": {gen_secs:.3}, \
+         \"docs_per_sec\": {gen_docs_per_sec:.1}, \"tokens_per_sec\": {:.1}}}",
         tokens / gen_secs
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  \"pipeline\": {{\"docs\": {}, \"chunks\": {}, \"secs\": {pipe_secs:.3}, \
+    );
+    let pipeline = format!(
+        "{{\"docs\": {}, \"chunks\": {}, \"secs\": {pipe_secs:.3}, \
          \"docs_per_sec\": {pipe_docs_per_sec:.1}, \"promotions\": {}, \
-         \"final_generation\": {generation}}},",
+         \"final_generation\": {generation}}}",
         online.docs_seen(),
         stream.num_chunks(),
         promote_gaps_ns.len()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  \"live_queries\": {{\"ok\": {queries_ok}, \"failed\": {queries_failed}, \
-         \"p50_us\": {:.1}, \"p99_us\": {:.1}}},",
+    );
+    let live_queries = format!(
+        "{{\"ok\": {queries_ok}, \"failed\": {queries_failed}, \
+         \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
         percentile_us(&mut query_latencies, 0.50),
         percentile_us(&mut query_latencies, 0.99)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  \"promotion_gap\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},",
+    );
+    let promotion_gap = format!(
+        "{{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
         promote_gaps_ns.len(),
         percentile_us(&mut promote_gaps_ns.clone(), 0.50),
         percentile_us(&mut promote_gaps_ns.clone(), 0.99)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  \"poisoned_promotion\": {{\"typed_rejection\": {typed_rejection}, \
-         \"old_generation_serving\": true}},"
-    )
-    .unwrap();
-    writeln!(out, "  \"peak_rss_mb\": {:.1},", peak_rss_mb()).unwrap();
-    writeln!(out, "  \"smoke\": {smoke}").unwrap();
-    writeln!(out, "}}").unwrap();
+    );
+    let poisoned =
+        format!("{{\"typed_rejection\": {typed_rejection}, \"old_generation_serving\": true}}");
+    let out = merge_bench_json(
+        "",
+        &[
+            ("generator", &generator),
+            ("pipeline", &pipeline),
+            ("live_queries", &live_queries),
+            ("promotion_gap", &promotion_gap),
+            ("poisoned_promotion", &poisoned),
+            ("peak_rss_mb", &format!("{:.1}", peak_rss_mb())),
+            ("smoke", &smoke.to_string()),
+        ],
+    );
     std::fs::write("BENCH_stream.json", &out).expect("write BENCH_stream.json");
     eprintln!("wrote BENCH_stream.json");
     print!("{out}");

@@ -23,6 +23,7 @@ use std::io::BufWriter;
 use std::path::PathBuf;
 
 use ct_models::{JsonlSink, NoopSink, TraceSink};
+use ct_tensor::codec::json::{self, Json};
 
 pub use ct_exp::{
     cluster_counts, embedding_noise, evaluate_clustering, evaluate_interpretability, num_seeds,
@@ -166,101 +167,19 @@ pub fn fmt_header(label: &str, cols: &[String]) -> String {
     s
 }
 
-/// Splice `value` (raw JSON text) under top-level `key` of the JSON
-/// object `doc`, replacing the existing entry or appending a new one.
-///
-/// This is what lets `load_gen` extend `BENCH_serve.json` with its
-/// latency-under-load keys without clobbering the engine-level runs
-/// written by `serve_bench` (and vice versa). The scanner tracks string
-/// and brace/bracket nesting, so nested objects and escaped quotes in
-/// values are handled; it does not validate `doc` beyond what it needs,
-/// and on input that is not a JSON object it falls back to a fresh
-/// single-key object.
-pub fn merge_top_level_json(doc: &str, key: &str, value: &str) -> String {
-    let bytes = doc.as_bytes();
-    let open = match doc.find('{') {
-        Some(i) => i,
-        None => return format!("{{\n  \"{key}\": {value}\n}}\n"),
-    };
-    // Scan for the matching close brace and any existing top-level entry
-    // for `key`, skipping string contents and nested containers.
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut close = None;
-    let mut key_span: Option<(usize, usize)> = None; // value byte span
-    let mut pending_key: Option<String> = None;
-    let mut str_start = 0usize;
-    let mut val_start: Option<usize> = None;
-    let mut i = open;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-                if depth == 1 && val_start.is_none() && pending_key.is_none() {
-                    pending_key = Some(doc[str_start + 1..i].to_string());
-                }
-            }
-            i += 1;
-            continue;
-        }
-        match b {
-            b'"' => {
-                in_str = true;
-                str_start = i;
-            }
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let (Some(k), Some(vs)) = (&pending_key, val_start) {
-                        if k == key {
-                            key_span = Some((vs, i));
-                        }
-                    }
-                    close = Some(i);
-                    break;
-                }
-            }
-            b':' if depth == 1 && pending_key.is_some() && val_start.is_none() => {
-                val_start = Some(i + 1);
-            }
-            b',' if depth == 1 => {
-                if let (Some(k), Some(vs)) = (&pending_key, val_start) {
-                    if k == key {
-                        key_span = Some((vs, i));
-                    }
-                }
-                pending_key = None;
-                val_start = None;
-            }
-            _ => {}
-        }
-        i += 1;
+/// Set top-level members (values as JSON text) of the `BENCH_*.json`
+/// document `doc`, keeping every other member, and re-emit it one member
+/// per line; an empty or non-object `doc` starts a fresh object. This is
+/// how `load_gen` and `serve_bench` share `BENCH_serve.json` without
+/// clobbering each other's keys. Panics on a value that is not JSON.
+pub fn merge_bench_json(doc: &str, members: &[(&str, &str)]) -> String {
+    let mut root = json::parse(doc).unwrap_or(Json::Null);
+    for (key, value) in members {
+        let value = json::parse(value)
+            .unwrap_or_else(|e| panic!("BENCH member '{key}' is not valid JSON: {e}"));
+        root.set(key, value);
     }
-    let close = match close {
-        Some(c) => c,
-        None => return format!("{{\n  \"{key}\": {value}\n}}\n"),
-    };
-    if let Some((vs, ve)) = key_span {
-        // Replace the existing value span, preserving everything else.
-        format!("{} {}{}", &doc[..vs], value, &doc[ve..])
-    } else {
-        let body = doc[open + 1..close].trim_end();
-        let sep = if body.trim().is_empty() { "" } else { "," };
-        format!(
-            "{}{}{}\n  \"{key}\": {value}\n{}",
-            &doc[..open + 1],
-            body,
-            sep,
-            &doc[close..]
-        )
-    }
+    root.emit_members_per_line()
 }
 
 #[cfg(test)]
@@ -298,44 +217,44 @@ mod tests {
 
     #[test]
     fn merge_json_appends_new_key() {
-        let doc = "{\n  \"runs\": [{\"p99\": 1.0}]\n}\n";
-        let merged = merge_top_level_json(doc, "p99_gate", "{\"pass\": true}");
-        assert!(merged.contains("\"runs\": [{\"p99\": 1.0}]"), "{merged}");
-        assert!(
-            merged.contains("\"p99_gate\": {\"pass\": true}"),
-            "{merged}"
+        let doc = "{\n  \"runs\": [{\"p99\": 1.5}]\n}\n";
+        let merged = merge_bench_json(doc, &[("p99_gate", "{\"pass\": true}")]);
+        assert_eq!(
+            merged,
+            "{\n  \"runs\": [{\"p99\":1.5}],\n  \"p99_gate\": {\"pass\":true}\n}\n"
         );
-        // Still one top-level object.
-        assert_eq!(merged.matches("p99_gate").count(), 1);
     }
 
     #[test]
     fn merge_json_replaces_existing_key_in_place() {
         let doc = "{\n  \"a\": {\"x\": [1, 2]},\n  \"b\": \"ke\\\"ep }\",\n  \"c\": 3\n}\n";
-        let merged = merge_top_level_json(doc, "a", "[9]");
-        assert!(merged.contains("\"a\": [9]"), "{merged}");
-        assert!(merged.contains("\"b\": \"ke\\\"ep }\""), "{merged}");
-        assert!(merged.contains("\"c\": 3"), "{merged}");
-        let replaced_last = merge_top_level_json(doc, "c", "4");
-        assert!(replaced_last.contains("\"c\": 4"), "{replaced_last}");
+        let merged = merge_bench_json(doc, &[("a", "[9]")]);
+        assert_eq!(
+            merged,
+            "{\n  \"a\": [9],\n  \"b\": \"ke\\\"ep }\",\n  \"c\": 3\n}\n"
+        );
+        let replaced_last = merge_bench_json(doc, &[("c", "4")]);
+        assert!(replaced_last.contains("\"c\": 4\n}"), "{replaced_last}");
         assert!(!replaced_last.contains("\"c\": 3"), "{replaced_last}");
     }
 
     #[test]
     fn merge_json_ignores_nested_keys_with_same_name() {
         let doc = "{\n  \"outer\": {\"gate\": 1},\n  \"tail\": 2\n}\n";
-        let merged = merge_top_level_json(doc, "gate", "7");
-        assert!(merged.contains("{\"gate\": 1}"), "{merged}");
+        let merged = merge_bench_json(doc, &[("gate", "7")]);
+        assert!(merged.contains("{\"gate\":1}"), "{merged}");
         assert!(merged.contains("\"gate\": 7"), "{merged}");
     }
 
     #[test]
     fn merge_json_survives_empty_or_invalid_docs() {
-        let from_empty = merge_top_level_json("", "k", "1");
-        assert!(from_empty.contains("\"k\": 1"), "{from_empty}");
-        let from_empty_obj = merge_top_level_json("{}", "k", "1");
-        assert!(from_empty_obj.contains("\"k\": 1"), "{from_empty_obj}");
-        assert!(!from_empty_obj.contains(",\n"), "{from_empty_obj}");
+        for doc in ["", "{}", "not json", "[1, 2]"] {
+            assert_eq!(
+                merge_bench_json(doc, &[("k", "1")]),
+                "{\n  \"k\": 1\n}\n",
+                "{doc}"
+            );
+        }
     }
 
     #[test]

@@ -174,7 +174,7 @@ pub fn train(args: &Args) -> Result<(), String> {
     }
     ModelBundle::save(out, &config, &corpus.vocab, &model.inner.params)
         .map_err(|e| format!("saving {out}: {e}"))?;
-    eprintln!("saved {out}.meta and {out}.ckpt");
+    eprintln!("saved {out}.ckpt");
     Ok(())
 }
 
@@ -539,8 +539,9 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        assert!(dir.join("model.meta").exists());
+        // The bundle is one file.
         assert!(dir.join("model.ckpt").exists());
+        assert!(!dir.join("model.meta").exists());
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         let epoch_lines: Vec<&str> = trace
             .lines()

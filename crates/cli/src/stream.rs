@@ -139,7 +139,7 @@ pub fn stream(args: &Args) -> Result<(), String> {
         }
     }
     let resuming = checkpoint
-        .map(|prefix| fs::metadata(format!("{prefix}.state")).is_ok())
+        .map(|prefix| OnlineContraTopic::state_path(prefix).exists())
         .unwrap_or(false);
     let (mut online, start_chunk) = if resuming {
         let prefix = checkpoint.expect("resume without --checkpoint");

@@ -3,22 +3,23 @@
 //! [`CoocAccumulator`] and the model warm-starts from the previous slice's
 //! parameters, in the spirit of on-line LDA (AlSumait et al. 2008).
 
-use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Write as _};
-use std::path::Path;
+use std::io;
+use std::path::PathBuf;
 
 use ct_corpus::npmi::{CoocAccumulator, NpmiMatrix};
 use ct_corpus::{BowCorpus, Vocab};
 use ct_models::trace::{NoopSink, TraceEvent, TraceSink};
 use ct_models::{
-    atomic_write, train_backbone_regularized_traced, Backbone, EtmBackbone, ModelBundle,
-    TopicModel, TrainConfig, TrainStats,
+    train_backbone_regularized_traced, Backbone, EtmBackbone, ModelBundle, TopicModel, TrainConfig,
+    TrainStats,
 };
+use ct_tensor::codec::{self, invalid_data};
 use ct_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const STATE_MAGIC: &str = "CTSTREAM01";
+/// Container magic of a stream checkpoint.
+const STATE_MAGIC: &[u8; 8] = b"CTSTREAM";
 
 use crate::kernel::SimilarityKernel;
 use crate::model::ContraTopicConfig;
@@ -136,60 +137,29 @@ impl OnlineContraTopic {
         self.accumulator.to_npmi()
     }
 
-    /// Checkpoint the full online-training state under `prefix`.
+    /// Checkpoint the full online-training state to `<prefix>.state`.
     ///
-    /// Layout: the model bundle and co-occurrence sidecar are written
-    /// under the *versioned* prefix `<prefix>-<slices_seen>` (each file
-    /// atomically), and only then is the pointer file `<prefix>.state`
-    /// atomically updated to name that version. A kill at any instant
-    /// therefore leaves `<prefix>.state` naming a complete, mutually
-    /// consistent set of files — the torn case "parameters advanced but
-    /// the pointer not yet" resolves to the previous version, never to a
-    /// mixed state that would break bitwise resume replay. Stale versions
-    /// are cleaned up (best-effort) after the pointer moves.
+    /// The file is one checksummed container holding the model bundle's
+    /// sections (`config`, `vocab`, `params`), a `meta` section
+    /// (`slices_seen=<n>`) and the co-occurrence counts (`cooc`), written
+    /// by a single atomic, durable rename. A kill at any instant therefore
+    /// leaves either the previous checkpoint or this one, never a mixed
+    /// state that would break bitwise resume replay.
     pub fn save_state(&self, prefix: &str, vocab: &Vocab) -> io::Result<()> {
-        let version = self.slices_seen;
-        let vp = format!("{prefix}-{version}");
-        ModelBundle::save(&vp, &self.base, vocab, &self.params)?;
-        atomic_write(&format!("{vp}.cooc"), |w| self.accumulator.write_to(w))?;
-        atomic_write(&format!("{prefix}.state"), |w| {
-            writeln!(w, "{STATE_MAGIC}")?;
-            writeln!(w, "slices_seen={version}")
-        })?;
-        self.clean_stale_versions(prefix, version);
-        Ok(())
+        let mut cooc = Vec::new();
+        self.accumulator.write_to(&mut cooc)?;
+        let mut sections = Vec::from(ModelBundle::sections(&self.base, vocab, &self.params));
+        sections.push((
+            "meta",
+            format!("slices_seen={}\n", self.slices_seen).into_bytes(),
+        ));
+        sections.push(("cooc", cooc));
+        codec::write_file(&Self::state_path(prefix), STATE_MAGIC, &sections)
     }
 
-    /// Best-effort removal of checkpoint versions other than `keep`.
-    fn clean_stale_versions(&self, prefix: &str, keep: usize) {
-        let path = Path::new(prefix);
-        let (dir, stem) = match (path.parent(), path.file_name()) {
-            (Some(d), Some(s)) => (
-                if d.as_os_str().is_empty() {
-                    Path::new(".")
-                } else {
-                    d
-                },
-                s.to_string_lossy().into_owned(),
-            ),
-            _ => return,
-        };
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        let keep_stem = format!("{stem}-{keep}.");
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(rest) = name.strip_prefix(&format!("{stem}-")) {
-                // `<stem>-<digits>.<ext>` from another version.
-                let is_versioned = rest
-                    .split_once('.')
-                    .is_some_and(|(v, _)| !v.is_empty() && v.chars().all(|c| c.is_ascii_digit()));
-                if is_versioned && !name.starts_with(&keep_stem) {
-                    fs::remove_file(entry.path()).ok();
-                }
-            }
-        }
+    /// The checkpoint file of `prefix`: `<prefix>.state`.
+    pub fn state_path(prefix: &str) -> PathBuf {
+        PathBuf::from(format!("{prefix}.state"))
     }
 
     /// Restore a checkpoint written by [`Self::save_state`]. Neither the
@@ -204,31 +174,18 @@ impl OnlineContraTopic {
         base: TrainConfig,
         config: ContraTopicConfig,
     ) -> io::Result<(Self, Vocab)> {
-        let state_path = format!("{prefix}.state");
-        let file = BufReader::new(File::open(&state_path)?);
-        let mut lines = file.lines();
-        let magic = lines.next().transpose()?.unwrap_or_default();
-        if magic != STATE_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{state_path}: not a stream checkpoint (bad magic)"),
-            ));
-        }
-        let line = lines
-            .next()
-            .transpose()?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated state file"))?;
-        let slices_seen: usize = line
-            .strip_prefix("slices_seen=")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad state line '{line}'"),
-                )
+        let (slices_seen, (bundle, backbone, params), accumulator) =
+            codec::read_file(&Self::state_path(prefix), STATE_MAGIC, |file| {
+                let meta = file.section("meta")?;
+                let slices_seen = std::str::from_utf8(meta)
+                    .ok()
+                    .and_then(|m| m.strip_prefix("slices_seen="))
+                    .and_then(|v| v.trim_end().parse::<usize>().ok())
+                    .ok_or_else(|| invalid_data("bad meta section"))?;
+                let model = ModelBundle::from_container(file)?;
+                let accumulator = CoocAccumulator::read_from(&mut file.section("cooc")?)?;
+                Ok((slices_seen, model, accumulator))
             })?;
-        let vp = format!("{prefix}-{slices_seen}");
-        let (bundle, backbone, params) = ModelBundle::load_model(&vp)?;
         let b = &bundle.config;
         if (b.num_topics, b.hidden, b.encoder_depth, b.embed_dim, b.seed)
             != (
@@ -239,26 +196,18 @@ impl OnlineContraTopic {
                 base.seed,
             )
         {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint architecture (topics={}, hidden={}, depth={}, embed={}, seed={}) \
-                     does not match the supplied configuration",
-                    b.num_topics, b.hidden, b.encoder_depth, b.embed_dim, b.seed
-                ),
-            ));
+            return Err(invalid_data(format!(
+                "checkpoint architecture (topics={}, hidden={}, depth={}, embed={}, seed={}) \
+                 does not match the supplied configuration",
+                b.num_topics, b.hidden, b.encoder_depth, b.embed_dim, b.seed
+            )));
         }
-        let mut cooc = BufReader::new(File::open(format!("{vp}.cooc"))?);
-        let accumulator = CoocAccumulator::read_from(&mut cooc)?;
         if accumulator.vocab_size() != bundle.vocab.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint vocab mismatch: accumulator over {} words, bundle over {}",
-                    accumulator.vocab_size(),
-                    bundle.vocab.len()
-                ),
-            ));
+            return Err(invalid_data(format!(
+                "checkpoint vocab mismatch: accumulator over {} words, bundle over {}",
+                accumulator.vocab_size(),
+                bundle.vocab.len()
+            )));
         }
         Ok((
             Self {
@@ -392,15 +341,17 @@ mod tests {
         resumed.accumulator().write_to(&mut b).unwrap();
         assert_eq!(a, b);
 
-        // The stale slice-1 checkpoint files were cleaned up once the
-        // pointer moved to slice 2.
-        let stale: Vec<_> = std::fs::read_dir(&dir)
+        // Each save replaced the one checkpoint file in place.
+        let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("stream-1."))
             .collect();
-        assert!(stale.is_empty(), "stale checkpoint files remain: {stale:?}");
+        assert_eq!(
+            files,
+            ["stream.state"],
+            "checkpoint directory holds {files:?}"
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,6 +22,7 @@
 use contratopic::{fit_contratopic, ContraTopicConfig};
 use ct_corpus::{generate, train_embeddings, BowCorpus, NpmiMatrix, SynthSpec};
 use ct_models::{fit_etm, TrainConfig};
+use ct_tensor::codec::fnv1a64;
 use ct_tensor::{params_to_bytes, pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,12 +31,6 @@ use rand::SeedableRng;
 const CONTRATOPIC_PARAMS_FNV: u64 = 0xfbe7_9034_a062_67c5;
 /// FNV-1a 64 of the ETM parameters after one epoch.
 const ETM_PARAMS_FNV: u64 = 0xa4ca_2ba2_ae60_a5b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 fn fixture() -> (BowCorpus, Tensor, NpmiMatrix, TrainConfig) {
     let spec = SynthSpec {

@@ -9,26 +9,10 @@
 
 use std::io::{self, Read, Write};
 
+use ct_tensor::codec::{invalid_data, SliceReader};
 use ct_tensor::Tensor;
 
 use crate::bow::BowCorpus;
-
-const COOC_MAGIC: &[u8; 8] = b"CTCOOC01";
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_u32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u32>> {
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect())
-}
 
 /// Dense symmetric NPMI matrix with value range `[-1, 1]`.
 ///
@@ -112,57 +96,42 @@ impl CoocAccumulator {
         self.vocab_size
     }
 
-    /// Serialize the exact integer counts (little-endian, magic-prefixed).
+    /// Serialize the exact integer counts: `vocab_size` and `num_docs`
+    /// as `u64`, then `df` and the packed pair triangle as `u32`, all
+    /// little-endian. On disk this is the `cooc` section of a stream
+    /// checkpoint, whose container carries the checksum.
     ///
     /// Counts are integers, so a round trip is lossless: an accumulator
     /// restored by [`Self::read_from`] materializes a bitwise-identical
     /// NPMI matrix — this is what makes kill-and-resume replay of the
     /// streaming pipeline exact rather than merely close.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(COOC_MAGIC)?;
-        w.write_all(&(self.vocab_size as u64).to_le_bytes())?;
-        w.write_all(&(self.num_docs as u64).to_le_bytes())?;
-        let mut bytes = Vec::with_capacity(4 * (self.df.len() + self.pair.len()));
-        for &c in &self.df {
-            bytes.extend_from_slice(&c.to_le_bytes());
-        }
-        for &c in &self.pair {
+        let mut bytes = Vec::with_capacity(16 + 4 * (self.df.len() + self.pair.len()));
+        bytes.extend_from_slice(&(self.vocab_size as u64).to_le_bytes());
+        bytes.extend_from_slice(&(self.num_docs as u64).to_le_bytes());
+        for &c in self.df.iter().chain(&self.pair) {
             bytes.extend_from_slice(&c.to_le_bytes());
         }
         w.write_all(&bytes)
     }
 
-    /// Restore an accumulator written by [`Self::write_to`]. Rejects bad
-    /// magic, truncation, and trailing bytes with typed `InvalidData` /
-    /// `UnexpectedEof` errors rather than yielding corrupt counts.
+    /// Restore an accumulator written by [`Self::write_to`]. Truncation
+    /// and trailing bytes are typed `UnexpectedEof` / `InvalidData`
+    /// errors rather than corrupt counts; every count is bounded by the
+    /// bytes actually read.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != COOC_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a co-occurrence accumulator (bad magic)",
-            ));
-        }
-        let vocab_size = read_u64(r)? as usize;
-        let num_docs = read_u64(r)? as usize;
-        // Guard the triangle allocation against absurd headers before
-        // trusting `vocab_size * (vocab_size - 1) / 2`.
-        if vocab_size > (1 << 24) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("implausible accumulator vocab_size {vocab_size}"),
-            ));
-        }
-        let df = read_u32s(r, vocab_size)?;
-        let pair = read_u32s(r, vocab_size * vocab_size.saturating_sub(1) / 2)?;
-        let mut probe = [0u8; 1];
-        if r.read(&mut probe)? != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes after accumulator counts",
-            ));
-        }
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let mut r = SliceReader::new(&bytes);
+        let vocab_size = r.size()?;
+        let num_docs = r.size()?;
+        let pairs = vocab_size
+            .checked_mul(vocab_size.saturating_sub(1))
+            .map(|n| n / 2)
+            .ok_or_else(|| invalid_data(format!("implausible vocab_size {vocab_size}")))?;
+        let df = r.u32s(vocab_size)?;
+        let pair = r.u32s(pairs)?;
+        r.finish()?;
         Ok(Self {
             vocab_size,
             pair,
@@ -415,9 +384,6 @@ mod tests {
         acc.add_corpus(&c);
         let mut bytes = Vec::new();
         acc.write_to(&mut bytes).unwrap();
-
-        let err = CoocAccumulator::read_from(&mut &b"NOTCOOC0rest"[..]).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
 
         let err = CoocAccumulator::read_from(&mut &bytes[..bytes.len() - 2]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);

@@ -1,332 +1,8 @@
-//! Minimal JSON tree: deterministic emission plus a small recursive-descent
-//! parser, enough for the run ledger and the aggregate artifacts.
-//!
-//! The workspace is offline (no serde); the trace subsystem already emits
-//! JSONL by hand, but the ledger must also *read* its records back on
-//! resume, so this module adds the parsing half. Two properties matter:
-//!
-//! - **Deterministic emission.** [`Json::emit`] is a pure function of the
-//!   tree: object keys are written in stored order (builders insert them
-//!   sorted), and numbers use Rust's shortest-roundtrip `{}` formatting.
-//!   Identical aggregates therefore serialize to identical bytes, which is
-//!   what lets `scripts/check.sh` compare resumed and uninterrupted runs
-//!   with `cmp`.
-//! - **Roundtrip fidelity.** `parse(emit(v))` reproduces `v` for every
-//!   finite number (shortest-roundtrip guarantees it); non-finite floats
-//!   are emitted as quoted strings (`"NaN"`, `"inf"`), mirroring
-//!   `ct_models::trace`, and [`Json::as_f64`] parses them back.
+//! The ledger's JSON: a re-export of [`ct_tensor::codec::json`] under the
+//! path the experiment code and the benchmark import. The tests pin the
+//! behaviour those callers rely on.
 
-use std::fmt::Write as _;
-
-/// A parsed or constructed JSON value. Object member order is preserved
-/// (no map type), so emission is deterministic by construction.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number. Emitted via `{}` (shortest roundtrip).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object as an ordered member list.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup (linear scan; ledger objects are small).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric view: `Num`, or a quoted non-finite float (`"NaN"`,
-    /// `"inf"`, `"-inf"`) as emitted by [`emit_f64`].
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            Json::Str(s) => match s.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Integer view of a `Num` (exact for |v| ≤ 2^53, which covers every
-    /// seed and count the ledger stores).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array view.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Render as a single-line JSON document.
-    pub fn emit(&self) -> String {
-        let mut out = String::new();
-        self.emit_into(&mut out);
-        out
-    }
-
-    fn emit_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&emit_f64(*v)),
-            Json::Str(s) => emit_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.emit_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    emit_str(k, out);
-                    out.push(':');
-                    v.emit_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Format a float as a JSON value: shortest-roundtrip decimal, with
-/// non-finite values quoted (JSON has no literal for them).
-pub fn emit_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        format!("\"{v}\"")
-    }
-}
-
-fn emit_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parse one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-    {
-        *pos += 1;
-    }
-    let token = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    token
-        .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number '{token}' at byte {start}"))
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".to_string());
-        };
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        // Ledger strings are vocabulary words and labels:
-                        // no surrogate pairs are ever emitted, so a lone
-                        // surrogate is replaced rather than paired up.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape '\\{}'", other as char)),
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8: re-sync on the char boundary.
-                let ch_start = *pos - 1;
-                let width = utf8_width(b);
-                let end = ch_start + width;
-                let s = bytes
-                    .get(ch_start..end)
-                    .and_then(|s| std::str::from_utf8(s).ok())
-                    .ok_or("invalid UTF-8 in string")?;
-                out.push_str(s);
-                *pos = end;
-            }
-        }
-    }
-}
-
-fn utf8_width(b: u8) -> usize {
-    match b {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
+pub use ct_tensor::codec::json::*;
 
 #[cfg(test)]
 mod tests {

@@ -38,6 +38,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use ct_tensor::codec::sync_parent_dir;
+
 use crate::json::Json;
 
 /// Milliseconds since the Unix epoch; the clock leases are judged by.
@@ -258,19 +260,19 @@ pub fn replay_log(path: &Path) -> std::io::Result<LeaseLogStats> {
 /// fsynced, sealing any torn fragment with a leading newline first (same
 /// discipline as the trials ledger).
 fn append_log_line(path: &Path, body: &str) -> std::io::Result<()> {
-    let needs_seal = match File::open(path) {
+    let (needs_seal, creating) = match File::open(path) {
         Ok(mut f) => {
             let len = f.metadata()?.len();
             if len == 0 {
-                false
+                (false, false)
             } else {
                 f.seek(SeekFrom::Start(len - 1))?;
                 let mut last = [0u8; 1];
                 f.read_exact(&mut last)?;
-                last[0] != b'\n'
+                (last[0] != b'\n', false)
             }
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => (false, true),
         Err(e) => return Err(e),
     };
     let mut line = String::with_capacity(body.len() + 2);
@@ -281,7 +283,13 @@ fn append_log_line(path: &Path, body: &str) -> std::io::Result<()> {
     line.push('\n');
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
     file.write_all(line.as_bytes())?;
-    file.sync_all()
+    file.sync_all()?;
+    // A new log's directory entry must be durable too, or a power loss
+    // drops the file together with its fsynced record.
+    if creating {
+        sync_parent_dir(path)?;
+    }
+    Ok(())
 }
 
 /// Result of one [`LeaseManager::try_claim`].
@@ -388,6 +396,7 @@ impl LeaseManager {
         file.write_all(rec.to_line().as_bytes())?;
         file.write_all(b"\n")?;
         file.sync_all()?;
+        sync_parent_dir(&self.claim_path(key))?;
         self.append(&rec)?;
         Ok(true)
     }
@@ -441,6 +450,7 @@ impl LeaseManager {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ClaimOutcome::Lost),
             Err(e) => return Err(e),
         }
+        sync_parent_dir(&tomb)?;
         // Verify we took down the claim we judged stale — not a fresh one
         // that raced in between the read and the rename.
         let evicted = match read_claim_file(&tomb) {

@@ -37,6 +37,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use ct_tensor::codec::sync_parent_dir;
+
 use crate::json::{self, Json};
 use crate::spec::TrialSpec;
 
@@ -421,12 +423,18 @@ impl Ledger {
         }
         line.push_str(&body);
         line.push('\n');
+        let creating = !self.path.exists();
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         file.write_all(line.as_bytes())?;
         file.sync_all()?;
+        // A new ledger's directory entry must be durable too, or a power
+        // loss drops it with its fsynced records and settled trials retrain.
+        if creating {
+            sync_parent_dir(&self.path)?;
+        }
         // Re-replay picks up our record (and any peer's) — keeping the
         // index, counters, and seq numbers single-sourced from the file.
         self.refresh()

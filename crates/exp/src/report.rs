@@ -4,10 +4,11 @@
 
 use std::path::{Path, PathBuf};
 
+use ct_tensor::codec::{atomic_write, fnv1a64};
+
 use crate::agg::{aggregate_groups, paired_bootstrap, GroupAggregate, PairedBootstrap};
 use crate::json::{self, Json};
 use crate::ledger::TrialRecord;
-use crate::spec::fnv1a64;
 
 /// Bootstrap resamples used for significance rows.
 pub const BOOTSTRAP_ITERS: usize = 2000;
@@ -231,14 +232,15 @@ impl ExperimentReport {
         out
     }
 
-    /// Write `exp_<name>.json` and `exp_<name>.md` under `dir`, returning
-    /// the two paths.
+    /// Write `exp_<name>.json` and `exp_<name>.md` under `dir`, each
+    /// atomically (a crash leaves the previous report, never a torn one),
+    /// returning the two paths.
     pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<(PathBuf, PathBuf)> {
         std::fs::create_dir_all(dir)?;
         let json_path = dir.join(format!("exp_{}.json", self.name));
         let md_path = dir.join(format!("exp_{}.md", self.name));
-        std::fs::write(&json_path, self.to_json())?;
-        std::fs::write(&md_path, self.to_markdown())?;
+        atomic_write(&json_path, |w| w.write_all(self.to_json().as_bytes()))?;
+        atomic_write(&md_path, |w| w.write_all(self.to_markdown().as_bytes()))?;
         Ok((json_path, md_path))
     }
 }

@@ -15,6 +15,7 @@
 
 use contratopic::AblationVariant;
 use ct_corpus::{DatasetPreset, Scale};
+use ct_tensor::codec::fnv1a64;
 
 use crate::json::Json;
 
@@ -404,16 +405,6 @@ pub const DEFAULT_DATA_SEED: u64 = 42;
 
 /// The model seed the paper grids start from (`seed = BASE_SEED + i`).
 pub const BASE_SEED: u64 = 42;
-
-/// FNV-1a, 64-bit.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 #[cfg(test)]
 mod tests {

@@ -19,10 +19,10 @@
 //! so a fleet run's report is bitwise identical to a single-process run's.
 
 use std::collections::HashMap;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use ct_tensor::codec::{self, SliceReader};
 use ct_tensor::Tensor;
 
 use crate::context::ContextCache;
@@ -30,7 +30,7 @@ use crate::lease::{ClaimOutcome, LeaseManager};
 use crate::ledger::{Ledger, TrialOutcome};
 use crate::runner::execute_trial;
 use crate::sched::{DivergedTrialPolicy, Progress};
-use crate::spec::{fnv1a64, TrialSpec};
+use crate::spec::TrialSpec;
 
 /// Knobs for one worker process.
 #[derive(Clone, Debug)]
@@ -222,51 +222,27 @@ pub fn run_worker(
     Ok(summary)
 }
 
-/// Magic prefix of an exported beta checkpoint.
-const BETA_MAGIC: &[u8; 8] = b"CTBETA1\n";
+/// Container magic of an exported beta checkpoint.
+const BETA_MAGIC: &[u8; 8] = b"CTBETAEX";
 
-/// Write a trial's topic-word distribution as `<magic><tensor><fnv1a64>`,
-/// atomically (temp + fsync + rename). The trailing checksum covers the
-/// tensor payload, so [`load_beta_checkpoint`] detects *any* corrupted
-/// byte — not just ones that break the header.
+/// Write a trial's topic-word distribution as a one-section (`beta`)
+/// checksummed container, atomically and durably.
 pub fn save_beta_checkpoint(path: &Path, beta: &Tensor) -> std::io::Result<()> {
-    let mut payload = Vec::new();
-    ct_tensor::checkpoint::write_tensor(&mut payload, beta)?;
-    let sum = fnv1a64(&payload);
-    ct_models::atomic_write(&path.to_string_lossy(), |w| {
-        use std::io::Write;
-        w.write_all(BETA_MAGIC)?;
-        w.write_all(&payload)?;
-        w.write_all(&sum.to_le_bytes())
-    })
+    let mut body = Vec::new();
+    ct_tensor::checkpoint::write_tensor(&mut body, beta);
+    codec::write_file(path, BETA_MAGIC, &[("beta", &body)])
 }
 
-/// Load a checkpoint written by [`save_beta_checkpoint`], verifying magic,
-/// length, and checksum. Returns a typed error — never panics, never
-/// over-allocates — on any corruption.
+/// Load a checkpoint written by [`save_beta_checkpoint`]. Any corrupted
+/// byte, truncation or trailing data is a typed error, never a panic or
+/// an over-allocation.
 pub fn load_beta_checkpoint(path: &Path) -> std::io::Result<Tensor> {
-    let corrupt = |what: &str| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("beta checkpoint {}: {what}", path.display()),
-        )
-    };
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < BETA_MAGIC.len() + 8 || &bytes[..BETA_MAGIC.len()] != BETA_MAGIC {
-        return Err(corrupt("bad magic or truncated"));
-    }
-    let payload = &bytes[BETA_MAGIC.len()..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if fnv1a64(payload) != stored {
-        return Err(corrupt("checksum mismatch"));
-    }
-    let mut reader = payload;
-    let tensor = ct_tensor::checkpoint::read_tensor(&mut reader)?;
-    let mut rest = [0u8; 1];
-    if reader.read(&mut rest)? != 0 {
-        return Err(corrupt("trailing bytes after tensor"));
-    }
-    Ok(tensor)
+    codec::read_file(path, BETA_MAGIC, |file| {
+        let mut r = SliceReader::new(file.section("beta")?);
+        let tensor = ct_tensor::checkpoint::read_tensor(&mut r)?;
+        r.finish()?;
+        Ok(tensor)
+    })
 }
 
 #[cfg(test)]
@@ -283,12 +259,15 @@ mod tests {
         let loaded = load_beta_checkpoint(&path).unwrap();
         assert_eq!(loaded.data(), beta.data());
 
-        // Flip one payload byte: the checksum must catch it.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_beta_checkpoint(&path).is_err());
+        // Another artifact kind at the same path is refused by its magic;
+        // byte-level corruption is covered by tests/artifact_corruption.rs.
+        let mut params = ct_tensor::Params::new();
+        params.add("beta", beta);
+        let mut other = Vec::new();
+        params.save(&mut other).unwrap();
+        std::fs::write(&path, &other).unwrap();
+        let err = load_beta_checkpoint(&path).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

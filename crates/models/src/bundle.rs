@@ -1,51 +1,39 @@
-//! Trained-model bundle: a text metadata file (`<prefix>.meta`) carrying
-//! the architecture hyper-parameters and vocabulary, plus a binary
-//! checkpoint (`<prefix>.ckpt`) with the trained parameters (format in
-//! `ct_tensor::checkpoint`). Together they are enough to reconstruct the
-//! model for inference on new documents — the CLI's `train` command writes
-//! one, and both the one-shot commands (`topics`, `eval`) and the serving
-//! engine (`ct-serve`) load it back.
+//! Trained-model bundle: one checksummed container file, `<prefix>.ckpt`,
+//! with sections `config` (architecture hyper-parameters as `key=value`
+//! lines), `vocab` (one word per line) and `params`. It is enough to
+//! rebuild the model for inference: the CLI's `train` writes one, and the
+//! one-shot commands and the serving engine load it. One atomic rename
+//! means a crash never pairs a new vocabulary with old parameters.
 
-use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
+use std::collections::HashMap;
+use std::io;
+use std::path::PathBuf;
 
 use ct_corpus::Vocab;
-use ct_tensor::{Params, Tensor};
+use ct_tensor::codec::{self, invalid_data as invalid, Container};
+use ct_tensor::{params_from_bytes, params_to_bytes, Params, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::common::TrainConfig;
 use crate::etm::EtmBackbone;
 
-const META_MAGIC: &str = "CTMODEL01";
+/// Container magic of a model bundle.
+const BUNDLE_MAGIC: &[u8; 8] = b"CTBUNDLE";
 
-fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> io::Result<T> {
+/// Parse `key` of the `config` section's `key=value` fields.
+fn field<T: std::str::FromStr>(fields: &HashMap<&str, &str>, key: &str) -> io::Result<T> {
+    let value = fields
+        .get(key)
+        .ok_or_else(|| invalid(format!("config is missing '{key}'")))?;
     value
         .parse()
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, format!("bad value for {key}")))
+        .map_err(|_| invalid(format!("bad value for {key}")))
 }
 
-/// Write `path` atomically: stream into a sibling temp file, fsync, then
-/// rename over the target. A crash mid-save leaves either the old file or
-/// no file — never a torn half-write that a later load would misparse.
-/// Shared with the streaming pipeline's checkpoint sidecars (`ct-core`).
-pub fn atomic_write(
-    path: &str,
-    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
-) -> io::Result<()> {
-    let tmp = format!("{path}.tmp-{}", std::process::id());
-    let result = (|| {
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        write(&mut w)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        fs::remove_file(&tmp).ok();
-    }
-    result
+fn section_text<'a>(file: &Container<'a>, name: &str) -> io::Result<&'a str> {
+    std::str::from_utf8(file.section(name)?)
+        .map_err(|_| invalid(format!("section '{name}' is not UTF-8")))
 }
 
 /// Everything needed to rebuild a trained ContraTopic/ETM model.
@@ -56,103 +44,81 @@ pub struct ModelBundle {
 }
 
 impl ModelBundle {
-    /// Write `<prefix>.meta` and `<prefix>.ckpt`, each atomically
-    /// (temp file + rename), so an interrupted save cannot corrupt a
-    /// previously written bundle.
+    /// The bundle file of `prefix`: `<prefix>.ckpt`.
+    pub fn path(prefix: &str) -> PathBuf {
+        PathBuf::from(format!("{prefix}.ckpt"))
+    }
+
+    /// The `config`, `vocab` and `params` sections of a bundle, for
+    /// [`ModelBundle::save`] and for containers that embed a bundle (the
+    /// streaming checkpoint).
+    pub fn sections(
+        config: &TrainConfig,
+        vocab: &Vocab,
+        params: &Params,
+    ) -> [(&'static str, Vec<u8>); 3] {
+        let c = config;
+        let config = format!(
+            "num_topics={}\nhidden={}\nencoder_depth={}\nembed_dim={}\ntau_beta={}\ndropout={}\nseed={}\n",
+            c.num_topics, c.hidden, c.encoder_depth, c.embed_dim, c.tau_beta, c.dropout, c.seed
+        );
+        let vocab: String = vocab.words().iter().map(|w| format!("{w}\n")).collect();
+        [
+            ("config", config.into_bytes()),
+            ("vocab", vocab.into_bytes()),
+            ("params", params_to_bytes(params)),
+        ]
+    }
+
+    /// Write the bundle to `<prefix>.ckpt` in one atomic, durable write,
+    /// so an interrupted save leaves the previous bundle intact.
     pub fn save(
         prefix: &str,
         config: &TrainConfig,
         vocab: &Vocab,
         params: &Params,
     ) -> io::Result<()> {
-        atomic_write(&format!("{prefix}.meta"), |meta| {
-            writeln!(meta, "{META_MAGIC}")?;
-            writeln!(meta, "num_topics={}", config.num_topics)?;
-            writeln!(meta, "hidden={}", config.hidden)?;
-            writeln!(meta, "encoder_depth={}", config.encoder_depth)?;
-            writeln!(meta, "embed_dim={}", config.embed_dim)?;
-            writeln!(meta, "tau_beta={}", config.tau_beta)?;
-            writeln!(meta, "dropout={}", config.dropout)?;
-            writeln!(meta, "seed={}", config.seed)?;
-            writeln!(meta, "vocab_size={}", vocab.len())?;
-            for w in vocab.words() {
-                writeln!(meta, "{w}")?;
-            }
-            Ok(())
-        })?;
-        atomic_write(&format!("{prefix}.ckpt"), |ckpt| params.save(ckpt))
-    }
-
-    /// Read `<prefix>.meta` back.
-    pub fn load_meta(prefix: &str) -> io::Result<ModelBundle> {
-        let path = format!("{prefix}.meta");
-        let file = BufReader::new(File::open(Path::new(&path))?);
-        let mut lines = file.lines();
-        let magic = lines.next().transpose()?.unwrap_or_default();
-        if magic != META_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{path}: not a model bundle (bad magic)"),
-            ));
-        }
-        let mut config = TrainConfig::default();
-        let mut vocab_size = 0usize;
-        for _ in 0..8 {
-            let line = lines.next().transpose()?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "truncated meta header")
-            })?;
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad meta line '{line}'"),
-                )
-            })?;
-            match key {
-                "num_topics" => config.num_topics = parse_num(key, value)?,
-                "hidden" => config.hidden = parse_num(key, value)?,
-                "encoder_depth" => config.encoder_depth = parse_num(key, value)?,
-                "embed_dim" => config.embed_dim = parse_num(key, value)?,
-                "tau_beta" => config.tau_beta = parse_num(key, value)?,
-                "dropout" => config.dropout = parse_num(key, value)?,
-                "seed" => config.seed = parse_num(key, value)?,
-                "vocab_size" => vocab_size = parse_num(key, value)?,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unknown meta key '{other}'"),
-                    ))
-                }
-            }
-        }
-        let mut vocab = Vocab::new();
-        for _ in 0..vocab_size {
-            let word = lines.next().transpose()?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "truncated vocabulary")
-            })?;
-            vocab.add(word);
-        }
-        Ok(ModelBundle { config, vocab })
+        codec::write_file(
+            &Self::path(prefix),
+            BUNDLE_MAGIC,
+            &Self::sections(config, vocab, params),
+        )
     }
 
     /// Rebuild the ETM backbone and load the trained parameters from
     /// `<prefix>.ckpt`.
     pub fn load_model(prefix: &str) -> io::Result<(ModelBundle, EtmBackbone, Params)> {
-        let bundle = Self::load_meta(prefix)?;
+        codec::read_file(&Self::path(prefix), BUNDLE_MAGIC, Self::from_container)
+    }
+
+    /// Rebuild a model from the [`ModelBundle::sections`] of a decoded
+    /// container.
+    pub fn from_container(file: &Container<'_>) -> io::Result<(ModelBundle, EtmBackbone, Params)> {
+        let fields: HashMap<&str, &str> = section_text(file, "config")?
+            .lines()
+            .filter_map(|line| line.split_once('='))
+            .collect();
+        let config = TrainConfig {
+            num_topics: field(&fields, "num_topics")?,
+            hidden: field(&fields, "hidden")?,
+            encoder_depth: field(&fields, "encoder_depth")?,
+            embed_dim: field(&fields, "embed_dim")?,
+            tau_beta: field(&fields, "tau_beta")?,
+            dropout: field(&fields, "dropout")?,
+            seed: field(&fields, "seed")?,
+            ..TrainConfig::default()
+        };
+        let vocab = Vocab::from_words(section_text(file, "vocab")?.lines());
+        let trained = params_from_bytes(file.section("params")?)?;
+
         let mut params = Params::new();
-        let mut rng = StdRng::seed_from_u64(bundle.config.seed);
+        let mut rng = StdRng::seed_from_u64(config.seed);
         // Placeholder embeddings: real values are restored from the
         // checkpoint (rho is stored like any other parameter).
-        let placeholder = Tensor::ones(bundle.vocab.len(), bundle.config.embed_dim);
-        let backbone = EtmBackbone::new(
-            &mut params,
-            bundle.vocab.len(),
-            placeholder,
-            &bundle.config,
-            &mut rng,
-        );
-        let mut ckpt = BufReader::new(File::open(format!("{prefix}.ckpt"))?);
-        params.load_named(&mut ckpt)?;
-        Ok((bundle, backbone, params))
+        let placeholder = Tensor::ones(vocab.len(), config.embed_dim);
+        let backbone = EtmBackbone::new(&mut params, vocab.len(), placeholder, &config, &mut rng);
+        params.restore_from(&trained)?;
+        Ok((ModelBundle { config, vocab }, backbone, params))
     }
 }
 
@@ -192,17 +158,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn load_meta_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("ct_bundle_bad_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let prefix = dir.join("bad");
-        std::fs::write(format!("{}.meta", prefix.display()), "NOT A MODEL\n").unwrap();
-        let err = ModelBundle::load_meta(prefix.to_str().unwrap()).unwrap_err();
-        assert!(err.to_string().contains("bad magic"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     fn saved_bundle(tag: &str) -> (std::path::PathBuf, String) {
         let dir = std::env::temp_dir().join(format!("ct_bundle_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -223,52 +178,20 @@ mod tests {
     }
 
     #[test]
-    fn load_model_rejects_truncated_checkpoint() {
-        let (dir, prefix) = saved_bundle("trunc");
-        let ckpt_path = format!("{prefix}.ckpt");
-        let bytes = std::fs::read(&ckpt_path).unwrap();
-        std::fs::write(&ckpt_path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = match ModelBundle::load_model(&prefix) {
-            Ok(_) => panic!("corrupt checkpoint loaded successfully"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_model_rejects_trailing_garbage() {
-        let (dir, prefix) = saved_bundle("tail");
-        let ckpt_path = format!("{prefix}.ckpt");
-        let mut bytes = std::fs::read(&ckpt_path).unwrap();
-        bytes.extend_from_slice(b"JUNK");
-        std::fs::write(&ckpt_path, &bytes).unwrap();
-        let err = match ModelBundle::load_model(&prefix) {
-            Ok(_) => panic!("corrupt checkpoint loaded successfully"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("trailing bytes"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn repeated_save_leaves_no_temp_files() {
         let (dir, prefix) = saved_bundle("atomic");
-        // Save again over the existing files; the rename must replace
-        // them in place and clean up every temp file.
+        // Save again over the existing file; the rename must replace it
+        // in place and clean up every temp file, leaving the one bundle
+        // file and nothing else.
         let (bundle, _, params) = ModelBundle::load_model(&prefix).unwrap();
         ModelBundle::save(&prefix, &bundle.config, &bundle.vocab, &params).unwrap();
         ModelBundle::load_model(&prefix).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp-"))
             .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
+        assert_eq!(files, ["model.ckpt"], "bundle directory holds {files:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

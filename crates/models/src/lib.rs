@@ -29,7 +29,7 @@ pub use backbone::{
     fit_backbone_with_regularizer_traced, train_backbone_regularized_traced, train_backbone_traced,
     Backbone, BackboneOut, Fitted, TrainedModel,
 };
-pub use bundle::{atomic_write, ModelBundle};
+pub use bundle::ModelBundle;
 pub use clntm::{fit_clntm, Clntm, ClntmBackbone};
 pub use common::{
     train_loop, train_loop_traced, BatchLoss, DivergencePolicy, TopicModel, TrainConfig,

@@ -24,6 +24,8 @@
 
 use std::io::{self, Write};
 
+use ct_tensor::codec::json::json_str;
+
 /// Per-batch loss breakdown. `backbone` is the backbone's own objective
 /// (ELBO / OT / WAE loss); `kl` is its KL term where the backbone exposes
 /// one; `regularizer` is the *weighted* regularizer contribution
@@ -214,24 +216,6 @@ fn json_opt_f32(v: Option<f32>) -> String {
         Some(v) => json_f32(v),
         None => "null".to_string(),
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn components_json(c: &LossComponents) -> String {

@@ -97,13 +97,13 @@ impl ServeError {
     /// Render as the wire protocol's one-line error object,
     /// `{"error":"<kind>","message":"..."}`, with the message properly
     /// JSON-escaped (quotes, backslashes, and control characters survive
-    /// as valid JSON — see [`crate::json::push_json_str`]).
+    /// as valid JSON — see [`ct_tensor::codec::json::push_json_str`]).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64);
         s.push_str("{\"error\":");
-        crate::json::push_json_str(&mut s, self.kind());
+        ct_tensor::codec::json::push_json_str(&mut s, self.kind());
         s.push_str(",\"message\":");
-        crate::json::push_json_str(&mut s, &self.to_string());
+        ct_tensor::codec::json::push_json_str(&mut s, &self.to_string());
         s.push('}');
         s
     }

@@ -101,7 +101,6 @@
 pub mod encode;
 pub mod engine;
 pub mod error;
-pub mod json;
 pub mod lru;
 pub mod net;
 #[cfg(target_os = "linux")]

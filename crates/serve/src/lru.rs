@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use ct_corpus::SparseDoc;
+use ct_tensor::codec::Fnv1a;
 
 const NIL: usize = usize::MAX;
 
@@ -148,21 +149,13 @@ impl<V> LruCache<V> {
 /// the same snapshot generation — exactly the condition under which the
 /// cached response is valid for both.
 pub fn bow_key(generation: u64, doc: &SparseDoc) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&generation.to_le_bytes());
+    let mut h = Fnv1a::default();
+    h.update(&generation.to_le_bytes());
     for (id, count) in doc.iter() {
-        eat(&id.to_le_bytes());
-        eat(&count.to_bits().to_le_bytes());
+        h.update(&id.to_le_bytes());
+        h.update(&count.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -456,7 +456,7 @@ impl QueryResponse {
                 if j > 0 {
                     s.push(',');
                 }
-                crate::json::push_json_str(&mut s, w);
+                ct_tensor::codec::json::push_json_str(&mut s, w);
             }
             s.push(']');
             if let Some(n) = hit.nearest_topic {

@@ -1,5 +1,10 @@
-//! Checkpointing: save/load [`Params`] registries to a compact, versioned
-//! binary format.
+//! Parameter checkpoints. A registry encodes to [`params_to_bytes`]:
+//! `b"CTCKPT01"`, a `u64` count, then per entry the name (`u64` length +
+//! bytes), a frozen flag byte and the tensor ([`write_tensor`]), all
+//! little-endian. The golden-trajectory and determinism suites pin those
+//! bytes. On disk they are the `params` section of a checksummed
+//! [`codec`](crate::codec) container ([`Params::save`], model bundles,
+//! stream checkpoints).
 //!
 //! Usage pattern: build the model architecture from the same `TrainConfig`
 //! (which registers parameters under the same names), then
@@ -8,140 +13,53 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
+use crate::codec::{invalid_data, write_container, Container, SliceReader};
 use crate::params::Params;
 use crate::tensor::Tensor;
 
+/// Leading tag of the [`params_to_bytes`] encoding.
 const MAGIC: &[u8; 8] = b"CTCKPT01";
 
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
+/// Container magic of a standalone parameter checkpoint.
+const PARAMS_FILE_MAGIC: &[u8; 8] = b"CTPARAMS";
 
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_u64(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_u64(r)? as usize;
-    if len > (1 << 20) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unreasonable string length in checkpoint",
-        ));
+/// Append one tensor (rows u64, cols u64, little-endian f32 data).
+pub fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
+    out.extend_from_slice(&(t.rows() as u64).to_le_bytes());
+    out.extend_from_slice(&(t.cols() as u64).to_le_bytes());
+    out.reserve(t.data().len() * 4);
+    for &v in t.data() {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF8 name"))
 }
 
-/// Elements per I/O chunk when (de)serializing tensor payloads (16 KiB).
-const CHUNK_ELEMS: usize = 4096;
-
-/// Serialize one tensor (shape + little-endian f32 data).
-pub fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> io::Result<()> {
-    write_u64(w, t.rows() as u64)?;
-    write_u64(w, t.cols() as u64)?;
-    let mut buf = [0u8; CHUNK_ELEMS * 4];
-    for chunk in t.data().chunks(CHUNK_ELEMS) {
-        for (slot, &v) in buf.chunks_exact_mut(4).zip(chunk) {
-            slot.copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf[..chunk.len() * 4])?;
-    }
-    Ok(())
-}
-
-/// Deserialize one tensor.
-///
-/// Reads the payload in bounded chunks, so a corrupt header claiming a
-/// huge element count fails with an I/O error at the true end of input
-/// instead of preallocating gigabytes up front.
-pub fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
-    let rows = read_u64(r)? as usize;
-    let cols = read_u64(r)? as usize;
+/// Read one tensor written by [`write_tensor`]. The element count is
+/// bounded by the bytes left in `r`, so a corrupt shape fails without
+/// allocating.
+pub fn read_tensor(r: &mut SliceReader<'_>) -> io::Result<Tensor> {
+    let rows = r.size()?;
+    let cols = r.size()?;
     let numel = rows
         .checked_mul(cols)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "tensor shape overflow"))?;
-    if numel > (1 << 31) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unreasonable tensor size in checkpoint",
-        ));
-    }
-    // Never trust the header for the initial allocation: cap it at one
-    // chunk and let the Vec grow as bytes actually arrive.
-    let mut data = Vec::with_capacity(numel.min(CHUNK_ELEMS));
-    let mut buf = [0u8; CHUNK_ELEMS * 4];
-    let mut remaining = numel;
-    while remaining > 0 {
-        let take = remaining.min(CHUNK_ELEMS);
-        r.read_exact(&mut buf[..take * 4])?;
-        data.extend(
-            buf[..take * 4]
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-        );
-        remaining -= take;
-    }
-    Ok(Tensor::from_vec(data, rows, cols))
+        .ok_or_else(|| invalid_data("tensor shape overflow"))?;
+    Ok(Tensor::from_vec(r.f32s(numel)?, rows, cols))
 }
 
 impl Params {
-    /// Write all parameters (names, frozen flags, values) to `w`.
+    /// Write a parameter checkpoint: a container holding the
+    /// [`params_to_bytes`] encoding as its `params` section.
     pub fn save<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        write_u64(w, self.len() as u64)?;
-        for id in self.ids() {
-            write_string(w, self.name(id))?;
-            w.write_all(&[u8::from(self.is_frozen(id))])?;
-            write_tensor(w, self.value(id))?;
-        }
-        Ok(())
+        write_container(w, PARAMS_FILE_MAGIC, &[("params", &params_to_bytes(self))])
     }
 
-    /// Read a standalone registry from `r`.
+    /// Read a standalone registry from a checkpoint written by
+    /// [`Params::save`].
     pub fn load<R: Read>(r: &mut R) -> io::Result<Params> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a ct-tensor checkpoint (bad magic)",
-            ));
-        }
-        let count = read_u64(r)? as usize;
-        let mut params = Params::new();
-        for _ in 0..count {
-            let name = read_string(r)?;
-            let mut flag = [0u8; 1];
-            r.read_exact(&mut flag)?;
-            let tensor = read_tensor(r)?;
-            if flag[0] != 0 {
-                params.add_frozen(name, tensor);
-            } else {
-                params.add(name, tensor);
-            }
-        }
-        // The format is self-delimiting; anything after the last entry
-        // means the file was appended to or the header undercounts —
-        // either way the checkpoint cannot be trusted.
-        let mut probe = [0u8; 1];
-        match r.read(&mut probe)? {
-            0 => Ok(params),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes after checkpoint payload",
-            )),
-        }
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let file = Container::parse(PARAMS_FILE_MAGIC, &bytes)?;
+        params_from_bytes(file.section("params")?)
     }
 
     /// Restore values into an *existing* registry by parameter name (the
@@ -149,28 +67,28 @@ impl Params {
     /// Returns the number of parameters restored; unknown names in the
     /// checkpoint are ignored, missing ones are an error.
     pub fn load_named<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
-        let loaded = Params::load(r)?;
+        self.restore_from(&Params::load(r)?)
+    }
+
+    /// [`Params::load_named`] from an already decoded registry.
+    pub fn restore_from(&mut self, loaded: &Params) -> io::Result<usize> {
         let by_name: HashMap<&str, _> = loaded.ids().map(|l| (loaded.name(l), l)).collect();
         let mut restored = 0;
         let my_ids: Vec<_> = self.ids().collect();
         for id in my_ids {
             let name = self.name(id).to_string();
             let Some(&src) = by_name.get(name.as_str()) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("checkpoint is missing parameter '{name}'"),
-                ));
+                return Err(invalid_data(format!(
+                    "checkpoint is missing parameter '{name}'"
+                )));
             };
             let value = loaded.value(src);
             if value.shape() != self.value(id).shape() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shape mismatch for '{name}': checkpoint {:?} vs model {:?}",
-                        value.shape(),
-                        self.value(id).shape()
-                    ),
-                ));
+                return Err(invalid_data(format!(
+                    "shape mismatch for '{name}': checkpoint {:?} vs model {:?}",
+                    value.shape(),
+                    self.value(id).shape()
+                )));
             }
             *self.value_mut(id) = value.clone();
             restored += 1;
@@ -179,21 +97,46 @@ impl Params {
     }
 }
 
-/// Convenience: serialize a registry to bytes.
+/// Encode a registry (names, frozen flags, values) to bytes.
 pub fn params_to_bytes(params: &Params) -> Vec<u8> {
-    let mut buf = Vec::new();
-    params.save(&mut buf).expect("writing to Vec cannot fail");
-    buf
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(params.len() as u64).to_le_bytes());
+    for id in params.ids() {
+        let name = params.name(id);
+        out.extend_from_slice(&(name.len() as u64).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.push(u8::from(params.is_frozen(id)));
+        write_tensor(&mut out, params.value(id));
+    }
+    out
 }
 
-/// Convenience: deserialize a registry from bytes.
+/// Decode a registry from [`params_to_bytes`] output. Rejects a bad tag,
+/// truncation and trailing bytes with typed errors.
 pub fn params_from_bytes(bytes: &[u8]) -> io::Result<Params> {
-    Params::load(&mut io::Cursor::new(bytes))
+    let mut r = SliceReader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(invalid_data(
+            "not a ct-tensor parameter encoding (bad magic)",
+        ));
+    }
+    let count = r.size()?;
+    let mut params = Params::new();
+    for _ in 0..count {
+        let name_len = r.size()?;
+        let name = r.str(name_len)?.to_string();
+        let frozen = r.take(1)?[0] != 0;
+        let tensor = read_tensor(&mut r)?;
+        if frozen {
+            params.add_frozen(name, tensor);
+        } else {
+            params.add(name, tensor);
+        }
+    }
+    r.finish()?;
+    Ok(params)
 }
-
-/// Keep `Arc` in scope for doc purposes (values are shared internally).
-#[allow(dead_code)]
-type _Shared = Arc<Tensor>;
 
 #[cfg(test)]
 mod tests {
@@ -205,6 +148,12 @@ mod tests {
         p.add_frozen("rho", Tensor::from_vec(vec![9.0, 8.0, 7.0], 1, 3));
         p.add("dec.topics", Tensor::zeros(3, 1));
         p
+    }
+
+    fn saved(p: &Params) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        p.save(&mut bytes).unwrap();
+        bytes
     }
 
     #[test]
@@ -223,7 +172,7 @@ mod tests {
     #[test]
     fn load_named_restores_by_name() {
         let trained = sample_params();
-        let bytes = params_to_bytes(&trained);
+        let bytes = saved(&trained);
         // Fresh architecture with the same names but different values.
         let mut fresh = Params::new();
         fresh.add("enc.w", Tensor::zeros(2, 2));
@@ -237,7 +186,7 @@ mod tests {
 
     #[test]
     fn load_named_rejects_shape_mismatch() {
-        let bytes = params_to_bytes(&sample_params());
+        let bytes = saved(&sample_params());
         let mut fresh = Params::new();
         fresh.add("enc.w", Tensor::zeros(3, 3)); // wrong shape
         let err = fresh.load_named(&mut io::Cursor::new(&bytes)).unwrap_err();
@@ -246,7 +195,7 @@ mod tests {
 
     #[test]
     fn load_named_rejects_missing_param() {
-        let bytes = params_to_bytes(&sample_params());
+        let bytes = saved(&sample_params());
         let mut fresh = Params::new();
         fresh.add("brand.new", Tensor::zeros(1, 1));
         let err = fresh.load_named(&mut io::Cursor::new(&bytes)).unwrap_err();
@@ -263,18 +212,22 @@ mod tests {
     fn tensor_roundtrip() {
         let t = Tensor::from_vec(vec![0.5, -0.25, f32::MAX, f32::MIN_POSITIVE], 4, 1);
         let mut buf = Vec::new();
-        write_tensor(&mut buf, &t).unwrap();
-        let back = read_tensor(&mut io::Cursor::new(&buf)).unwrap();
+        write_tensor(&mut buf, &t);
+        let mut r = SliceReader::new(&buf);
+        let back = read_tensor(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(t, back);
     }
 
     #[test]
     fn tensor_roundtrip_across_chunk_boundary() {
-        let n = CHUNK_ELEMS + 37;
+        let n = 4096 + 37;
         let t = Tensor::from_vec((0..n).map(|i| i as f32 * 0.5).collect(), n, 1);
         let mut buf = Vec::new();
-        write_tensor(&mut buf, &t).unwrap();
-        let back = read_tensor(&mut io::Cursor::new(&buf)).unwrap();
+        write_tensor(&mut buf, &t);
+        let mut r = SliceReader::new(&buf);
+        let back = read_tensor(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(t, back);
     }
 
@@ -297,22 +250,18 @@ mod tests {
 
     #[test]
     fn huge_header_fails_without_preallocating() {
-        // A header claiming 2^31 - 1 elements passes the size gate but the
-        // payload is absent; the chunked reader must hit EOF quickly and
-        // must not reserve the full 8 GiB up front.
+        // A header claiming 2^31 - 1 elements with the payload absent:
+        // the bounded reader fails at once and reserves nothing.
         let mut buf = Vec::new();
-        write_u64(&mut buf, (1u64 << 31) - 1).unwrap();
-        write_u64(&mut buf, 1).unwrap();
-        let err = read_tensor(&mut io::Cursor::new(&buf)).unwrap_err();
+        buf.extend_from_slice(&((1u64 << 31) - 1).to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        let err = read_tensor(&mut SliceReader::new(&buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // Just over the gate: rejected before any payload read.
+        // A shape whose element count overflows is rejected outright.
         let mut buf = Vec::new();
-        write_u64(&mut buf, (1u64 << 31) + 1).unwrap();
-        write_u64(&mut buf, 1).unwrap();
-        let err = read_tensor(&mut io::Cursor::new(&buf)).unwrap_err();
-        assert!(
-            err.to_string().contains("unreasonable tensor size"),
-            "{err}"
-        );
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&2u64.to_le_bytes());
+        let err = read_tensor(&mut SliceReader::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -30,6 +30,7 @@
 
 pub mod arena;
 pub mod checkpoint;
+pub mod codec;
 pub mod csr;
 pub mod infer;
 pub mod nn;
