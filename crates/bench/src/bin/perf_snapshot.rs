@@ -14,7 +14,11 @@
 //!   (`micro_batch` < `batch_size`), plus the one-epoch ETM median on the
 //!   same fixture and the ContraTopic/ETM ratio (the paper's §V-E cost of
 //!   the regularizer). The sweep also asserts the trained parameters are
-//!   bitwise identical across worker counts.
+//!   bitwise identical across worker counts. A `regularizer` block breaks
+//!   one step of the topic-wise regularizer at the NYTimes-like grid shape
+//!   into its layers, at one worker: the three dense products, the
+//!   subset sampler's forward + backward, the whole loss forward +
+//!   backward, and the residual the layers leave unexplained.
 //!
 //! `--smoke` runs the same code paths on a tiny preset with minimal sample
 //! counts and writes nothing — a CI gate so the binary cannot rot.
@@ -34,11 +38,15 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use contratopic::{fit_contratopic, fit_contratopic_traced};
+use contratopic::{
+    fit_contratopic, fit_contratopic_traced, relaxed_subset, AblationVariant,
+    ContrastiveRegularizer, SimilarityKernel, SubsetSamplerConfig,
+};
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
 use ct_models::{fit_etm, TrainConfig};
 use ct_tensor::codec::json::json_str;
-use ct_tensor::{params_to_bytes, pool, Tensor};
+use ct_tensor::ops::concat_rows;
+use ct_tensor::{params_to_bytes, pool, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -54,22 +62,27 @@ struct Spread {
     max_ns: u128,
 }
 
-/// Wall-time spread over `samples` runs after one warm-up.
-fn time_spread<F: FnMut()>(samples: usize, mut f: F) -> Spread {
-    f(); // warm-up: allocator, caches, worker pool
-    let mut out: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
+/// Wall time of one call.
+fn time_once<F: FnOnce()>(f: F) -> u128 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos()
+}
+
+/// Min, median and max of a non-empty set of wall times.
+fn spread_of(mut out: Vec<u128>) -> Spread {
     out.sort_unstable();
     Spread {
         min_ns: out[0],
         median_ns: out[out.len() / 2],
         max_ns: out[out.len() - 1],
     }
+}
+
+/// Wall-time spread over `samples` runs after one warm-up.
+fn time_spread<F: FnMut()>(samples: usize, mut f: F) -> Spread {
+    f(); // warm-up: allocator, caches, worker pool
+    spread_of((0..samples).map(|_| time_once(&mut f)).collect())
 }
 
 /// Best (minimum) time over `samples` runs after one warm-up. Used for the
@@ -345,6 +358,124 @@ fn write_sgemm_json(cases: &[SgemmCase]) -> std::io::Result<()> {
     std::fs::write("BENCH_sgemm.json", out)
 }
 
+/// Topics `K` of the NYTimes-like grid configuration; with the sampler's
+/// default `v = 10` draws per topic, `M = K·v = REG_M`.
+const REG_K: usize = 40;
+
+/// Median one-worker times of one regularizer step's layers.
+struct RegBreakdown {
+    k: usize,
+    v: usize,
+    vocab: usize,
+    /// `T = A·N`, the forward kernel product.
+    xn: Spread,
+    /// `S = T·Aᵀ`, the forward pair scores.
+    quad_nt: Spread,
+    /// `dA = (G + Gᵀ)·T`, the backward product.
+    dx: Spread,
+    /// `relaxed_subset` + `concat_rows`, forward and backward.
+    sampler: Spread,
+    /// `ContrastiveRegularizer::loss`, forward and backward.
+    loss: Spread,
+}
+
+impl RegBreakdown {
+    /// What the loss total spends outside the measured layers (the masks,
+    /// the two log-sum-exps and the final sums, tape bookkeeping).
+    fn residual_ns(&self) -> i128 {
+        let parts =
+            self.xn.median_ns + self.quad_nt.median_ns + self.dx.median_ns + self.sampler.median_ns;
+        self.loss.median_ns as i128 - parts as i128
+    }
+}
+
+/// A symmetric `(v, v)` kernel with NPMI-like entries in `[-1, 1]`.
+fn symmetric_kernel(v: usize, rng: &mut StdRng) -> Tensor {
+    let r = Tensor::randn(v, v, 0.3, rng);
+    let mut n = Tensor::zeros(v, v);
+    for i in 0..v {
+        for j in 0..v {
+            n.set(i, j, (0.5 * (r.get(i, j) + r.get(j, i))).clamp(-1.0, 1.0));
+        }
+    }
+    n
+}
+
+/// Time one regularizer step and each of its layers, at one worker, on a
+/// softmax `beta (K, V)` and a symmetric kernel. The layers run on the
+/// operands the step itself builds: `A` is a real relaxed sample of
+/// `beta`, `T = A·N`, and the upstream gradient `G` is a random `(M, M)`.
+fn regularizer_breakdown(smoke: bool, samples: usize) -> RegBreakdown {
+    let (k, vocab) = if smoke { (4, 120) } else { (REG_K, REG_V) };
+    let sampling = SubsetSamplerConfig::default();
+    let m = k * sampling.v;
+    let mut rng = StdRng::seed_from_u64(7);
+    let beta = Tensor::randn(k, vocab, 1.0, &mut rng).softmax_rows(1.0);
+    let kernel = SimilarityKernel::custom(symmetric_kernel(vocab, &mut rng), "bench");
+    let n = kernel.matrix().clone();
+    let reg = ContrastiveRegularizer::new(kernel, sampling, AblationVariant::Full);
+    let a = {
+        let tape = Tape::new();
+        let sample = relaxed_subset(&tape, tape.leaf(beta.clone()), &sampling, &mut rng);
+        concat_rows(&sample.draws).value().clone()
+    };
+    let g = Tensor::randn(m, m, 1.0, &mut rng);
+    let gsym = g.zip(&g.transposed(), |x, y| x + y);
+    // `T = A·N`, left in place by the `xn` timing for the two products
+    // after it.
+    let mut t = Tensor::zeros(m, vocab);
+    // Each round times every layer back to back, so a stretch of host
+    // slowdown lands on all of them instead of on one layer's samples
+    // (which would show up as a residual). The first round is a warm-up.
+    let mut ns: [Vec<u128>; 5] = Default::default();
+    pool::with_threads(1, || {
+        for round in 0..=samples {
+            let times = [
+                // Into a reused, re-zeroed buffer, as the fused op's
+                // scratch does.
+                time_once(|| {
+                    t.data_mut().fill(0.0);
+                    ct_tensor::sgemm::sgemm_nn(m, vocab, vocab, a.data(), n.data(), t.data_mut());
+                    black_box(&t);
+                }),
+                time_once(|| {
+                    black_box(t.matmul_nt(&a));
+                }),
+                time_once(|| {
+                    black_box(gsym.matmul(&t));
+                }),
+                time_once(|| {
+                    let tape = Tape::new();
+                    let sample =
+                        relaxed_subset(&tape, tape.leaf(beta.clone()), &sampling, &mut rng);
+                    black_box(tape.backward(concat_rows(&sample.draws).sum_all()));
+                }),
+                time_once(|| {
+                    let tape = Tape::new();
+                    let loss = reg.loss(&tape, tape.leaf(beta.clone()), &mut rng);
+                    black_box(tape.backward(loss));
+                }),
+            ];
+            if round > 0 {
+                for (v, t) in ns.iter_mut().zip(times) {
+                    v.push(t);
+                }
+            }
+        }
+    });
+    let [xn, quad_nt, dx, sampler, loss] = ns.map(spread_of);
+    RegBreakdown {
+        k,
+        v: sampling.v,
+        vocab,
+        xn,
+        quad_nt,
+        dx,
+        sampler,
+        loss,
+    }
+}
+
 /// One-epoch fixture: the full-size preset mirrors the `train_epoch`
 /// criterion fixture so numbers stay comparable; the smoke preset keeps the
 /// same shape at a fraction of the cost.
@@ -478,6 +609,7 @@ fn write_train_json(
     fix: &EpochFixture,
     points: &[SweepPoint],
     etm: Spread,
+    reg: &RegBreakdown,
     bitwise_equal: bool,
 ) -> std::io::Result<()> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -502,6 +634,19 @@ fn write_train_json(
         );
     }
     out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"regularizer\": {{\"workers\": 1, \"k\": {}, \"v\": {}, \"vocab\": {}, \"xn_ms\": {:.3}, \"quad_nt_ms\": {:.3}, \"dx_ms\": {:.3}, \"sampler_ms\": {:.3}, \"loss_ms\": {:.3}, \"residual_ms\": {:.3}}},",
+        reg.k,
+        reg.v,
+        reg.vocab,
+        ms(reg.xn.median_ns),
+        ms(reg.quad_nt.median_ns),
+        ms(reg.dx.median_ns),
+        ms(reg.sampler.median_ns),
+        ms(reg.loss.median_ns),
+        reg.residual_ns() as f64 / 1e6
+    );
     // The ratio compares like with like: both models at one worker.
     let ct_one = points
         .iter()
@@ -544,6 +689,7 @@ fn main() -> std::io::Result<()> {
     let fix = epoch_fixture(smoke);
     let (points, bitwise_equal) = train_epoch_sweep(&fix, epoch_samples);
     let etm = etm_epoch(&fix, epoch_samples);
+    let reg = regularizer_breakdown(smoke, reg_samples);
     let csr_delta = ct_tensor::csr_matmuls() - csr_before;
     println!("csr_matmuls during epoch sweep: {csr_delta}");
     if csr_delta == 0 {
@@ -564,6 +710,18 @@ fn main() -> std::io::Result<()> {
         "train_one_epoch ETM workers=1 median {:>9.3} ms",
         etm.median_ns as f64 / 1e6
     );
+    println!(
+        "regularizer K={} v={} V={} workers=1 median: xn {:.3} quad_nt {:.3} dx {:.3} sampler {:.3} loss {:.3} residual {:.3} ms",
+        reg.k,
+        reg.v,
+        reg.vocab,
+        reg.xn.median_ns as f64 / 1e6,
+        reg.quad_nt.median_ns as f64 / 1e6,
+        reg.dx.median_ns as f64 / 1e6,
+        reg.sampler.median_ns as f64 / 1e6,
+        reg.loss.median_ns as f64 / 1e6,
+        reg.residual_ns() as f64 / 1e6
+    );
     println!("bitwise_equal_across_workers: {bitwise_equal}");
     if !bitwise_equal {
         eprintln!("error: trained parameters differ across worker counts");
@@ -577,7 +735,7 @@ fn main() -> std::io::Result<()> {
     }
     write_sgemm_json(&cases)?;
     println!("wrote BENCH_sgemm.json");
-    write_train_json(&fix, &points, etm, bitwise_equal)?;
+    write_train_json(&fix, &points, etm, &reg, bitwise_equal)?;
     println!("wrote BENCH_train_epoch.json");
     Ok(())
 }

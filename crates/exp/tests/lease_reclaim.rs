@@ -75,7 +75,7 @@ fn settled_but_unreleased_lease_does_not_retrain() {
 
     let before = trained_count();
     let summary = run_worker(
-        &[spec.clone()],
+        std::slice::from_ref(&spec),
         &ledger_path,
         &dir,
         &ContextCache::new(),

@@ -11,20 +11,24 @@
 //! through (row, column) strides, so a transposed operand is just another
 //! stride pair and never a copy:
 //!
-//! - `C` is cut into `MR × NR` (6 × 16) tiles; the micro-kernel
+//! - `C` is cut into `MR × NR` (12 × 32) tiles; the micro-kernel
 //!   ([`crate::simd`]'s register tile) keeps one tile in registers for a
 //!   whole k-panel of depth `KC`, so each `C` element is loaded and stored
-//!   once per `KC` multiply-adds instead of once per multiply-add.
+//!   once per `KC` multiply-adds instead of once per multiply-add. Every
+//!   tile body (AVX-512, AVX2 quadrants, portable) reads the same packing
+//!   geometry, chosen once per product by CPUID.
 //! - `B` is packed, `KC` rows × `NC` columns at a time, into contiguous
 //!   `KC × NR` strips in a reused thread-local buffer (zero-padded to a
 //!   whole strip). Slabs of fewer than `PACK_B_MIN_M` rows read a
 //!   unit-stride `B` in place instead, so small inference-sized products do
 //!   not pay a packing pass that would not be reused.
 //! - `A` is packed one `MR`-row strip at a time (`kc × MR`).
-//! - The tile runs on as many rows as the strip has (1 to `MR`), so the
-//!   bottom edge of `C`, and a one-row product, costs only its own rows. A
-//!   ragged right edge runs on a stack copy of the `C` tile and stores back
-//!   only the valid columns.
+//! - The tile runs on as many rows and columns as the block of `C` has (1
+//!   to `MR`, 1 to `NR`), so the bottom edge of `C`, and a one-row product,
+//!   costs only its own rows. On a ragged right edge the AVX-512 body loads
+//!   and stores `C` under a lane mask (and runs one vector per row when at
+//!   most 16 columns are valid); the other bodies work on a stack copy and
+//!   store back only the valid columns.
 //!
 //! Bitwise contract: every `C` element still sees `c = c + (a·b)` (separate
 //! multiply and add, never FMA) once per `k`, in ascending `k` order — the
@@ -51,8 +55,10 @@ use crate::pool;
 use crate::simd::{self, TileBody, MR, NR};
 
 /// Depth of one k-panel: the `k` range a `C` tile accumulates in registers
-/// between a load and a store. A packed `A` strip (`KC × MR`) and `B` strip
-/// (`KC × NR`) together take 22 KB, inside a 32 KB L1.
+/// between a load and a store. A packed `A` strip (`KC × MR`, 12 KB) and
+/// `B` strip (`KC × NR`, 32 KB) together take 44 KB, inside a 48 KB L1D.
+/// (`KC` does not affect the bits; on an AVX-512 Xeon 128, 192, 256 and
+/// 320 measured within 5% of each other on the regularizer's products.)
 const KC: usize = 256;
 
 /// Columns of `B` packed per panel: a `KC × NC` panel is 512 KB, which sits
@@ -60,7 +66,7 @@ const KC: usize = 256;
 const NC: usize = 512;
 
 /// Slabs with fewer rows than this read a unit-stride `B` in place: a
-/// packed strip would be reused by at most ten `A` strips, too few to repay
+/// packed strip would be reused by at most six `A` strips, too few to repay
 /// the copy. (At the 32-row held-out inference batch the in-place read is
 /// ~30% faster on an AVX2 Xeon; from 64 rows up the two are even.)
 const PACK_B_MIN_M: usize = 64;
@@ -161,7 +167,6 @@ unsafe fn gemm_blocked(
     PACK_BUF.with(|buf| {
         let mut buf = buf.borrow_mut();
         let mut a_pack = [0.0f32; KC * MR];
-        let mut edge = [0.0f32; MR * NR];
         for j0 in (0..n).step_by(NC) {
             let nc = NC.min(n - j0);
             let strips = nc.div_ceil(NR);
@@ -190,11 +195,9 @@ unsafe fn gemm_blocked(
                         // reads `NR` columns below `j0 + nc ≤ n` on rows
                         // below `p0 + kc ≤ k`, which `b` holds. The `C`
                         // tile's `mr` rows of `nr` columns lie inside the
-                        // caller's `m × n` block. The tile reads at most
-                        // `kc · MR` values of `a_pack` and `NR` per `k` step
-                        // of the strip, and writes `mr × NR` at `c_tile` only
-                        // for a full-width strip — a ragged one goes through
-                        // `edge`.
+                        // caller's `m × n` block, and the tile touches no
+                        // others. It reads at most `kc · MR` values of
+                        // `a_pack` and `NR` per `k` step of the strip.
                         let (b_strip, b_rs) = if !b_in_place {
                             (buf.as_ptr().add(s * kc * NR), NR)
                         } else if nr == NR {
@@ -203,22 +206,16 @@ unsafe fn gemm_blocked(
                             (buf.as_ptr(), NR)
                         };
                         let c_tile = c.add(i0 * ldc + j0 + js);
-                        let a_strip = a_pack.as_ptr();
-                        if nr == NR {
-                            simd::tile(body, mr, kc, a_strip, b_strip, b_rs, c_tile, ldc);
-                        } else {
-                            // Ragged right edge: run the tile on a stack
-                            // copy and store back only the valid columns.
-                            for r in 0..mr {
-                                let src = std::slice::from_raw_parts(c_tile.add(r * ldc), nr);
-                                edge[r * NR..r * NR + nr].copy_from_slice(src);
-                            }
-                            simd::tile(body, mr, kc, a_strip, b_strip, b_rs, edge.as_mut_ptr(), NR);
-                            for r in 0..mr {
-                                let dst = std::slice::from_raw_parts_mut(c_tile.add(r * ldc), nr);
-                                dst.copy_from_slice(&edge[r * NR..r * NR + nr]);
-                            }
-                        }
+                        simd::tile(
+                            body,
+                            (mr, nr),
+                            kc,
+                            a_pack.as_ptr(),
+                            b_strip,
+                            b_rs,
+                            c_tile,
+                            ldc,
+                        );
                     }
                 }
             }
@@ -658,15 +655,16 @@ mod tests {
         }
     }
 
-    /// Shapes straddling every blocking boundary: `m` around `MR` (bottom
-    /// tiles of every height 1..=5) and at the packed-`B` cut-off, `n`
-    /// around `NR` and `NC`, `k` around `KC`.
+    /// Shapes straddling every blocking boundary: `m` around `MR` (one-tile
+    /// products of every height 1..=11, bottom tiles of 1, 3, 4 and 11
+    /// rows) and at the packed-`B` cut-off, `n` around the 16-column half
+    /// tile, `NR` and `NC`, `k` around `KC`.
     fn edge_shapes() -> Vec<(usize, usize, usize)> {
-        let ms = [0, 1, 2, MR - 1, MR + 1, 2 * MR + 3, PACK_B_MIN_M];
-        let ns = [0, 1, NR - 1, NR + 1, NC + 1];
+        let ms = (0..MR).chain([MR + 1, 2 * MR + 3, PACK_B_MIN_M, PACK_B_MIN_M + 7]);
+        let ns = [0, 1, NR / 2, NR / 2 + 1, NR - 1, NR + 1, NC + 1];
         let ks = [0, 1, KC + 1];
         let mut shapes = Vec::new();
-        for &m in &ms {
+        for m in ms {
             for &n in &ns {
                 for &k in &ks {
                     shapes.push((m, k, n));
@@ -676,14 +674,6 @@ mod tests {
         shapes
     }
 
-    fn bodies() -> Vec<TileBody> {
-        let mut bodies = vec![TileBody::Portable];
-        if TileBody::host() != TileBody::Portable {
-            bodies.push(TileBody::host());
-        }
-        bodies
-    }
-
     #[test]
     fn nn_edge_shapes_bitwise_match_reference() {
         for (m, k, n) in edge_shapes() {
@@ -691,7 +681,7 @@ mod tests {
             let b = rand_vec(k * n, 52);
             let mut want = initial_c(m * n, 53);
             reference((m, k, n), &a, (k, 1), &b, (n, 1), &mut want);
-            for body in bodies() {
+            for body in TileBody::supported() {
                 let mut c = initial_c(m * n, 53);
                 // One worker, so the slab is the whole `m` and the packed
                 // path runs from `PACK_B_MIN_M` rows.
@@ -708,7 +698,7 @@ mod tests {
             let b = rand_vec(k * n, 55);
             let mut want = initial_c(m * n, 56);
             reference((m, k, n), &at, (1, m), &b, (n, 1), &mut want);
-            for body in bodies() {
+            for body in TileBody::supported() {
                 let mut c = initial_c(m * n, 56);
                 pool::with_threads(1, || sgemm_tn_with(body, k, m, n, &at, &b, &mut c));
                 assert_bits(&c, &want, &format!("tn {body:?} {m}x{k}x{n}"));
@@ -725,7 +715,7 @@ mod tests {
             let bt = rand_vec(n * k, 58);
             let mut want = initial_c(m * n, 59);
             reference((m, k, n), &a, (k, 1), &bt, (1, k), &mut want);
-            for body in bodies() {
+            for body in TileBody::supported() {
                 let mut c = initial_c(m * n, 59);
                 let b = Strided {
                     data: &bt,
@@ -734,6 +724,24 @@ mod tests {
                 };
                 pool::with_threads(1, || sgemm_rows(body, m, k, n, &a, b, &mut c));
                 assert_bits(&c, &want, &format!("nt {body:?} {m}x{k}x{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn regularizer_shape_bitwise_equal_across_bodies() {
+        // `T = A·N` at the NYTimes-like grid shape (`M = K·v = 400`,
+        // `V = 2400`): the product that dominates a ContraTopic step.
+        let (m, k, n) = (400, 2400, 2400);
+        let a = rand_vec(m * k, 61);
+        let b = rand_vec(k * n, 62);
+        let mut first: Option<(TileBody, Vec<f32>)> = None;
+        for body in TileBody::supported() {
+            let mut c = initial_c(m * n, 63);
+            sgemm_nn_with(body, m, k, n, &a, &b, &mut c);
+            match &first {
+                None => first = Some((body, c)),
+                Some((b0, c0)) => assert_bits(&c, c0, &format!("reg_xn {body:?} vs {b0:?}")),
             }
         }
     }

@@ -3,7 +3,7 @@
 //! Three primitives cover every hot inner loop in [`crate::sgemm`]:
 //!
 //! - the **register tile** (`tile`, crate-private): a block of up to
-//!   `MR × NR` (6 × 16) elements of `C` held in registers while it
+//!   `MR × NR` (12 × 32) elements of `C` held in registers while it
 //!   accumulates one packed k-panel of `A` (`MR` slots per `k` step)
 //!   against one strip of `B` (`NR` values per `k` step). It is the only
 //!   kernel of the dense `nn`, `tn` and large-`nt` products.
@@ -13,10 +13,13 @@
 //!   sums** (lane `j` holds the terms with index ≡ `j` mod 4) — the exact
 //!   accumulation grouping of the small `nt` dot-product kernel.
 //!
-//! Dispatch is per-architecture with a portable fallback: on `x86_64` the
-//! tile and `axpy` select an AVX2 body at runtime (`is_x86_feature_detected!`,
-//! cached, see [`level`]) over the SSE2 baseline / portable loops. All
-//! variants are **bitwise identical** to the scalar loops:
+//! Dispatch is per-architecture with a portable fallback, by CPUID alone
+//! (`is_x86_feature_detected!`, cached, see [`level`]). The tile has three
+//! bodies over one packing geometry: on `x86_64` with AVX-512F it keeps the
+//! whole 12 × 32 tile in 24 `zmm` accumulators; with AVX2 it runs a 6 × 16
+//! `ymm` kernel on each quadrant of the tile; elsewhere a portable loop.
+//! `axpy` selects an AVX2 body over the SSE2 baseline. All variants are
+//! **bitwise identical** to the scalar loops:
 //!
 //! - every output element sees `c = c + (a · b)` once per `k`, in ascending
 //!   `k` order, as a separate multiply then add. The tile loads `C` into its
@@ -33,14 +36,18 @@
 //! machines could pick different paths).
 
 /// Rows of the register tile.
-pub(crate) const MR: usize = 6;
-/// Columns of the register tile: two 8-lane AVX2 vectors.
-pub(crate) const NR: usize = 16;
+pub(crate) const MR: usize = 12;
+/// Columns of the register tile: two 16-lane AVX-512 vectors.
+pub(crate) const NR: usize = 32;
 
-/// Which body the register tile runs. Both produce the same bits.
+/// Which body the register tile runs. All produce the same bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TileBody {
-    /// Twelve `ymm` accumulators; `x86_64` with AVX2 only.
+    /// Twenty-four `zmm` accumulators; `x86_64` with AVX-512F only.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// A 6 × 16 kernel of twelve `ymm` accumulators, run on each quadrant
+    /// of the tile; `x86_64` with AVX2 only.
     #[cfg(target_arch = "x86_64")]
     Avx2,
     /// Plain loops over a stack tile, for every CPU.
@@ -48,49 +55,87 @@ pub(crate) enum TileBody {
 }
 
 impl TileBody {
-    /// The body this host runs: AVX2 where available, else portable.
+    /// The body this host runs: the widest one its CPU supports.
     pub(crate) fn host() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            return TileBody::Avx2;
+        {
+            if avx512_available() {
+                return TileBody::Avx512;
+            }
+            if avx2_available() {
+                return TileBody::Avx2;
+            }
         }
         TileBody::Portable
     }
+
+    /// Every body this host's CPU supports, so tests cover the narrower
+    /// ones too.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Self> {
+        #[allow(unused_mut)] // only x86_64 pushes more
+        let mut bodies = vec![TileBody::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_available() {
+                bodies.push(TileBody::Avx2);
+            }
+            if avx512_available() {
+                bodies.push(TileBody::Avx512);
+            }
+        }
+        bodies
+    }
 }
 
-/// The SIMD level the kernels select on this host: `"avx2"`, `"sse2"`
-/// (the `x86_64` baseline) or `"scalar"` (portable loops elsewhere).
+/// The SIMD level the kernels select on this host: `"avx512"` (the tile's
+/// AVX-512 body; `axpy` runs AVX2 there), `"avx2"`, `"sse2"` (the `x86_64`
+/// baseline) or `"scalar"` (portable loops elsewhere).
 pub fn level() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            "avx2"
-        } else {
-            "sse2"
+    match TileBody::host() {
+        #[cfg(target_arch = "x86_64")]
+        TileBody::Avx512 => "avx512",
+        #[cfg(target_arch = "x86_64")]
+        TileBody::Avx2 => "avx2",
+        TileBody::Portable if cfg!(target_arch = "x86_64") => "sse2",
+        TileBody::Portable => "scalar",
+    }
+}
+
+/// Calls `$f::<R>` (or `$f::<R, NV>`) for the runtime row count `$rows`,
+/// one monomorphized body per listed `R`.
+macro_rules! by_rows {
+    ($rows:expr, [$($r:literal)*], $f:ident<$nv:literal> $args:tt) => {
+        match $rows {
+            $($r => $f::<$r, $nv> $args,)*
+            _ => unreachable!("tile rows must be 1..=MR"),
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        "scalar"
-    }
+    };
+    ($rows:expr, [$($r:literal)*], $f:ident $args:tt) => {
+        match $rows {
+            $($r => $f::<$r> $args,)*
+            _ => unreachable!("tile rows must be 1..=MR"),
+        }
+    };
 }
 
 /// `C[r][j] = C[r][j] + a[kk·MR + r] · b[kk·b_rs + j]` for `kk` ascending
-/// over `0..kc`, on the first `rows` (1 to `MR`) rows of the `MR × NR`
-/// tile of `C` at `c` (row stride `ldc`). A short tile at the bottom edge
-/// of `C` thus costs only its own rows.
+/// over `0..kc`, on the first `rows` (1 to `MR`) rows and `cols` (1 to
+/// `NR`) columns of the `MR × NR` tile of `C` at `c` (row stride `ldc`).
+/// A short tile at the bottom or right edge of `C` thus touches only its
+/// own elements.
 ///
 /// # Safety
 ///
 /// `a` must be readable for `kc · MR` values, `b` for `NR` values at each
-/// of `b + kk·b_rs`, and `c` readable and writable for `NR` values at each
-/// of `c + r·ldc` (`r < rows`), with no other thread touching them. `body`
-/// must be supported by the CPU (as [`TileBody::host`] guarantees).
+/// of `b + kk·b_rs`, and `c` readable and writable for `cols` values at
+/// each of `c + r·ldc` (`r < rows`), with no other thread touching them.
+/// `body` must be supported by the CPU (as [`TileBody::host`] guarantees).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn tile(
     body: TileBody,
-    rows: usize,
+    (rows, cols): (usize, usize),
     kc: usize,
     a: *const f32,
     b: *const f32,
@@ -98,35 +143,52 @@ pub(crate) unsafe fn tile(
     c: *mut f32,
     ldc: usize,
 ) {
-    macro_rules! by_rows {
-        ($f:ident) => {
-            match rows {
-                1 => $f::<1>(kc, a, b, b_rs, c, ldc),
-                2 => $f::<2>(kc, a, b, b_rs, c, ldc),
-                3 => $f::<3>(kc, a, b, b_rs, c, ldc),
-                4 => $f::<4>(kc, a, b, b_rs, c, ldc),
-                5 => $f::<5>(kc, a, b, b_rs, c, ldc),
-                6 => $f::<6>(kc, a, b, b_rs, c, ldc),
-                _ => unreachable!("tile rows must be 1..=MR"),
-            }
-        };
-    }
-    // SAFETY: the pointer contract is the caller's (see `# Safety`);
-    // `TileBody::Avx2` is only constructed on a CPU that reports AVX2.
+    debug_assert!((1..=MR).contains(&rows) && (1..=NR).contains(&cols));
+    // SAFETY: the pointer contract is the caller's (see `# Safety`); the
+    // AVX bodies are only constructed on a CPU that reports the feature.
     match body {
         #[cfg(target_arch = "x86_64")]
-        TileBody::Avx2 => by_rows!(tile_avx2),
-        TileBody::Portable => by_rows!(tile_portable),
+        TileBody::Avx512 => {
+            // The last 16-lane vector's valid columns; the tile runs one
+            // vector per row when 16 columns or fewer are valid.
+            let last = match cols % 16 {
+                0 => u16::MAX,
+                w => (1u16 << w) - 1,
+            };
+            if cols > 16 {
+                by_rows!(
+                    rows,
+                    [1 2 3 4 5 6 7 8 9 10 11 12],
+                    tile_avx512<2>(kc, a, b, b_rs, c, ldc, last)
+                )
+            } else {
+                by_rows!(
+                    rows,
+                    [1 2 3 4 5 6 7 8 9 10 11 12],
+                    tile_avx512<1>(kc, a, b, b_rs, c, ldc, last)
+                )
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        TileBody::Avx2 => tile_avx2((rows, cols), kc, a, b, b_rs, c, ldc),
+        TileBody::Portable => {
+            by_rows!(
+                rows,
+                [1 2 3 4 5 6 7 8 9 10 11 12],
+                tile_portable(cols, kc, a, b, b_rs, c, ldc)
+            )
+        }
     }
 }
 
-/// Portable tile: the same per-element operation order as the AVX2 body,
-/// on a stack copy of the `R × NR` tile.
+/// Portable tile: the same per-element operation order as the AVX bodies,
+/// on a stack copy of the `R × NR` tile of which `cols` columns are valid.
 ///
 /// # Safety
 ///
 /// As for [`tile`], with `rows = R`.
 unsafe fn tile_portable<const R: usize>(
+    cols: usize,
     kc: usize,
     a: *const f32,
     b: *const f32,
@@ -136,7 +198,7 @@ unsafe fn tile_portable<const R: usize>(
 ) {
     let mut acc = [[0.0f32; NR]; R];
     for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc), NR));
+        row[..cols].copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc), cols));
     }
     for kk in 0..kc {
         let a_k = std::slice::from_raw_parts(a.add(kk * MR), R);
@@ -148,22 +210,140 @@ unsafe fn tile_portable<const R: usize>(
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        std::slice::from_raw_parts_mut(c.add(r * ldc), NR).copy_from_slice(row);
+        std::slice::from_raw_parts_mut(c.add(r * ldc), cols).copy_from_slice(&row[..cols]);
     }
 }
 
-/// AVX2 tile: `2·R` accumulators (two 8-lane halves per row; twelve at
-/// `R = MR`) live in `ymm` registers for the whole k-panel; each `k` step
-/// loads one 16-wide row of the `B` strip and broadcasts `R` values of the
-/// `A` panel. Separate `mul` + `add` — see the module docs for why FMA is
-/// forbidden.
+/// AVX-512 tile: `NV · R` accumulators (`NV` 16-lane vectors per row;
+/// twenty-four at `R = MR`, `NV = 2`) live in `zmm` registers for the
+/// whole k-panel; each `k` step loads `NV` vectors of the `B` strip and
+/// broadcasts `R` values of the `A` panel. The last vector of each row is
+/// loaded and stored under the `last` lane mask, so a ragged right edge
+/// needs no copy. Separate `mul` + `add` — see the module docs for why FMA
+/// is forbidden.
 ///
 /// # Safety
 ///
-/// As for [`tile`], with `rows = R`, and the CPU must support AVX2.
+/// As for [`tile`], with `rows = R` and `cols` the `16·(NV − 1)` columns
+/// of the full vectors plus the lanes set in `last`; the CPU must support
+/// AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const R: usize, const NV: usize>(
+    kc: usize,
+    a: *const f32,
+    b: *const f32,
+    b_rs: usize,
+    c: *mut f32,
+    ldc: usize,
+    last: u16,
+) {
+    use std::arch::x86_64::*;
+    // Every accumulator is loaded from `C` before the first add; the zero
+    // fill only gives the array a value to start from.
+    let mut acc = [[_mm512_setzero_ps(); NV]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let c_r = c.add(r * ldc);
+        for (v, x) in row.iter_mut().enumerate() {
+            *x = if v + 1 < NV {
+                _mm512_loadu_ps(c_r.add(16 * v))
+            } else {
+                _mm512_maskz_loadu_ps(last, c_r.add(16 * v))
+            };
+        }
+    }
+    let mut ap = a;
+    let mut bp = b;
+    for _ in 0..kc {
+        let mut bv = [_mm512_setzero_ps(); NV];
+        for (v, x) in bv.iter_mut().enumerate() {
+            *x = _mm512_loadu_ps(bp.add(16 * v));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ap.add(r));
+            for (x, &bx) in row.iter_mut().zip(&bv) {
+                *x = _mm512_add_ps(*x, _mm512_mul_ps(av, bx));
+            }
+        }
+        ap = ap.add(MR);
+        bp = bp.add(b_rs);
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let c_r = c.add(r * ldc);
+        for (v, &x) in row.iter().enumerate() {
+            if v + 1 < NV {
+                _mm512_storeu_ps(c_r.add(16 * v), x);
+            } else {
+                _mm512_mask_storeu_ps(c_r.add(16 * v), last, x);
+            }
+        }
+    }
+}
+
+/// Rows and columns of the AVX2 kernel: one quadrant of the tile.
+#[cfg(target_arch = "x86_64")]
+const QR: usize = MR / 2;
+#[cfg(target_arch = "x86_64")]
+const QC: usize = NR / 2;
+
+/// AVX2 tile: the `QR × QC` (6 × 16) kernel on each quadrant of the
+/// `rows × cols` tile that holds valid elements, each over the whole
+/// k-panel. A quadrant with a ragged right edge runs on a stack copy and
+/// stores back only its valid columns.
+///
+/// # Safety
+///
+/// As for [`tile`]; the CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn tile_avx2<const R: usize>(
+unsafe fn tile_avx2(
+    (rows, cols): (usize, usize),
+    kc: usize,
+    a: *const f32,
+    b: *const f32,
+    b_rs: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    for r0 in (0..rows).step_by(QR) {
+        let qr = QR.min(rows - r0);
+        let a_q = a.add(r0);
+        for c0 in (0..cols).step_by(QC) {
+            let qc = QC.min(cols - c0);
+            let (b_q, c_q) = (b.add(c0), c.add(r0 * ldc + c0));
+            if qc == QC {
+                by_rows!(qr, [1 2 3 4 5 6], quadrant_avx2(kc, a_q, b_q, b_rs, c_q, ldc));
+                continue;
+            }
+            let mut edge = [0.0f32; QR * QC];
+            for r in 0..qr {
+                let src = std::slice::from_raw_parts(c_q.add(r * ldc), qc);
+                edge[r * QC..r * QC + qc].copy_from_slice(src);
+            }
+            let e = edge.as_mut_ptr();
+            by_rows!(qr, [1 2 3 4 5 6], quadrant_avx2(kc, a_q, b_q, b_rs, e, QC));
+            for r in 0..qr {
+                let dst = std::slice::from_raw_parts_mut(c_q.add(r * ldc), qc);
+                dst.copy_from_slice(&edge[r * QC..r * QC + qc]);
+            }
+        }
+    }
+}
+
+/// One AVX2 quadrant: `2·R` accumulators (two 8-lane halves per row;
+/// twelve at `R = QR`) live in `ymm` registers for the whole k-panel; each
+/// `k` step loads one 16-wide row of the `B` strip and broadcasts `R`
+/// values of the `A` panel (stride `MR`). Separate `mul` + `add` — see the
+/// module docs for why FMA is forbidden.
+///
+/// # Safety
+///
+/// `a` readable for `kc · MR` values, `b` for `QC` values at each of
+/// `b + kk·b_rs`, `c` readable and writable for `QC` values at each of
+/// `c + r·ldc` (`r < R`); the CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quadrant_avx2<const R: usize>(
     kc: usize,
     a: *const f32,
     b: *const f32,
@@ -268,6 +448,13 @@ fn avx2_available() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx512_available() -> bool {
+    use std::sync::OnceLock;
+    static AVX512: OnceLock<bool> = OnceLock::new();
+    *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
 /// AVX2 axpy: two 8-lane vectors per iteration (explicit 2× unroll), an

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Includes tests/source_lints.rs: no eprintln! in library crates (they
 # report through ct_models::trace), and FNV-1a and JSON string escaping
