@@ -32,10 +32,13 @@
 //!   the no-idle-load `p99_gate.p99_ms` already in the output file, 0
 //!   dropped idle connections, and server threads O(cores);
 //! - `--smoke [--idle-conns N]`: a seconds-long variant on a tiny
-//!   fixture with a generous p99 bound, run by `scripts/check.sh` as a
-//!   regression gate (exit code 1 on violation). With idle connections
-//!   it additionally asserts none were dropped and the thread count
-//!   stayed flat.
+//!   fixture with a generous p99 bound, run by the `load_gen_smoke`
+//!   integration test as a regression gate (exit code 1 on violation).
+//!   With idle connections it additionally asserts none were dropped and
+//!   the thread count stayed flat.
+//!
+//! Both writing modes also set the file's `host` block
+//! ([`ct_bench::provenance`]).
 //!
 //! `--addr HOST:PORT` drives an already-running server instead of
 //! self-hosting (the fixture corpus vocabulary must match; thread
@@ -47,7 +50,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ct_bench::merge_bench_json;
+use ct_bench::update_bench_json;
 use ct_corpus::{generate, train_embeddings, BowCorpus, DatasetPreset, Scale};
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
@@ -277,11 +280,10 @@ fn count_dropped_idle(conns: &mut [TcpStream]) -> usize {
 
 /// Resident thread counts `(serving, process)` read from
 /// `/proc/self/task/*/comm`. Every serving-tier thread — reactor
-/// shards, router workers, engine batchers, the tensor pool, tracked
-/// per-connection threads — is named with a `ct-` prefix, so when the
-/// server is self-hosted the first count isolates it from the load
-/// driver's own (unnamed) worker threads. `(0, 0)` where `/proc` is
-/// unavailable.
+/// shards, engine batchers, the tensor pool — is named with a `ct-`
+/// prefix, so when the server is self-hosted the first count isolates
+/// it from the load driver's own (unnamed) worker threads. `(0, 0)`
+/// where `/proc` is unavailable.
 fn thread_counts() -> (usize, usize) {
     let (mut serving, mut process) = (0usize, 0usize);
     let Ok(dir) = std::fs::read_dir("/proc/self/task") else {
@@ -451,7 +453,7 @@ fn parse_args() -> Args {
     args
 }
 
-/// The p99 bound the check.sh gate enforces, in milliseconds. Generous
+/// The p99 bound the smoke gate enforces, in milliseconds. Generous
 /// for a shared 1-core container: the point is to catch pathological
 /// regressions (a stuck batcher, an accept-loop stall, lost responses),
 /// not to benchmark the hardware.
@@ -464,9 +466,9 @@ const GATE_TARGET_QPS: f64 = 200.0;
 const GATE_P99_MS: f64 = 100.0;
 
 /// Server-thread ceiling under fan-in: the reactor's resident cost is
-/// shards + router workers + engine/pool threads, all O(cores) — this
-/// bound is far below O(connections) but roomy enough for any sane
-/// per-core scaling.
+/// its event-loop shards plus the engine batcher and pool threads, all
+/// O(cores) — this bound is far below O(connections) but roomy enough
+/// for any sane per-core scaling.
 fn server_thread_bound() -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     4 * cores + 16
@@ -724,8 +726,7 @@ fn run_fan_in(args: &Args) {
         process_threads,
         pass
     );
-    let doc = merge_bench_json(&doc, &[("fan_in", &fan_in)]);
-    std::fs::write(&args.out, &doc).expect("write BENCH output");
+    let doc = update_bench_json(&args.out, &[("fan_in", &fan_in)]).expect("write BENCH output");
     println!("{doc}");
     eprintln!(
         "wrote {} (fan-in p99 {:.2} ms vs baseline {} — {})",
@@ -809,9 +810,11 @@ fn run_sweep(args: &Args) {
          \"bound_ms\": {GATE_P99_MS:.0}, \"pass\": {gate_pass}}}"
     );
 
-    let doc = std::fs::read_to_string(&args.out).unwrap_or_default();
-    let doc = merge_bench_json(&doc, &[("latency_under_load", &curve), ("p99_gate", &gate)]);
-    std::fs::write(&args.out, &doc).expect("write BENCH output");
+    let doc = update_bench_json(
+        &args.out,
+        &[("latency_under_load", &curve), ("p99_gate", &gate)],
+    )
+    .expect("write BENCH output");
     println!("{doc}");
     eprintln!(
         "wrote {} (p99 {:.2} ms @ {:.0} QPS, gate {})",

@@ -6,8 +6,9 @@
 //!   three SGEMM layouts at training shapes, the square baseline, the three
 //!   products of the topic-wise regularizer at the NYTimes-like grid shape
 //!   (`M = K·v = 400`, `V = 2400`) and ETM's topic-word gradient. A
-//!   provenance header records the CPU model, the SIMD level the kernels
-//!   selected and the git revision.
+//!   provenance header (`ct_bench::provenance`) records the CPU model,
+//!   the SIMD level the kernels selected, the core count,
+//!   `CT_NUM_THREADS` and the git revision.
 //! - `BENCH_train_epoch.json` — min/median/max wall-time of a one-epoch
 //!   `fit_contratopic` run on the shared train-epoch fixture, swept over
 //!   1/2/4 pool workers with the sharded data-parallel driver engaged
@@ -42,9 +43,9 @@ use contratopic::{
     fit_contratopic, fit_contratopic_traced, relaxed_subset, AblationVariant,
     ContrastiveRegularizer, SimilarityKernel, SubsetSamplerConfig,
 };
+use ct_bench::provenance_json;
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
 use ct_models::{fit_etm, TrainConfig};
-use ct_tensor::codec::json::json_str;
 use ct_tensor::ops::concat_rows;
 use ct_tensor::{params_to_bytes, pool, Tape, Tensor};
 use rand::rngs::StdRng;
@@ -296,39 +297,6 @@ fn sgemm_cases(samples: usize, big_samples: usize) -> Vec<SgemmCase> {
             }),
         },
     ]
-}
-
-/// The CPU model string from `/proc/cpuinfo`, or `"unknown"`.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .unwrap_or_default()
-        .lines()
-        .find_map(|l| l.strip_prefix("model name"))
-        .and_then(|rest| rest.split_once(':'))
-        .map_or_else(|| "unknown".to_string(), |(_, m)| m.trim().to_string())
-}
-
-/// The revision of the source tree this binary was built from (`-dirty`
-/// when it has uncommitted changes), or `"unknown"` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["-C", env!("CARGO_MANIFEST_DIR")])
-        .args(["describe", "--always", "--dirty", "--abbrev=12"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |r| r.trim().to_string())
-}
-
-/// The provenance fields every artifact starts with.
-fn provenance_json() -> String {
-    format!(
-        "  \"cpu_model\": {},\n  \"simd\": {},\n  \"git_rev\": {},\n",
-        json_str(&cpu_model()),
-        json_str(ct_tensor::simd::level()),
-        json_str(&git_rev())
-    )
 }
 
 fn write_sgemm_json(cases: &[SgemmCase]) -> std::io::Result<()> {
@@ -612,14 +580,13 @@ fn write_train_json(
     reg: &RegBreakdown,
     bitwise_equal: bool,
 ) -> std::io::Result<()> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ms = |ns: u128| ns as f64 / 1e6;
     let mut out = String::from("{\n");
     out.push_str(&provenance_json());
     let _ = write!(
         out,
-        "  \"model\": \"ContraTopic\",\n  \"epochs\": 1,\n  \"cores\": {},\n  \"batch_size\": {},\n  \"micro_batch\": {},\n  \"bitwise_equal_across_workers\": {},\n  \"sweep\": [\n",
-        cores, fix.config.batch_size, fix.config.micro_batch, bitwise_equal
+        "  \"model\": \"ContraTopic\",\n  \"epochs\": 1,\n  \"batch_size\": {},\n  \"micro_batch\": {},\n  \"bitwise_equal_across_workers\": {},\n  \"sweep\": [\n",
+        fix.config.batch_size, fix.config.micro_batch, bitwise_equal
     );
     for (i, p) in points.iter().enumerate() {
         let s = p.spread;

@@ -1,7 +1,8 @@
 //! Serving-path benchmark: micro-batched engine vs unbatched baseline.
 //!
 //! Updates `BENCH_serve.json` in the current directory (its own keys
-//! only — `load_gen`'s latency/fan-in keys are preserved): per-query
+//! and the shared `host` provenance block — `load_gen`'s latency/fan-in
+//! keys are preserved): per-query
 //! p50/p99 latency and throughput for the raw single-threaded,
 //! unbatched forward pass, and for the `ct-serve` engine under 1, 4 and
 //! 8 concurrent client threads. The response cache is disabled so every
@@ -23,9 +24,9 @@
 //! 1-core CI box would always fail.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ct_bench::merge_bench_json;
+use ct_bench::update_bench_json;
 use ct_corpus::train_embeddings;
 use ct_corpus::{generate, DatasetPreset, Scale};
 use ct_models::{fit_etm, TrainConfig};
@@ -121,7 +122,6 @@ fn main() {
             snapshot,
             ServeConfig {
                 max_batch: 64,
-                max_wait: Duration::from_micros(500),
                 queue_capacity: 1024,
                 cache_capacity: 0,
                 infer_threads: None,
@@ -262,18 +262,17 @@ fn main() {
 
     // Splice this bench's keys into the existing file so load_gen's
     // latency_under_load / p99_gate / fan_in keys survive a rerun.
-    let doc = std::fs::read_to_string("BENCH_serve.json").unwrap_or_default();
     let speedup = format!("{speedup_4t:.2}");
-    let doc = merge_bench_json(
-        &doc,
+    let doc = update_bench_json(
+        "BENCH_serve.json",
         &[
             ("runs", &runs),
             ("speedup_4t_vs_unbatched", &speedup),
             ("speedup_4t_gate", &speedup_gate),
             ("bf16_scoring", &bf16),
         ],
-    );
-    std::fs::write("BENCH_serve.json", &doc).expect("write BENCH_serve.json");
+    )
+    .expect("write BENCH_serve.json");
     println!("{doc}");
     eprintln!(
         "wrote BENCH_serve.json (speedup_4t = {speedup_4t:.2}x, floor {SPEEDUP_4T_FLOOR}x: {})",

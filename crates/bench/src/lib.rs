@@ -167,11 +167,75 @@ pub fn fmt_header(label: &str, cols: &[String]) -> String {
     s
 }
 
+/// The CPU model string from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| l.strip_prefix("model name"))
+        .and_then(|rest| rest.split_once(':'))
+        .map_or_else(|| "unknown".to_string(), |(_, m)| m.trim().to_string())
+}
+
+/// The revision of the source tree this binary was built from (`-dirty`
+/// when it has uncommitted changes), or `"unknown"` outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR")])
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |r| r.trim().to_string())
+}
+
+/// Where and from what an artifact was measured, as a JSON object: the
+/// CPU model, the SIMD path the kernels dispatch to, the cores the OS
+/// reports, `CT_NUM_THREADS` as set (`null` when unset, so the pool
+/// used every core) and the git revision.
+pub fn provenance() -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = std::env::var("CT_NUM_THREADS").map_or(Json::Null, Json::Str);
+    Json::Obj(vec![
+        ("cpu_model".into(), Json::Str(cpu_model())),
+        ("simd".into(), Json::Str(ct_tensor::simd::level().into())),
+        ("cores".into(), Json::Num(cores as f64)),
+        ("ct_num_threads".into(), threads),
+        ("git_rev".into(), Json::Str(git_rev())),
+    ])
+}
+
+/// Set `members` (values as JSON text) and the `host` block
+/// ([`provenance`]) in the `BENCH_*.json` file at `path`, keeping every
+/// other member, and return the written document: how `load_gen` and
+/// `serve_bench` share `BENCH_serve.json` without clobbering each
+/// other's keys.
+pub fn update_bench_json(path: &str, members: &[(&str, &str)]) -> std::io::Result<String> {
+    let host = provenance().emit();
+    let mut all = vec![("host", host.as_str())];
+    all.extend_from_slice(members);
+    let doc = merge_bench_json(&std::fs::read_to_string(path).unwrap_or_default(), &all);
+    std::fs::write(path, &doc)?;
+    Ok(doc)
+}
+
+/// [`provenance`] as the leading member lines of a hand-built
+/// `BENCH_*.json` object (`  "key": value,` each).
+pub fn provenance_json() -> String {
+    let Json::Obj(members) = provenance() else {
+        unreachable!("provenance is an object")
+    };
+    members
+        .iter()
+        .map(|(k, v)| format!("  {}: {},\n", json::json_str(k), v.emit()))
+        .collect()
+}
+
 /// Set top-level members (values as JSON text) of the `BENCH_*.json`
 /// document `doc`, keeping every other member, and re-emit it one member
-/// per line; an empty or non-object `doc` starts a fresh object. This is
-/// how `load_gen` and `serve_bench` share `BENCH_serve.json` without
-/// clobbering each other's keys. Panics on a value that is not JSON.
+/// per line; an empty or non-object `doc` starts a fresh object. Panics
+/// on a value that is not JSON.
 pub fn merge_bench_json(doc: &str, members: &[(&str, &str)]) -> String {
     let mut root = json::parse(doc).unwrap_or(Json::Null);
     for (key, value) in members {
@@ -255,6 +319,16 @@ mod tests {
                 "{doc}"
             );
         }
+    }
+
+    #[test]
+    fn provenance_lines_parse_as_object_members() {
+        let doc = format!("{{\n{}  \"end\": 0\n}}", provenance_json());
+        let parsed = json::parse(&doc).expect("provenance lines are valid JSON members");
+        for key in ["cpu_model", "simd", "cores", "ct_num_threads", "git_rev"] {
+            assert!(parsed.get(key).is_some(), "missing {key}: {doc}");
+        }
+        assert!(parsed.get("cores").and_then(Json::as_u64).unwrap_or(0) >= 1);
     }
 
     #[test]

@@ -291,7 +291,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     };
     use std::io::LineWriter;
     use std::sync::{Arc, Mutex};
-    use std::time::Duration;
 
     if let Some(f) = args
         .unknown_flags(&[
@@ -302,7 +301,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
             "corpus",
             "top",
             "max-batch",
-            "max-wait-ms",
             "queue",
             "cache",
             "threads",
@@ -316,7 +314,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
     let top: usize = args.get_or("top", 10)?;
     let max_batch: usize = args.get_or("max-batch", 32)?;
-    let max_wait_ms: u64 = args.get_or("max-wait-ms", 2)?;
     let queue: usize = args.get_or("queue", 256)?;
     let cache: usize = args.get_or("cache", 1024)?;
     let threads: usize = args.get_or("threads", 0)?;
@@ -350,7 +347,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         max_inflight,
         serve: ServeConfig {
             max_batch,
-            max_wait: Duration::from_millis(max_wait_ms),
             queue_capacity: queue,
             cache_capacity: cache,
             infer_threads: (threads > 0).then_some(threads),
@@ -383,8 +379,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             )
             .map_err(|e| format!("{socket}: {e}"))?;
             eprintln!(
-                "serving {} model(s) on unix socket {socket} \
-                 (max batch {max_batch}, max wait {max_wait_ms}ms)",
+                "serving {} model(s) on unix socket {socket} (max batch {max_batch})",
                 roster.len()
             );
             Some(server)
@@ -396,8 +391,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             let server = TcpServer::bind(addr, Arc::clone(&registry) as Arc<dyn Router>, limits)
                 .map_err(|e| format!("{addr}: {e}"))?;
             eprintln!(
-                "serving {} model(s) on tcp {} \
-                 (max batch {max_batch}, max wait {max_wait_ms}ms)",
+                "serving {} model(s) on tcp {} (max batch {max_batch})",
                 roster.len(),
                 server.local_addr()
             );

@@ -41,8 +41,8 @@ COMMANDS:
              (--model model-prefix | --models name=prefix,name=prefix,...)
              (--socket /path/ct.sock and/or --tcp 127.0.0.1:7070)
              [--corpus corpus.txt]     nearest-topic-by-NPMI annotations
-             [--top N] [--max-batch N] [--max-wait-ms N]
-             [--queue N] [--cache N] [--threads N] [--max-inflight N]
+             [--top N] [--max-batch N] [--queue N] [--cache N]
+             [--threads N] [--max-inflight N]
              [--trace trace.jsonl]     per-batch serve telemetry as JSONL
   stream     Run the streaming continual-learning pipeline: a drifting
              synthetic document stream trains ContraTopic chunk by chunk

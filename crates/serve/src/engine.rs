@@ -1,25 +1,29 @@
 //! The micro-batching inference engine.
 //!
-//! Concurrent clients call [`ServeHandle::query`]; requests land in a
-//! *bounded* MPSC queue and a single batcher thread drains them into
-//! batched forward passes on the persistent `ct_tensor::pool` workers.
-//! The batcher takes whatever is queued, waiting at most
-//! [`ServeConfig::max_wait`] to fill a batch of up to
-//! [`ServeConfig::max_batch`] documents — under load batches fill
-//! instantly and the wait never triggers; at low load a lone request
-//! pays at most one `max_wait` of extra latency.
+//! Clients call [`ServeHandle::submit`] with a one-shot [`Reply`];
+//! requests land in a *bounded* MPSC queue and a single batcher thread
+//! drains them into batched forward passes on the persistent
+//! `ct_tensor::pool` workers. The batcher blocks for the first request,
+//! then takes whatever else is already queued, up to
+//! [`ServeConfig::max_batch`] documents, and runs the batch at once
+//! (natural batching): it never waits on a clock for stragglers, so a
+//! lone request goes straight to the forward pass and batches grow only
+//! as load grows. The batcher runs each request's [`Reply`] itself;
+//! [`ServeHandle::query`] is `submit` plus a wait on a channel.
 //!
 //! Degradation is graceful and typed: a full queue rejects the request
 //! with [`ServeError::Backpressure`] *before* enqueueing (the client
-//! never blocks on admission), and a snapshot swap that fails validation
-//! is rejected with [`ServeError::InvalidSnapshot`] while the previous
-//! snapshot keeps serving.
+//! never blocks on admission), a reply that is dropped unrun (its batcher
+//! panicked or was torn down) answers [`ServeError::Closed`], and a
+//! snapshot swap that fails validation is rejected with
+//! [`ServeError::InvalidSnapshot`] while the previous snapshot keeps
+//! serving.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ct_corpus::SparseDoc;
 use ct_models::{TraceEvent, TraceSink};
@@ -83,8 +87,6 @@ impl InferenceModel for ModelSnapshot {
 pub struct ServeConfig {
     /// Largest batch one forward pass may carry.
     pub max_batch: usize,
-    /// Longest the batcher waits for more requests after the first.
-    pub max_wait: Duration,
     /// Bound of the request queue; a full queue means
     /// [`ServeError::Backpressure`].
     pub queue_capacity: usize,
@@ -102,7 +104,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             cache_capacity: 1024,
             infer_threads: None,
@@ -168,7 +169,52 @@ struct Request {
     key: u64,
     generation: u64,
     enqueued: Instant,
-    reply: SyncSender<Result<Arc<QueryResponse>, ServeError>>,
+    reply: Reply,
+}
+
+/// A one-shot completion: receives a submitted query's outcome exactly
+/// once, on whichever thread produced it (the caller's own thread for a
+/// cache hit or an immediate rejection, the batcher thread otherwise).
+///
+/// A reply that is dropped without being run answers
+/// [`ServeError::Closed`], so a batcher that panicked or was torn down
+/// with requests in hand can never leave a caller waiting.
+pub struct Reply(Option<Box<dyn FnOnce(QueryResult) + Send>>);
+
+/// What a [`Reply`] receives.
+pub type QueryResult = Result<QueryOutcome, ServeError>;
+
+impl Reply {
+    /// Wrap `done` as a reply.
+    pub fn new(done: impl FnOnce(QueryResult) + Send + 'static) -> Self {
+        Self(Some(Box::new(done)))
+    }
+
+    /// Deliver `result`, consuming the reply.
+    pub fn run(mut self, result: QueryResult) {
+        if let Some(done) = self.0.take() {
+            done(result);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(done) = self.0.take() {
+            done(Err(ServeError::Closed));
+        }
+    }
+}
+
+/// Hand a fresh [`Reply`] to `submit` and block until it runs: the one
+/// blocking wait behind [`ServeHandle::query`] and
+/// [`Router::answer`](crate::Router::answer).
+pub(crate) fn wait_for(submit: impl FnOnce(Reply)) -> QueryResult {
+    let (tx, rx) = mpsc::sync_channel(1);
+    submit(Reply::new(move |result| {
+        let _ = tx.send(result);
+    }));
+    rx.recv().unwrap_or(Err(ServeError::Closed))
 }
 
 /// A served query's result: the (possibly shared) response plus whether
@@ -308,59 +354,66 @@ impl<M: InferenceModel> Drop for ServeEngine<M> {
 }
 
 impl<M: InferenceModel> ServeHandle<M> {
-    /// Infer the topic mixture for one document.
+    /// Infer the topic mixture for one document, delivering the outcome
+    /// to `reply`. Never blocks.
     ///
-    /// Checks the document against the current snapshot, consults the
-    /// LRU cache, and otherwise enqueues the request for the next
-    /// micro-batch, blocking until its response is ready. A full queue
-    /// fails fast with [`ServeError::Backpressure`] without enqueueing.
-    pub fn query(&self, doc: &SparseDoc) -> Result<QueryOutcome, ServeError> {
-        {
-            let model = self.shared.model.lock().unwrap();
-            model.check_doc(doc)?;
+    /// Checks the document against the current snapshot and consults the
+    /// LRU cache; a rejection or a cache hit runs `reply` before this
+    /// returns. Otherwise the request joins the next micro-batch and the
+    /// batcher thread runs `reply` once its forward pass is done. A full
+    /// queue answers [`ServeError::Backpressure`] without enqueueing.
+    pub fn submit(&self, doc: SparseDoc, reply: Reply) {
+        let checked = self.shared.model.lock().unwrap().check_doc(&doc);
+        if let Err(e) = checked {
+            return reply.run(Err(e));
         }
         let generation = self.shared.generation.load(Ordering::Acquire);
-        let key = bow_key(generation, doc);
+        let key = bow_key(generation, &doc);
         if self.shared.config.cache_capacity > 0 {
-            let mut cache = self.shared.cache.lock().unwrap();
-            if let Some(hit) = cache.get(key).filter(|hit| hit.doc == *doc) {
+            let hit = self
+                .shared
+                .cache
+                .lock()
+                .unwrap()
+                .get(key)
+                .filter(|hit| hit.doc == doc)
+                .map(|hit| Arc::clone(&hit.response));
+            if let Some(response) = hit {
                 self.shared
                     .counters
                     .cache_hits
                     .fetch_add(1, Ordering::Relaxed);
-                return Ok(QueryOutcome {
-                    response: Arc::clone(&hit.response),
+                return reply.run(Ok(QueryOutcome {
+                    response,
                     cache_hit: true,
-                });
+                }));
             }
         }
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let request = Request {
-            doc: doc.clone(),
+            doc,
             key,
             generation,
             enqueued: Instant::now(),
-            reply: reply_tx,
+            reply,
         };
-        self.tx.try_send(request).map_err(|e| match e {
-            TrySendError::Full(_) => {
+        match self.tx.try_send(request) {
+            Ok(()) => {}
+            Err(TrySendError::Full(request)) => {
                 self.shared
                     .counters
                     .rejected
                     .fetch_add(1, Ordering::Relaxed);
-                ServeError::Backpressure {
+                request.reply.run(Err(ServeError::Backpressure {
                     capacity: self.shared.config.queue_capacity,
-                }
+                }));
             }
-            TrySendError::Disconnected(_) => ServeError::Closed,
-        })?;
-        match reply_rx.recv() {
-            Ok(result) => result.map(|response| QueryOutcome {
-                response,
-                cache_hit: false,
-            }),
-            Err(_) => Err(ServeError::Closed),
+            Err(TrySendError::Disconnected(request)) => request.reply.run(Err(ServeError::Closed)),
         }
+    }
+
+    /// [`ServeHandle::submit`], blocking until the response is ready.
+    pub fn query(&self, doc: &SparseDoc) -> Result<QueryOutcome, ServeError> {
+        wait_for(|reply| self.submit(doc.clone(), reply))
     }
 
     /// Number of topics of the currently served snapshot.
@@ -376,49 +429,18 @@ impl<M: InferenceModel> ServeHandle<M> {
 
 fn batcher_loop<M: InferenceModel>(rx: Receiver<Request>, shared: Arc<Shared<M>>) {
     let max_batch = shared.config.max_batch.max(1);
-    let max_wait = shared.config.max_wait;
-    loop {
-        let first = match rx.recv() {
-            Ok(r) => r,
-            Err(_) => return, // all senders gone
-        };
+    // Block for the first request, then take only what is already
+    // queued: under load batches fill at once, and a lone request never
+    // waits for company.
+    while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        let deadline = Instant::now() + max_wait;
-        // Straggler window: once the queue goes momentarily quiet, wait
-        // only this long for the next arrival instead of burning the
-        // whole max_wait — total added wait stays bounded by max_wait,
-        // but a batch whose clients have all arrived is served at once.
-        let quiet_gap = (max_wait / 8).max(Duration::from_micros(20));
-        let mut disconnected = false;
         while batch.len() < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
             match rx.try_recv() {
-                Ok(r) => {
-                    batch.push(r);
-                    continue;
-                }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-                Err(mpsc::TryRecvError::Empty) => {}
-            }
-            match rx.recv_timeout(quiet_gap.min(deadline - now)) {
-                Ok(r) => batch.push(r),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+                Ok(request) => batch.push(request),
+                Err(_) => break,
             }
         }
         serve_batch(&shared, batch);
-        if disconnected {
-            return;
-        }
     }
 }
 
@@ -431,9 +453,7 @@ fn serve_batch<M: InferenceModel>(shared: &Shared<M>, batch: Vec<Request>) {
     for request in batch {
         match model.check_doc(&request.doc) {
             Ok(()) => live.push(request),
-            Err(e) => {
-                let _ = request.reply.send(Err(e));
-            }
+            Err(e) => request.reply.run(Err(e)),
         }
     }
     if live.is_empty() {
@@ -470,7 +490,10 @@ fn serve_batch<M: InferenceModel>(shared: &Shared<M>, batch: Vec<Request>) {
             };
             shared.cache.lock().unwrap().insert(request.key, cached);
         }
-        let _ = request.reply.send(Ok(response));
+        request.reply.run(Ok(QueryOutcome {
+            response,
+            cache_hit: false,
+        }));
     }
     if let Some(sink) = &shared.trace {
         let mut sink = sink.lock().unwrap();

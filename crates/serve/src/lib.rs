@@ -10,11 +10,14 @@
 //!
 //! - [`DocEncoder`] — raw text → sparse bag-of-words over the model
 //!   vocabulary (same tokenizer as training);
-//! - [`ServeHandle::query`] — admission (typed
+//! - [`ServeHandle::submit`] — admission (typed
 //!   [`ServeError::Backpressure`] when the bounded queue is full), LRU
-//!   cache lookup, and a blocking wait for the batched answer;
-//! - [`ServeEngine`] — the batcher thread, max-batch/max-wait policy,
-//!   validated snapshot swaps, live [`ServeStats`];
+//!   cache lookup, and a one-shot [`Reply`] the batcher runs with the
+//!   batched answer; [`ServeHandle::query`] is the same call plus a
+//!   blocking wait;
+//! - [`ServeEngine`] — the batcher thread, natural batching up to
+//!   `max_batch` (it never waits on a clock for stragglers), validated
+//!   snapshot swaps, live [`ServeStats`];
 //! - [`ModelSnapshot`] — precomputed `beta`, top-k words, exported
 //!   encoder weights; served θ is **bitwise identical** to the offline
 //!   `Backbone::infer_theta_batch` path for any thread count;
@@ -23,8 +26,11 @@
 //!   counter and hot promotion, plus fair-share admission control over a
 //!   global in-flight budget;
 //! - `TcpServer` / `UnixServer` (Linux only) — two listeners over one
-//!   epoll reactor that multiplexes every connection onto O(cores)
-//!   threads, speaking the line-oriented wire protocol of [`net`]
+//!   epoll reactor that multiplexes every connection onto its event-loop
+//!   shards (O(cores) threads) and submits each request line through a
+//!   [`Router`] whose [`Reply`] posts the answer back to the shard — no
+//!   thread blocks waiting for an answer — speaking the line-oriented
+//!   wire protocol of [`net`]
 //!   (bounded framing, `@model` routing, typed errors) with
 //!   drain-with-deadline shutdown; used by `contratopic serve` and the
 //!   `load_gen` open-loop benchmark driver. The clients ([`TcpClient`],
@@ -112,7 +118,8 @@ pub mod snapshot;
 
 pub use encode::DocEncoder;
 pub use engine::{
-    InferenceModel, QueryOutcome, ServeConfig, ServeEngine, ServeHandle, ServeStats, SharedSink,
+    InferenceModel, QueryOutcome, QueryResult, Reply, ServeConfig, ServeEngine, ServeHandle,
+    ServeStats, SharedSink,
 };
 pub use error::ServeError;
 #[cfg(unix)]

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::encode::DocEncoder;
-use crate::engine::{InferenceModel, ServeHandle};
+use crate::engine::{wait_for, InferenceModel, Reply, ServeHandle};
 use crate::error::ServeError;
 use crate::snapshot::QueryResponse;
 
@@ -56,8 +56,16 @@ impl Default for ProtocolLimits {
 /// server); [`ModelRegistry`](crate::ModelRegistry) routes the `@model`
 /// field across many named engines with fair-share admission.
 pub trait Router: Send + Sync + 'static {
-    /// Answer `text` against `model` (`None` = the default model).
-    fn answer(&self, model: Option<&str>, text: &str) -> Result<Arc<QueryResponse>, ServeError>;
+    /// Route `text` to `model` (`None` = the default model) and deliver
+    /// the outcome to `reply`. Must not block: the reactor calls it on
+    /// its event-loop thread, and routing, encoding and admission errors
+    /// run `reply` before it returns.
+    fn submit(&self, model: Option<&str>, text: &str, reply: Reply);
+
+    /// [`Router::submit`], blocking until the response is ready.
+    fn answer(&self, model: Option<&str>, text: &str) -> Result<Arc<QueryResponse>, ServeError> {
+        wait_for(|reply| self.submit(model, text, reply)).map(|outcome| outcome.response)
+    }
 }
 
 /// A [`Router`] over exactly one engine handle: every request goes to the
@@ -77,12 +85,14 @@ impl<M: InferenceModel> SingleModel<M> {
 }
 
 impl<M: InferenceModel> Router for SingleModel<M> {
-    fn answer(&self, model: Option<&str>, text: &str) -> Result<Arc<QueryResponse>, ServeError> {
+    fn submit(&self, model: Option<&str>, text: &str, reply: Reply) {
         if let Some(name) = model {
-            return Err(ServeError::UnknownModel { model: name.into() });
+            return reply.run(Err(ServeError::UnknownModel { model: name.into() }));
         }
-        let doc = self.encoder.encode(text)?;
-        Ok(self.handle.query(&doc)?.response)
+        match self.encoder.encode(text) {
+            Ok(doc) => self.handle.submit(doc, reply),
+            Err(e) => reply.run(Err(e)),
+        }
     }
 }
 

@@ -3,20 +3,24 @@
 //! (Linux only).
 //!
 //! Every connection — TCP or `AF_UNIX`, the reactor does not care which
-//! — is multiplexed onto a small, fixed set of threads, so a parked
-//! client costs a slab slot and an epoll registration, not an OS thread:
+//! — is multiplexed onto a small, fixed set of **event-loop shards** (1
+//! per 4 cores, at most 4), so a parked client costs a slab slot and an
+//! epoll registration, not an OS thread. Each shard owns a raw `epoll`
+//! instance and the nonblocking accept / read / write lifecycle for its
+//! connections. Incoming bytes feed the incremental [`LineAssembler`],
+//! which enforces the request-size cap and produces the typed
+//! `request_too_large` frame.
 //!
-//! - **event-loop shards** (1 per 4 cores, at most 4): each shard owns a
-//!   raw `epoll` instance and the nonblocking accept / read / write
-//!   lifecycle for its connections. Incoming bytes feed the incremental
-//!   [`LineAssembler`], which enforces the request-size cap and produces
-//!   the typed `request_too_large` frame.
-//! - **router workers** (`max(2, cores)`, at most 16): complete parsed
-//!   request lines against the shared [`Router`] — admission, encoding,
-//!   the micro-batching engine's blocking reply wait — and post the
-//!   response back to the owning shard through a completion queue plus
-//!   an `eventfd` wakeup. The thread-per-core inference pool underneath
-//!   is untouched.
+//! A complete request line goes to the shared [`Router`] through its
+//! non-blocking [`Router::submit`], on the shard thread itself, with a
+//! [`Reply`] that posts the outcome back to the owning shard's
+//! completion mailbox and knocks on its `eventfd`. Admission and encoding
+//! errors and cache hits complete inside `submit`; everything else
+//! completes on the engine's batcher thread once its forward pass is
+//! done. The shard renders the JSON line and writes it. No thread ever
+//! blocks waiting for an answer, and the only request backlog is the
+//! engine's bounded queue and the registry's admission budget, both of
+//! which shed with typed `backpressure`.
 //!
 //! The two socket families differ only in `accept`, `TCP_NODELAY` and
 //! the bound address; [`Listener`] absorbs the first two and the
@@ -30,13 +34,14 @@
 //! pipelines far ahead of the engine or stops draining its responses.
 //!
 //! Requests on one connection are answered strictly in order: a
-//! connection dispatches at most one line to the workers at a time, and
-//! further complete lines wait in its `pending` queue (oversized-line
-//! errors are answered inline in arrival order). Graceful shutdown:
-//! parked idle connections close immediately (counted as drained), a
-//! connection whose request is already at the workers gets its response
-//! written and flushed before closing, and only connections still busy
-//! at the drain deadline are force-closed (counted as aborted).
+//! connection has at most one line submitted at a time, and further
+//! complete lines wait in its `pending` queue (oversized-line errors are
+//! answered inline in arrival order). Graceful shutdown: parked idle
+//! connections close immediately (counted as drained), a connection whose
+//! request is already submitted gets its response written and flushed
+//! before closing, and only connections still busy at the drain deadline
+//! are force-closed (counted as aborted). A completion that arrives after
+//! its shard has exited lands in a mailbox nobody reads.
 //!
 //! The `epoll`/`eventfd` calls are raw libc-level syscalls declared
 //! locally — the same no-new-deps pattern as `ct_tensor::simd`'s
@@ -48,10 +53,11 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::engine::{QueryResult, Reply};
 use crate::error::ServeError;
 use crate::net::{Frame, LineAssembler, ProtocolLimits, Router, Shutdown, ShutdownReport};
 
@@ -202,7 +208,7 @@ const MAX_OUTBUF: usize = 256 * 1024;
 
 /// Pack a connection identity into an epoll token: slot index in the
 /// low 32 bits, a per-shard generation in the high 32 so a stale event
-/// (or a late worker completion) can never touch a recycled slot.
+/// (or a late completion) can never touch a recycled slot.
 fn conn_token(gen: u32, idx: usize) -> u64 {
     ((gen as u64) << 32) | (idx as u64 & 0xffff_ffff)
 }
@@ -212,14 +218,6 @@ fn conn_token(gen: u32, idx: usize) -> u64 {
 fn shard_count() -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     (cores / 4).clamp(1, 4)
-}
-
-/// Router worker threads for this host: `max(2, cores)`, at most 16 —
-/// these block in the engine's batched reply wait, so a couple per core
-/// keeps micro-batches forming.
-fn worker_count() -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    cores.clamp(2, 16)
 }
 
 /// A bound, listening socket of either family. epoll, `read` and
@@ -297,63 +295,10 @@ impl AsRawFd for Stream {
     }
 }
 
-/// A request line travelling from a shard to the router workers.
-struct Job {
-    shard: usize,
-    token: u64,
-    line: String,
-}
-
-/// A finished response travelling back to the owning shard.
+/// A finished request travelling back to the owning shard.
 struct Completion {
     token: u64,
-    reply: String,
-}
-
-/// Bounded-thread work queue feeding the router workers.
-struct WorkQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl WorkQueue {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        self.state.lock().unwrap().jobs.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.cv.wait(state).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.cv.notify_all();
-    }
+    result: QueryResult,
 }
 
 /// Per-shard mailboxes reachable from other threads, paired with the
@@ -371,12 +316,8 @@ struct ReactorShared {
     /// asynchronous `Shutdown::signal` has fired (shards then drain
     /// in-flight work without force-closing anything).
     deadline: Mutex<Option<Instant>>,
-    /// Set once shards have exited: workers skip (rather than answer)
-    /// any leftover jobs whose connections are already gone.
-    discard: AtomicBool,
     router: Arc<dyn Router>,
     limits: ProtocolLimits,
-    queue: WorkQueue,
     shards: Vec<Arc<ShardShared>>,
     next_conn: AtomicUsize,
     drained: AtomicUsize,
@@ -390,7 +331,7 @@ struct Conn {
     asm: LineAssembler,
     /// Complete frames not yet dispatched (order preserved).
     pending: VecDeque<Frame>,
-    /// Whether one line is currently at the router workers.
+    /// Whether one line is currently submitted to the router.
     busy: bool,
     /// Per-connection write queue: `out[out_pos..]` awaits the socket.
     out: Vec<u8>,
@@ -497,7 +438,11 @@ impl Slab {
         {
             let conn = self.conns[idx].as_mut().unwrap();
             conn.busy = false;
-            conn.push_reply(&completion.reply);
+            let line = match completion.result {
+                Ok(outcome) => outcome.response.to_json(),
+                Err(e) => e.to_json(),
+            };
+            conn.push_reply(&line);
         }
         self.service(ctx, idx);
     }
@@ -595,10 +540,13 @@ fn read_into(conn: &mut Conn) -> bool {
     }
 }
 
-/// Answer oversized-line frames inline and hand at most one request
-/// line to the workers — strict per-connection FIFO keeps responses in
-/// request order without sequence numbers. After shutdown no *new*
-/// request is started (parsed-but-undispatched lines are dropped).
+/// Answer oversized-line frames inline and submit at most one request
+/// line to the router — strict per-connection FIFO keeps responses in
+/// request order without sequence numbers. The reply posts the outcome
+/// to this shard's mailbox; when it runs inside `submit` (a cache hit or
+/// a typed error), the shard picks it up on its next loop turn. After
+/// shutdown no *new* request is started (parsed-but-undispatched lines
+/// are dropped).
 fn pump(ctx: &Ctx, idx: usize, conn: &mut Conn) {
     loop {
         if conn.busy {
@@ -609,13 +557,20 @@ fn pump(ctx: &Ctx, idx: usize, conn: &mut Conn) {
             return;
         }
         match conn.pending.pop_front() {
-            Some(Frame::Line(text)) => {
+            Some(Frame::Line(line)) => {
                 conn.busy = true;
-                ctx.shared.queue.push(Job {
-                    shard: ctx.shard,
-                    token: conn_token(conn.gen, idx),
-                    line: text,
+                let token = conn_token(conn.gen, idx);
+                let mailbox = Arc::clone(&ctx.shared.shards[ctx.shard]);
+                let reply = Reply::new(move |result| {
+                    mailbox
+                        .completions
+                        .lock()
+                        .unwrap()
+                        .push(Completion { token, result });
+                    mailbox.wake.signal();
                 });
+                let (model, text) = parse_request_line(&line);
+                ctx.shared.router.submit(model, text, reply);
                 return;
             }
             Some(Frame::TooLarge) => {
@@ -823,37 +778,12 @@ fn parse_request_line(line: &str) -> (Option<&str>, &str) {
     }
 }
 
-/// Answer one request line as one response line (without the newline).
-fn answer_line(router: &dyn Router, line: &str) -> String {
-    let (model, text) = parse_request_line(line);
-    match router.answer(model, text) {
-        Ok(response) => response.to_json(),
-        Err(e) => e.to_json(),
-    }
-}
-
-fn worker_loop(shared: Arc<ReactorShared>) {
-    while let Some(job) = shared.queue.pop() {
-        if shared.discard.load(Ordering::Relaxed) {
-            continue; // shards are gone; the connection no longer exists
-        }
-        let reply = answer_line(shared.router.as_ref(), &job.line);
-        let shard = &shared.shards[job.shard];
-        shard.completions.lock().unwrap().push(Completion {
-            token: job.token,
-            reply,
-        });
-        shard.wake.signal();
-    }
-}
-
 /// A running epoll reactor: the connection machinery behind
 /// [`TcpServer`](crate::TcpServer) and [`UnixServer`](crate::UnixServer).
 /// Dropping it stops and joins every thread it started.
 pub(crate) struct Reactor {
     shared: Arc<ReactorShared>,
     shard_threads: Vec<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Reactor {
@@ -866,7 +796,6 @@ impl Reactor {
     ) -> io::Result<Self> {
         listener.set_nonblocking()?;
         let shard_count = shard_count();
-        let worker_count = worker_count();
         let mut mailboxes = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             mailboxes.push(Arc::new(ShardShared {
@@ -878,10 +807,8 @@ impl Reactor {
         let shared = Arc::new(ReactorShared {
             shutdown: Arc::new(AtomicBool::new(false)),
             deadline: Mutex::new(None),
-            discard: AtomicBool::new(false),
             router,
             limits,
-            queue: WorkQueue::new(),
             shards: mailboxes,
             next_conn: AtomicUsize::new(0),
             drained: AtomicUsize::new(0),
@@ -890,7 +817,6 @@ impl Reactor {
         let mut reactor = Self {
             shared: Arc::clone(&shared),
             shard_threads: Vec::with_capacity(shard_count),
-            worker_threads: Vec::with_capacity(worker_count),
         };
         let mut listener = Some(listener);
         for i in 0..shard_count {
@@ -901,19 +827,6 @@ impl Reactor {
                 .spawn(move || shard_loop(i, listener, shared));
             match spawned {
                 Ok(handle) => reactor.shard_threads.push(handle),
-                Err(e) => {
-                    reactor.stop(Duration::ZERO);
-                    return Err(e);
-                }
-            }
-        }
-        for i in 0..worker_count {
-            let shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("ct-serve-worker-{i}"))
-                .spawn(move || worker_loop(shared));
-            match spawned {
-                Ok(handle) => reactor.worker_threads.push(handle),
                 Err(e) => {
                     reactor.stop(Duration::ZERO);
                     return Err(e);
@@ -942,13 +855,6 @@ impl Reactor {
         for handle in self.shard_threads.drain(..) {
             let _ = handle.join();
         }
-        // Shards are gone: leftover queued jobs have no connection to
-        // answer — let the workers skip them and exit.
-        self.shared.discard.store(true, Ordering::Relaxed);
-        self.shared.queue.close();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
         ShutdownReport {
             connections_drained: self.shared.drained.load(Ordering::Relaxed),
             connections_aborted: self.shared.aborted.load(Ordering::Relaxed),
@@ -975,8 +881,8 @@ impl Drop for Reactor {
     fn drop(&mut self) {
         // A dropped reactor must not leak threads: immediate-deadline
         // drain (idle connections close, busy ones are force-closed,
-        // in-flight engine queries still complete) and join everything.
-        if !self.shard_threads.is_empty() || !self.worker_threads.is_empty() {
+        // in-flight engine queries still complete) and join every shard.
+        if !self.shard_threads.is_empty() {
             self.stop(Duration::ZERO);
         }
     }

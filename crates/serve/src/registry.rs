@@ -27,10 +27,10 @@ use std::time::{Duration, Instant};
 use ct_corpus::SparseDoc;
 
 use crate::encode::DocEncoder;
-use crate::engine::{InferenceModel, QueryOutcome, ServeConfig, ServeEngine, ServeStats};
+use crate::engine::{InferenceModel, QueryOutcome, Reply, ServeConfig, ServeEngine, ServeStats};
 use crate::error::ServeError;
 use crate::net::Router;
-use crate::snapshot::{ModelSnapshot, QueryResponse};
+use crate::snapshot::ModelSnapshot;
 
 /// Registry-level tuning: the global fair-share admission budget plus
 /// the engine configuration applied to newly registered models.
@@ -61,7 +61,7 @@ impl Default for RegistryConfig {
 struct Tenant<M: InferenceModel> {
     engine: ServeEngine<M>,
     encoder: DocEncoder,
-    inflight: AtomicUsize,
+    inflight: Arc<AtomicUsize>,
 }
 
 /// Named collection of serving engines with fair-share admission.
@@ -73,18 +73,30 @@ struct Tenant<M: InferenceModel> {
 pub struct ModelRegistry<M: InferenceModel = ModelSnapshot> {
     tenants: RwLock<HashMap<String, Arc<Tenant<M>>>>,
     default_model: RwLock<Option<String>>,
-    global_inflight: AtomicUsize,
+    global_inflight: Arc<AtomicUsize>,
     config: RegistryConfig,
 }
 
 /// RAII admission slot: decrements the tenant and global in-flight
-/// counters when the query completes (or fails), however it exits.
-struct AdmissionPermit<'a> {
-    tenant: &'a AtomicUsize,
-    global: &'a AtomicUsize,
+/// counters when dropped. It owns its counters, so it can ride inside a
+/// [`Reply`] (see [`AdmissionPermit::hold_until`]) and be released
+/// whenever and wherever the reply runs or is dropped.
+struct AdmissionPermit {
+    tenant: Arc<AtomicUsize>,
+    global: Arc<AtomicUsize>,
 }
 
-impl Drop for AdmissionPermit<'_> {
+impl AdmissionPermit {
+    /// A reply that releases this permit, then runs `reply`.
+    fn hold_until(self, reply: Reply) -> Reply {
+        Reply::new(move |result| {
+            drop(self);
+            reply.run(result);
+        })
+    }
+}
+
+impl Drop for AdmissionPermit {
     fn drop(&mut self) {
         self.tenant.fetch_sub(1, Ordering::SeqCst);
         self.global.fetch_sub(1, Ordering::SeqCst);
@@ -98,7 +110,7 @@ impl<M: InferenceModel> ModelRegistry<M> {
         Self {
             tenants: RwLock::new(HashMap::new()),
             default_model: RwLock::new(None),
-            global_inflight: AtomicUsize::new(0),
+            global_inflight: Arc::new(AtomicUsize::new(0)),
             config,
         }
     }
@@ -138,7 +150,7 @@ impl<M: InferenceModel> ModelRegistry<M> {
             Arc::new(Tenant {
                 engine,
                 encoder,
-                inflight: AtomicUsize::new(0),
+                inflight: Arc::new(AtomicUsize::new(0)),
             }),
         );
         drop(tenants);
@@ -274,7 +286,7 @@ impl<M: InferenceModel> ModelRegistry<M> {
     /// Fair-share admission: always admit within the tenant's guaranteed
     /// share, admit beyond it only while the global budget has spare
     /// capacity; otherwise fail fast with typed backpressure.
-    fn admit<'a>(&'a self, tenant: &'a Tenant<M>) -> Result<AdmissionPermit<'a>, ServeError> {
+    fn admit(&self, tenant: &Tenant<M>) -> Result<AdmissionPermit, ServeError> {
         let tenants = self.tenants.read().unwrap().len().max(1);
         let share = (self.config.max_inflight / tenants).max(1);
         let mine = tenant.inflight.fetch_add(1, Ordering::SeqCst);
@@ -287,8 +299,8 @@ impl<M: InferenceModel> ModelRegistry<M> {
             });
         }
         Ok(AdmissionPermit {
-            tenant: &tenant.inflight,
-            global: &self.global_inflight,
+            tenant: Arc::clone(&tenant.inflight),
+            global: Arc::clone(&self.global_inflight),
         })
     }
 }
@@ -304,10 +316,18 @@ impl ModelRegistry<ModelSnapshot> {
 }
 
 impl<M: InferenceModel> Router for ModelRegistry<M> {
-    fn answer(&self, model: Option<&str>, text: &str) -> Result<Arc<QueryResponse>, ServeError> {
-        let tenant = self.resolve(model)?;
-        let _permit = self.admit(&tenant)?;
-        let doc = tenant.encoder.encode(text)?;
-        Ok(tenant.engine.handle().query(&doc)?.response)
+    fn submit(&self, model: Option<&str>, text: &str, reply: Reply) {
+        let tenant = match self.resolve(model) {
+            Ok(tenant) => tenant,
+            Err(e) => return reply.run(Err(e)),
+        };
+        let reply = match self.admit(&tenant) {
+            Ok(permit) => permit.hold_until(reply),
+            Err(e) => return reply.run(Err(e)),
+        };
+        match tenant.encoder.encode(text) {
+            Ok(doc) => tenant.engine.handle().submit(doc, reply),
+            Err(e) => reply.run(Err(e)),
+        }
     }
 }

@@ -1,21 +1,23 @@
-//! Graceful degradation under load and operator error.
+//! Graceful degradation under load and operator error, and the
+//! batching policy that load drives.
 //!
 //! The engine's two failure contracts, made deterministic with a gated
 //! model: queue saturation must surface as a typed
 //! [`ServeError::Backpressure`] (no panic, no silent drop — every
 //! admitted request is eventually answered), and a snapshot swap that
 //! fails validation must be rejected while the previous snapshot keeps
-//! serving.
+//! serving. The same gate pins natural batching without a clock: what
+//! queues behind a busy forward pass becomes the next batch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ct_corpus::{BowCorpus, SparseDoc};
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
 use ct_serve::{
-    InferenceModel, ModelSnapshot, QueryResponse, ServeConfig, ServeEngine, ServeError,
+    InferenceModel, ModelSnapshot, QueryResponse, Reply, ServeConfig, ServeEngine, ServeError,
 };
 use ct_tensor::Tensor;
 
@@ -116,7 +118,6 @@ fn saturated_queue_rejects_with_typed_backpressure_and_drops_nothing() {
     let entered = Arc::clone(&gated.entered);
     let config = ServeConfig {
         max_batch: 1, // one request in flight, the rest queue up
-        max_wait: Duration::from_millis(0),
         queue_capacity: QUEUE,
         cache_capacity: 0,
         infer_threads: Some(1),
@@ -239,6 +240,71 @@ fn poisoned_swap_is_rejected_and_previous_snapshot_keeps_serving() {
     let fresh = handle.query(&corpus.docs[0]).expect("query after swap");
     assert!(!fresh.cache_hit, "swap must invalidate cached responses");
 
+    drop(handle);
+    engine.shutdown();
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn requests_queued_behind_a_forward_pass_form_the_next_batch() {
+    const QUEUED: usize = 5;
+    let (corpus, snapshot) = trained_snapshot();
+    let docs = &corpus.docs[..=QUEUED];
+    let offline: Vec<Vec<u32>> = docs
+        .iter()
+        .map(|doc| bits(snapshot.infer_theta(&snapshot.dense_batch(&[doc])).row(0)))
+        .collect();
+    let (gated, gate) = GatedModel::new(snapshot, false);
+    let entered = Arc::clone(&gated.entered);
+    let config = ServeConfig {
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    };
+    let engine = ServeEngine::start(gated, config);
+    let handle = engine.handle();
+    let (tx, rx) = mpsc::channel();
+    let submit = |i: usize| {
+        let tx = tx.clone();
+        let reply = Reply::new(move |result| {
+            let _ = tx.send((i, result));
+        });
+        handle.submit(docs[i].clone(), reply);
+    };
+
+    // The first document holds the batcher inside its forward pass...
+    submit(0);
+    assert!(
+        wait_until(Duration::from_secs(10), || entered.load(Ordering::SeqCst)
+            == 1),
+        "batcher never reached the forward pass"
+    );
+    // ...while the rest queue behind it; submitting never blocks.
+    for i in 1..=QUEUED {
+        submit(i);
+    }
+    open_gate(&gate);
+
+    let mut answered = vec![None; docs.len()];
+    for _ in 0..docs.len() {
+        let (i, result) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every submitted request is answered");
+        answered[i] = Some(result.expect("served"));
+    }
+    for (i, outcome) in answered.into_iter().enumerate() {
+        let outcome = outcome.expect("answered once");
+        assert_eq!(
+            bits(&outcome.response.theta),
+            offline[i],
+            "doc {i} diverged from offline inference"
+        );
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.batches, 2, "{stats:?}");
+    assert_eq!(stats.max_batch_size, QUEUED as u64, "{stats:?}");
     drop(handle);
     engine.shutdown();
 }

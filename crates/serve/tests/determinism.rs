@@ -71,11 +71,10 @@ fn served_theta_bitwise_stable_across_micro_batch_composition() {
     let (corpus, model) = trained();
     let reference = Arc::new(offline_theta(&model, &corpus));
     let snapshot = ModelSnapshot::from_model(&model, corpus.vocab.clone(), 5).expect("snapshot");
-    // Wide batching window so concurrent clients get coalesced into
-    // multi-document micro-batches of varying composition.
+    // Concurrent clients get coalesced into multi-document micro-batches
+    // of varying composition whenever they queue behind a forward pass.
     let config = ServeConfig {
         max_batch: 16,
-        max_wait: std::time::Duration::from_millis(20),
         cache_capacity: 0,
         infer_threads: Some(2),
         ..ServeConfig::default()

@@ -1,10 +1,14 @@
 //! Serving-tier lifecycle contracts, end to end over real sockets:
 //! socket-family equivalence (TCP == Unix == offline, bitwise), registry
 //! routing under concurrency, hot promotion that drops nothing,
-//! drain-on-shutdown, and fair-share admission.
+//! drain-on-shutdown, fair-share admission, and the completion contracts
+//! (a panicked batcher answers `closed`; an admission permit is held
+//! until its request completes, whatever the outcome or the client).
 
 #![cfg(target_os = "linux")]
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -14,8 +18,8 @@ use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
 use ct_serve::{
     query_tcp, query_unix, DocEncoder, InferenceModel, ModelRegistry, ModelSnapshot,
-    ProtocolLimits, QueryResponse, RegistryConfig, Router, ServeConfig, ServeError, TcpClient,
-    TcpServer, UnixServer,
+    ProtocolLimits, QueryResponse, RegistryConfig, Router, ServeConfig, ServeEngine, ServeError,
+    TcpClient, TcpServer, UnixServer,
 };
 use ct_tensor::Tensor;
 
@@ -407,6 +411,170 @@ fn fair_share_admission_protects_a_tenant_from_a_noisy_neighbor() {
         "permits leaked: inflight {} after all queries returned",
         registry.inflight()
     );
+    if let Ok(r) = Arc::try_unwrap(registry) {
+        r.shutdown();
+    }
+}
+
+/// A snapshot whose forward pass panics, taking its batcher thread down.
+struct PanickingModel(ModelSnapshot);
+
+impl InferenceModel for PanickingModel {
+    fn vocab_size(&self) -> usize {
+        self.0.vocab_size()
+    }
+    fn num_topics(&self) -> usize {
+        self.0.num_topics()
+    }
+    fn check_doc(&self, doc: &SparseDoc) -> Result<(), ServeError> {
+        self.0.check_doc(doc)
+    }
+    fn dense_batch(&self, docs: &[&SparseDoc]) -> Tensor {
+        self.0.dense_batch(docs)
+    }
+    fn infer_theta(&self, _x: &Tensor) -> Tensor {
+        panic!("test: forward pass panicked");
+    }
+    fn build_response(&self, theta: Vec<f32>, top_n: usize) -> QueryResponse {
+        self.0.build_response(theta, top_n)
+    }
+}
+
+#[test]
+fn a_panicked_batcher_answers_closed_instead_of_hanging() {
+    let (corpus, snapshot) = trained_with(3, 5);
+    let doc = DocEncoder::new(corpus.vocab.clone())
+        .encode("w0 w1 w2")
+        .expect("encode");
+
+    // In process: the request the batcher held when it panicked, and
+    // every request after it, is answered Closed.
+    let engine = ServeEngine::start(PanickingModel(snapshot.clone()), ServeConfig::default());
+    let handle = engine.handle();
+    assert_eq!(handle.query(&doc).unwrap_err(), ServeError::Closed);
+    assert_eq!(handle.query(&doc).unwrap_err(), ServeError::Closed);
+    drop(handle);
+    engine.shutdown();
+
+    // Over TCP: the client gets one typed error line per request (a read
+    // timeout turns a hang into a failure), and the connection is not
+    // left busy until the drain deadline.
+    let registry: Arc<ModelRegistry<PanickingModel>> =
+        Arc::new(ModelRegistry::new(RegistryConfig::default()));
+    registry
+        .register(
+            "m",
+            PanickingModel(snapshot),
+            DocEncoder::new(corpus.vocab.clone()),
+        )
+        .expect("register");
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry) as Arc<dyn Router>,
+        ProtocolLimits::default(),
+    )
+    .expect("bind");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    for _ in 0..2 {
+        writer.write_all(b"w0 w1 w2\n").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an answer, not a hang");
+        assert!(line.starts_with("{\"error\":\"closed\""), "{line}");
+    }
+    assert_eq!(
+        registry.inflight(),
+        0,
+        "a dropped reply released its permit"
+    );
+    drop((writer, reader));
+    let report = server.shutdown(Duration::from_secs(10));
+    assert_eq!(report.connections_aborted, 0);
+    if let Ok(r) = Arc::try_unwrap(registry) {
+        r.shutdown();
+    }
+}
+
+#[test]
+fn admission_permits_ride_with_completions_through_every_outcome() {
+    let (corpus, snapshot) = trained_with(3, 5);
+    let text = "w0 w1 w2 w5 w6";
+    let expected = offline_response(&snapshot, &corpus.vocab, text);
+    let (open_model, open, _) = GatedModel::new(snapshot.clone());
+    open_gate(&open);
+    let (gated, gate, entered) = GatedModel::new(snapshot);
+    let registry: Arc<ModelRegistry<GatedModel>> =
+        Arc::new(ModelRegistry::new(RegistryConfig::default()));
+    for (name, model) in [("open", open_model), ("gated", gated)] {
+        registry
+            .register(name, model, DocEncoder::new(corpus.vocab.clone()))
+            .expect("register");
+    }
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry) as Arc<dyn Router>,
+        ProtocolLimits::default(),
+    )
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+
+    // A client sends a request that blocks in the gated batcher, then
+    // disconnects without waiting for the answer.
+    let mut quitter = TcpStream::connect(&addr).expect("connect");
+    quitter.write_all(b"@gated w0 w1 w2\n").expect("send");
+    assert!(
+        wait_until(Duration::from_secs(10), || entered.load(Ordering::SeqCst)
+            >= 1),
+        "gated request never reached the forward pass"
+    );
+    drop(quitter);
+
+    // Mixed traffic: answers, unknown models, empty documents and
+    // oversized lines, from concurrent clients.
+    let oversized = "w0 ".repeat(30_000);
+    let clients: Vec<_> = (0..3)
+        .map(|c| {
+            let addr = addr.clone();
+            let expected = expected.clone();
+            let oversized = oversized.clone();
+            std::thread::spawn(move || {
+                let mut client = TcpClient::connect(&addr).expect("connect");
+                for i in 0..8 {
+                    let ok = client.query_line(&format!("@open {text}")).expect("ok");
+                    assert_eq!(ok, expected, "client {c} iter {i}");
+                    let cases = [
+                        ("@nope w0 w1", "unknown_model"),
+                        ("@open zzz qqq", "empty_document"),
+                        (oversized.as_str(), "request_too_large"),
+                    ];
+                    for (line, kind) in cases {
+                        let answer = client.query_line(line).expect("error line");
+                        let tag = format!("{{\"error\":\"{kind}\"");
+                        assert!(answer.starts_with(&tag), "client {c}: {answer}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client");
+    }
+
+    // Only the abandoned request still holds a permit: it is released
+    // when its reply runs, not when its client goes away.
+    assert_eq!(registry.inflight(), 1);
+    open_gate(&gate);
+    assert!(
+        wait_until(Duration::from_secs(10), || registry.inflight() == 0),
+        "permits leaked: inflight {}",
+        registry.inflight()
+    );
+    let report = server.shutdown(Duration::from_secs(10));
+    assert_eq!(report.connections_aborted, 0);
     if let Ok(r) = Arc::try_unwrap(registry) {
         r.shutdown();
     }

@@ -18,7 +18,7 @@ use ct_serve::{query_unix, DocEncoder, ModelSnapshot, ServeConfig, ServeEngine, 
 const IDLE_CLIENTS: usize = 200;
 
 /// Threads whose name starts with `ct-`: every serving-tier thread
-/// (reactor shards, router workers, batchers, the inference pool).
+/// (reactor shards, engine batchers, the inference pool).
 fn ct_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("read /proc/self/task")

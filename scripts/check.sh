@@ -57,16 +57,6 @@ cargo test -q -p ct-serve --test lifecycle
 cargo test -q -p ct-serve --test unix_fan_in
 cargo test -q -p ct-serve --test accept_emfile
 
-# Latency-under-load + fan-in gate: open-loop TCP traffic against a
-# self-hosted fixture server (epoll reactor transport) must keep p99
-# under a generous bound with zero lost/errored responses while 1000
-# idle connections sit parked on it — and the server's resident thread
-# count must stay O(cores), not O(connections). This catches stuck
-# batchers, accept-loop stalls, drain regressions, and any slide back
-# toward thread-per-connection, not hardware speed.
-echo "== load_gen --smoke --idle-conns 1000 (open-loop p99 + fan-in gate)"
-cargo run --release -q -p ct-bench --bin load_gen -- --smoke --idle-conns 1000
-
 # Streaming-pipeline gates: the generator must sweep a drifting stream
 # out-of-core, a concurrent client must see zero failed queries across
 # every hot promotion, and a NaN-poisoned snapshot must be rejected as
