@@ -103,7 +103,7 @@ fn bench_subset_sampler(c: &mut Criterion) {
         bencher.iter(|| {
             let tape = Tape::new();
             let beta = tape.leaf(beta_t.clone());
-            black_box(relaxed_subset(&tape, beta, &cfg, &mut rng).vhot.value())
+            black_box(relaxed_subset(&tape, beta, &cfg, &mut rng).stacked.value())
         })
     });
 }

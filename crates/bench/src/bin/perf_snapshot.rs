@@ -46,7 +46,7 @@ use contratopic::{
 use ct_bench::provenance_json;
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
 use ct_models::{fit_etm, TrainConfig};
-use ct_tensor::ops::concat_rows;
+use ct_tensor::sgemm::{sgemm_nn_packed, PackedB};
 use ct_tensor::{params_to_bytes, pool, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,6 +153,7 @@ fn sgemm_cases(samples: usize, big_samples: usize) -> Vec<SgemmCase> {
     let mut cbuf = vec![0.0f32; 256 * 600]; // axpy accumulator rows
     let reg_a = Tensor::randn(REG_M, REG_V, 1.0, &mut rng); // subset matrix A
     let reg_n = Tensor::randn(REG_V, REG_V, 1.0, &mut rng); // kernel N
+    let reg_n_packed = PackedB::pack(REG_V, REG_V, reg_n.data()); // N as the regularizer holds it
     let reg_t = Tensor::randn(REG_M, REG_V, 1.0, &mut rng); // T = A·N
     let reg_g = Tensor::randn(REG_M, REG_M, 1.0, &mut rng); // G + Gᵀ
     let theta = Tensor::randn(256, 40, 1.0, &mut rng); // ETM θ (B, K)
@@ -206,7 +207,9 @@ fn sgemm_cases(samples: usize, big_samples: usize) -> Vec<SgemmCase> {
         },
         // The topic-wise regularizer's three dense products (most of a
         // ContraTopic training step): T = A·N, S = T·Aᵀ and the backward
-        // (G + Gᵀ)·T. Few samples: each is hundreds of MFLOP.
+        // (G + Gᵀ)·T. Few samples: each is hundreds of MFLOP. `reg_xn`
+        // multiplies a row-major N (packing it per product); the training
+        // step runs `reg_xn_packed`, against the kernel packed once.
         SgemmCase {
             name: "reg_xn",
             m: REG_M,
@@ -214,6 +217,17 @@ fn sgemm_cases(samples: usize, big_samples: usize) -> Vec<SgemmCase> {
             n: REG_V,
             best_ns: time_best(big_samples, || {
                 black_box(reg_a.matmul(&reg_n));
+            }),
+        },
+        SgemmCase {
+            name: "reg_xn_packed",
+            m: REG_M,
+            k: REG_V,
+            n: REG_V,
+            best_ns: time_best(big_samples, || {
+                let mut t = Tensor::zeros(REG_M, REG_V);
+                sgemm_nn_packed(REG_M, reg_a.data(), &reg_n_packed, t.data_mut());
+                black_box(t);
             }),
         },
         SgemmCase {
@@ -335,13 +349,13 @@ struct RegBreakdown {
     k: usize,
     v: usize,
     vocab: usize,
-    /// `T = A·N`, the forward kernel product.
+    /// `T = A·N` against the packed kernel, the forward kernel product.
     xn: Spread,
     /// `S = T·Aᵀ`, the forward pair scores.
     quad_nt: Spread,
     /// `dA = (G + Gᵀ)·T`, the backward product.
     dx: Spread,
-    /// `relaxed_subset` + `concat_rows`, forward and backward.
+    /// `relaxed_subset` (the fused sampler op), forward and backward.
     sampler: Spread,
     /// `ContrastiveRegularizer::loss`, forward and backward.
     loss: Spread,
@@ -385,7 +399,7 @@ fn regularizer_breakdown(smoke: bool, samples: usize) -> RegBreakdown {
     let a = {
         let tape = Tape::new();
         let sample = relaxed_subset(&tape, tape.leaf(beta.clone()), &sampling, &mut rng);
-        concat_rows(&sample.draws).value().clone()
+        sample.stacked.value().as_ref().clone()
     };
     let g = Tensor::randn(m, m, 1.0, &mut rng);
     let gsym = g.zip(&g.transposed(), |x, y| x + y);
@@ -403,7 +417,7 @@ fn regularizer_breakdown(smoke: bool, samples: usize) -> RegBreakdown {
                 // scratch does.
                 time_once(|| {
                     t.data_mut().fill(0.0);
-                    ct_tensor::sgemm::sgemm_nn(m, vocab, vocab, a.data(), n.data(), t.data_mut());
+                    sgemm_nn_packed(m, a.data(), &n, t.data_mut());
                     black_box(&t);
                 }),
                 time_once(|| {
@@ -416,7 +430,7 @@ fn regularizer_breakdown(smoke: bool, samples: usize) -> RegBreakdown {
                     let tape = Tape::new();
                     let sample =
                         relaxed_subset(&tape, tape.leaf(beta.clone()), &sampling, &mut rng);
-                    black_box(tape.backward(concat_rows(&sample.draws).sum_all()));
+                    black_box(tape.backward(sample.stacked.sum_all()));
                 }),
                 time_once(|| {
                     let tape = Tape::new();

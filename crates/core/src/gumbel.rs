@@ -15,10 +15,18 @@ use rand::Rng;
 /// A relaxed without-replacement sample of `v` words from each of `K`
 /// topics.
 pub struct SubsetSample<'t> {
-    /// One relaxed one-hot `(K, V)` matrix per draw step, `v` of them.
-    pub draws: Vec<Var<'t>>,
-    /// The relaxed `v`-hot vector per topic: `y_k = Σ_j p(r_k^j)`, `(K, V)`.
-    pub vhot: Var<'t>,
+    /// The `v` relaxed one-hot draws stacked draw-major, `(v·K, V)`: row
+    /// `j·K + t` is draw `j` of topic `t`.
+    pub stacked: Var<'t>,
+    /// Topics `K`.
+    pub topics: usize,
+}
+
+impl SubsetSample<'_> {
+    /// Draws per topic, `v`.
+    pub fn num_draws(&self) -> usize {
+        self.stacked.shape().0 / self.topics
+    }
 }
 
 /// Sample standard Gumbel noise `g = -log(-log u)`.
@@ -54,6 +62,10 @@ impl Default for SubsetSamplerConfig {
 /// 2. for `j = 1..v`: `p(r^j) = softmax(r^j / tau_g)`,
 ///    `r^{j+1} = r^j + log(1 - p(r^j))`;
 /// 3. the draws are the `p(r^j)`, and `y = Σ_j p(r^j)` is the `v`-hot.
+///
+/// The whole loop is one tape node ([`Var::relaxed_subset_rows`]) that
+/// writes the draws straight into the stacked matrix the regularizer
+/// multiplies.
 pub fn relaxed_subset<'t, R: Rng>(
     _tape: &'t Tape,
     beta: Var<'t>,
@@ -67,31 +79,18 @@ pub fn relaxed_subset<'t, R: Rng>(
         "cannot sample {} words from a {vocab}-word vocabulary",
         config.v
     );
-    let g = std::sync::Arc::new(gumbel_noise(k, vocab, rng));
-    let mut r = beta.ln_clamped(1e-20).add_const(&g);
-    let mut draws = Vec::with_capacity(config.v);
-    for j in 0..config.v {
-        let p = r.softmax_rows(config.tau_g);
-        draws.push(p);
-        if j + 1 < config.v {
-            // Suppress the captured mass: r += log(1 - p).
-            let one_minus = p.neg().add_scalar(1.0).clamp_min(1e-6);
-            r = r.add(one_minus.ln_clamped(1e-6));
-        }
+    let g = gumbel_noise(k, vocab, rng);
+    SubsetSample {
+        stacked: beta.relaxed_subset_rows(&g, config.v, config.tau_g),
+        topics: k,
     }
-    let mut vhot = draws[0];
-    for d in &draws[1..] {
-        vhot = vhot.add(*d);
-    }
-    SubsetSample { draws, vhot }
 }
 
 /// Hard (non-relaxed) readout: the index each draw puts the most mass on.
 pub fn hard_indices(sample: &SubsetSample<'_>, topic: usize) -> Vec<usize> {
-    sample
-        .draws
-        .iter()
-        .map(|d| d.value().argmax_row(topic))
+    let all = sample.stacked.value();
+    (0..sample.num_draws())
+        .map(|j| all.argmax_row(j * sample.topics + topic))
         .collect()
 }
 
@@ -124,19 +123,16 @@ mod tests {
             &SubsetSamplerConfig { v: 4, tau_g: 0.5 },
             &mut rng,
         );
-        assert_eq!(s.draws.len(), 4);
-        for d in &s.draws {
-            let dv = d.value();
-            assert_eq!(dv.shape(), (3, 20));
-            for t in 0..3 {
-                let sum: f32 = dv.row(t).iter().sum();
-                assert!((sum - 1.0).abs() < 1e-4, "draw row sums to {sum}");
-            }
+        assert_eq!(s.num_draws(), 4);
+        let all = s.stacked.value();
+        assert_eq!(all.shape(), (4 * 3, 20));
+        for row in 0..all.rows() {
+            let sum: f32 = all.row(row).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-4, "draw row sums to {sum}");
         }
-        // v-hot sums to v per topic.
-        let y = s.vhot.value();
+        // The v-hot (the sum of a topic's draws) sums to v per topic.
         for t in 0..3 {
-            let sum: f32 = y.row(t).iter().sum();
+            let sum: f32 = (0..4).map(|j| all.row(j * 3 + t).iter().sum::<f32>()).sum();
             assert!((sum - 4.0).abs() < 1e-3, "v-hot row sums to {sum}");
         }
     }
@@ -193,7 +189,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let beta = tape.leaf(peaked_beta(2, 15, 0.8));
         let s = relaxed_subset(&tape, beta, &SubsetSamplerConfig::default(), &mut rng);
-        let loss = s.vhot.square().sum_all();
+        let loss = s.stacked.square().sum_all();
         let grads = tape.backward(loss);
         let g = grads.get(beta).expect("no gradient reached beta");
         assert!(g.norm() > 0.0);

@@ -8,30 +8,25 @@
 use std::sync::Arc;
 
 use ct_corpus::NpmiMatrix;
+use ct_tensor::sgemm::PackedB;
 use ct_tensor::Tensor;
 
 /// A fixed (non-trainable) word-pair similarity matrix `(V, V)`.
+///
+/// The matrix is kept only in the blocked SGEMM kernel's packed layout
+/// ([`PackedB`]): every regularizer step multiplies by it, so it is packed
+/// once here instead of once per product, and no row-major copy is held
+/// beside it.
 #[derive(Clone)]
 pub struct SimilarityKernel {
-    matrix: Arc<Tensor>,
+    matrix: Arc<PackedB>,
     name: &'static str,
 }
 
 impl SimilarityKernel {
     /// The paper's kernel: precomputed NPMI on the *training* corpus.
     pub fn npmi(npmi: &NpmiMatrix) -> Self {
-        Self {
-            matrix: Arc::new(npmi.matrix().clone()),
-            name: "npmi",
-        }
-    }
-
-    /// Take ownership of an NPMI matrix without copying.
-    pub fn from_npmi_owned(npmi: NpmiMatrix) -> Self {
-        Self {
-            matrix: Arc::new(npmi.into_matrix()),
-            name: "npmi",
-        }
+        Self::packed(npmi.matrix(), "npmi")
     }
 
     /// ContraTopic-I ablation: cosine similarity of word embeddings.
@@ -47,24 +42,25 @@ impl SimilarityKernel {
                 }
             }
         }
-        let gram = e.matmul_nt(&e);
-        Self {
-            matrix: Arc::new(gram),
-            name: "embedding-inner",
-        }
+        Self::packed(&e.matmul_nt(&e), "embedding-inner")
     }
 
     /// Arbitrary symmetric similarity matrix.
     pub fn custom(matrix: Tensor, name: &'static str) -> Self {
         assert_eq!(matrix.rows(), matrix.cols(), "kernel must be square");
+        Self::packed(&matrix, name)
+    }
+
+    fn packed(matrix: &Tensor, name: &'static str) -> Self {
         Self {
-            matrix: Arc::new(matrix),
+            matrix: Arc::new(PackedB::pack(matrix.rows(), matrix.cols(), matrix.data())),
             name,
         }
     }
 
-    /// The `(V, V)` similarity matrix (shared; never receives gradients).
-    pub fn matrix(&self) -> &Arc<Tensor> {
+    /// The `(V, V)` similarity matrix, packed (shared; never receives
+    /// gradients).
+    pub fn matrix(&self) -> &Arc<PackedB> {
         &self.matrix
     }
 
@@ -79,9 +75,10 @@ impl SimilarityKernel {
     }
 
     /// Memory footprint of the dense kernel in bytes (the paper's §V-E
-    /// `O(V^2)` analysis).
+    /// `O(V^2)` analysis), including the packed layout's padding of `V` up
+    /// to a whole column strip.
     pub fn memory_bytes(&self) -> usize {
-        self.matrix.numel() * std::mem::size_of::<f32>()
+        self.matrix.memory_bytes()
     }
 }
 
@@ -102,7 +99,8 @@ mod tests {
         assert_eq!(k.vocab_size(), 3);
         assert_eq!(k.name(), "npmi");
         assert!(k.matrix().get(0, 1) > 0.5);
-        assert_eq!(k.memory_bytes(), 9 * 4);
+        // Packed: three rows of one zero-padded 32-column strip.
+        assert_eq!(k.memory_bytes(), 3 * 32 * 4);
     }
 
     #[test]

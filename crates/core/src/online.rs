@@ -72,7 +72,7 @@ impl OnlineContraTopic {
     pub fn fit_slice_traced(&mut self, slice: &BowCorpus, trace: &mut dyn TraceSink) {
         assert!(slice.num_docs() > 0, "empty slice");
         self.accumulator.add_corpus(slice);
-        let kernel = SimilarityKernel::from_npmi_owned(self.accumulator.to_npmi());
+        let kernel = SimilarityKernel::npmi(&self.accumulator.to_npmi());
         let reg = ContrastiveRegularizer::new(kernel, self.config.sampler, self.config.variant);
         // Distinct seed per slice so batching/Gumbel noise differ.
         let mut cfg = self.base.clone();

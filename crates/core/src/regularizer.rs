@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use ct_tensor::ops::{concat_rows, QuadScratch};
+use ct_tensor::ops::QuadScratch;
 use ct_tensor::{Tape, Tensor, Var};
 use rand::Rng;
 
@@ -183,9 +183,8 @@ impl ContrastiveRegularizer {
         k: usize,
         rng: &mut R,
     ) -> Var<'t> {
-        let sample = relaxed_subset(tape, beta, &self.sampler, rng);
-        // Stack draws: row i is draw (i / k) of topic (i % k).
-        let a = concat_rows(&sample.draws); // (M, V)
+        // Stacked draws: row i is draw (i / k) of topic (i % k).
+        let a = relaxed_subset(tape, beta, &self.sampler, rng).stacked; // (M, V)
         let m = (k * self.sampler.v) as f32;
         // Pairwise expected similarity: S = A N A^T (fused; N is symmetric).
         let s = a.sym_quadratic_const(self.kernel.matrix(), &self.quad_scratch); // (M, M)
@@ -240,7 +239,7 @@ mod tests {
             c.docs.push(SparseDoc::from_tokens(&[0, 1, 2, 3, 4]));
             c.docs.push(SparseDoc::from_tokens(&[5, 6, 7, 8, 9]));
         }
-        SimilarityKernel::from_npmi_owned(NpmiMatrix::from_corpus(&c))
+        SimilarityKernel::npmi(&NpmiMatrix::from_corpus(&c))
     }
 
     fn aligned_beta() -> Tensor {

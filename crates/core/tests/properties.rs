@@ -39,19 +39,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let beta = tape.leaf(beta_t);
         let s = relaxed_subset(&tape, beta, &SubsetSamplerConfig { v, tau_g: 0.5 }, &mut rng);
-        prop_assert_eq!(s.draws.len(), v);
-        for d in &s.draws {
-            let dv = d.value();
-            prop_assert!(!dv.has_non_finite());
-            for r in 0..3 {
-                let sum: f32 = dv.row(r).iter().sum();
-                prop_assert!((sum - 1.0).abs() < 1e-3, "draw row sums to {sum}");
-            }
+        prop_assert_eq!(s.num_draws(), v);
+        let all = s.stacked.value();
+        prop_assert!(!all.has_non_finite());
+        for row in 0..all.rows() {
+            let sum: f32 = all.row(row).iter().sum();
+            prop_assert!((sum - 1.0).abs() < 1e-3, "draw row sums to {sum}");
         }
-        // v-hot totals v per row and stays within [0, 1] elementwise-ish.
-        let y = s.vhot.value();
+        // The v-hot (the sum of a topic's draws) totals v per topic.
         for r in 0..3 {
-            let sum: f32 = y.row(r).iter().sum();
+            let sum: f32 = (0..v).map(|j| all.row(j * 3 + r).iter().sum::<f32>()).sum();
             prop_assert!((sum - v as f32).abs() < 1e-2);
         }
     }
@@ -67,7 +64,7 @@ proptest! {
             &SubsetSamplerConfig { v: 3, tau_g: 0.5 },
             &mut rng,
         );
-        let loss = s.vhot.square().sum_all();
+        let loss = s.stacked.square().sum_all();
         let grads = tape.backward(loss);
         let g = grads.get(beta).unwrap();
         prop_assert!(!g.has_non_finite());

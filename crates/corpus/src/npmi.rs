@@ -214,11 +214,6 @@ impl NpmiMatrix {
         &self.matrix
     }
 
-    /// Consume into the dense matrix.
-    pub fn into_matrix(self) -> Tensor {
-        self.matrix
-    }
-
     /// Mean pairwise NPMI among a word set (the per-topic coherence score:
     /// average over all unordered pairs of the top words).
     pub fn mean_pairwise(&self, words: &[usize]) -> f64 {

@@ -414,11 +414,14 @@ impl Slab {
         if !valid {
             return; // stale event for a slot already closed or recycled
         }
-        if mask & sys::EPOLLERR != 0 {
+        // `EPOLLHUP` means both directions are shut (a reset, or a Unix
+        // peer that closed): no reply can arrive, and epoll reports it
+        // whatever the interest mask, so keeping the connection would spin.
+        if mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
             self.close(ctx, idx, false);
             return;
         }
-        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 {
+        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
             let ok = read_into(self.conns[idx].as_mut().unwrap());
             if !ok {
                 self.close(ctx, idx, false);
@@ -608,9 +611,12 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
 /// Re-register epoll interest when the desired mask changed: `EPOLLOUT`
 /// only while the write queue is non-empty, `EPOLLIN` only while we are
 /// willing to take more input (not draining, peer still open, and the
-/// connection is not backlogged past the pipeline/outbuf caps).
+/// connection is not backlogged past the pipeline/outbuf caps), and
+/// `EPOLLRDHUP` only until the read side has seen EOF — level-triggered,
+/// it would otherwise wake the shard on every wait while a half-closed
+/// peer's request is in flight.
 fn update_interest(ctx: &Ctx, idx: usize, conn: &mut Conn) {
-    let mut want = sys::EPOLLRDHUP;
+    let mut want = if conn.peer_closed { 0 } else { sys::EPOLLRDHUP };
     let backlogged =
         conn.pending.len() >= MAX_PIPELINE || conn.out.len() - conn.out_pos >= MAX_OUTBUF;
     if !ctx.draining && !conn.peer_closed && !backlogged {

@@ -16,8 +16,9 @@ use std::sync::Arc;
 
 use rand::Rng;
 
+use crate::sgemm::{sgemm_nn_packed, PackedB};
 use crate::tape::{GradSink, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{softmax_row_inplace, Tensor};
 
 /// SELU activation constants (Klambauer et al. 2017), used by the paper's
 /// encoder MLP.
@@ -430,7 +431,7 @@ impl<'t> Var<'t> {
     pub fn softmax_rows(self, temperature: f32) -> Var<'t> {
         let out = Arc::new(self.value().softmax_rows(temperature));
         let y = out.clone();
-        self.unary((*out).clone(), move |g, sink, id| {
+        self.unary_shared(out, move |g, sink, id| {
             // dx = (y ⊙ (g - rowsum(g ⊙ y))) / T
             let gy = g.zip(&y, |g, y| g * y);
             let row_dot = sum_axis1_t(&gy);
@@ -645,7 +646,8 @@ impl<'t> Var<'t> {
     }
 
     /// Fused symmetric quadratic form `S = X·N·Xᵀ` for a constant
-    /// **symmetric** `N` (a similarity kernel).
+    /// **symmetric** `N` (a similarity kernel), held packed once (see
+    /// [`PackedB`]) so no step repacks it.
     ///
     /// Compared to `x.matmul_const(&n).matmul_nt(x)` this keeps the
     /// intermediate `T = X·N` in a caller-owned [`QuadScratch`] instead of a
@@ -661,7 +663,7 @@ impl<'t> Var<'t> {
     /// rather than silently using stale data.
     pub fn sym_quadratic_const(
         self,
-        n: &Arc<Tensor>,
+        n: &Arc<PackedB>,
         scratch: &Rc<RefCell<QuadScratch>>,
     ) -> Var<'t> {
         let xv = self.value();
@@ -673,14 +675,14 @@ impl<'t> Var<'t> {
         );
         assert_eq!(v, n.rows(), "operand columns must match kernel size");
         debug_assert!(
-            tensor_is_symmetric(n, 1e-5),
+            packed_is_symmetric(n, 1e-5),
             "sym_quadratic_const requires a symmetric kernel"
         );
         let gen = {
             let mut s = scratch.borrow_mut();
             s.generation += 1;
             let t = s.prepare(m, v);
-            crate::sgemm::sgemm_nn(m, v, v, xv.data(), n.data(), t.data_mut());
+            sgemm_nn_packed(m, xv.data(), n, t.data_mut());
             s.generation
         };
         let out = {
@@ -699,9 +701,94 @@ impl<'t> Var<'t> {
                 gsym.matmul(s.t.as_ref().expect("scratch populated by forward"))
             } else {
                 drop(s);
-                gsym.matmul(&xv.matmul(&n))
+                let mut t = Tensor::zeros(m, v);
+                sgemm_nn_packed(m, xv.data(), &n, t.data_mut());
+                gsym.matmul(&t)
             };
             sink.add(id, da);
+        })
+    }
+
+    /// Relaxed subset sampling without replacement (Xie & Ermon 2019) of
+    /// `draws` words from every row of `self = β (K, V)`, as one tape node:
+    /// the `(draws·K, V)` matrix whose row `j·K + t` is draw `j` of row `t`.
+    ///
+    /// With the Gumbel perturbation `noise (K, V)`, `r¹ = ln max(β, 1e-20) +
+    /// noise`, and for each draw `pʲ = softmax(rʲ / τ)` followed by the
+    /// suppression `rʲ⁺¹ = rʲ + ln max(1 − pʲ, 1e-6)`. The value and the
+    /// gradient into `β` are bitwise those of the primitive chain
+    /// `ln_clamped → add_const → (softmax_rows → neg → add_scalar →
+    /// clamp_min → ln_clamped → add)ⱽ` with the draws stacked: each row runs
+    /// the same float operations in the same order, and the backward walks
+    /// the draws in reverse, adding gradients in the order the tape would
+    /// (the stacked piece before the suppression term into `pʲ`, the
+    /// gradient of `rʲ⁺¹` before the softmax's into `rʲ`). Only the
+    /// intermediate tensors and their nodes are gone. (`1 − p` and
+    /// `g − h` stand for the chain's `(−1·p) + 1` and `g + (−1·h)`, and one
+    /// `max(·, 1e-6)` for its clamp-then-clamped-log pair: IEEE subtraction
+    /// is addition of the negation and `max` is idempotent, so the bits
+    /// agree.)
+    pub fn relaxed_subset_rows(self, noise: &Tensor, draws: usize, temperature: f32) -> Var<'t> {
+        let beta = self.value();
+        let (k, v) = beta.shape();
+        assert_eq!(noise.shape(), (k, v), "noise must match beta's shape");
+        assert!(draws >= 1, "need at least one draw");
+        let inv_t = 1.0 / temperature;
+        let mut out = Tensor::zeros(draws * k, v);
+        let mut r = vec![0.0f32; v];
+        for t in 0..k {
+            for ((r, &b), &g) in r.iter_mut().zip(beta.row(t)).zip(noise.row(t)) {
+                *r = b.max(1e-20).ln() + g;
+            }
+            for j in 0..draws {
+                let p = out.row_mut(j * k + t);
+                p.copy_from_slice(&r);
+                softmax_row_inplace(p, inv_t);
+                if j + 1 < draws {
+                    for (r, &p) in r.iter_mut().zip(p.iter()) {
+                        *r += (1.0 - p).max(1e-6).ln();
+                    }
+                }
+            }
+        }
+        let out = Arc::new(out);
+        let y = out.clone();
+        self.unary_shared(out, move |g, sink, id| {
+            let mut d_beta = Tensor::zeros(k, v);
+            // Gradient of `rʲ⁺¹` (valid below the last draw) and of `pʲ`.
+            let mut gr = vec![0.0f32; v];
+            let mut gp = vec![0.0f32; v];
+            for t in 0..k {
+                for j in (0..draws).rev() {
+                    let (p, piece) = (y.row(j * k + t), g.row(j * k + t));
+                    let suppressed = j + 1 < draws;
+                    if suppressed {
+                        // Back through `ln_clamped`, `clamp_min`,
+                        // `add_scalar` and `neg` into `pʲ`.
+                        for c in 0..v {
+                            let one_minus = 1.0 - p[c];
+                            let g_ln = gr[c] / one_minus.max(1e-6);
+                            let g_clamp = if one_minus > 1e-6 { g_ln } else { 0.0 };
+                            gp[c] = piece[c] - g_clamp;
+                        }
+                    } else {
+                        gp.copy_from_slice(piece);
+                    }
+                    // Softmax backward: dx = y ⊙ (g − rowsum(g ⊙ y)) / τ.
+                    let mut rd = 0.0f32;
+                    rd += gp.iter().zip(p).map(|(&g, &y)| g * y).sum::<f32>();
+                    for c in 0..v {
+                        let dx = p[c] * (gp[c] - rd) * inv_t;
+                        gr[c] = if suppressed { gr[c] + dx } else { dx };
+                    }
+                }
+                // `r¹ = ln_clamped(β) + noise`: the add passes `gr` through.
+                let (b, d) = (beta.row(t), d_beta.row_mut(t));
+                for c in 0..v {
+                    d[c] = gr[c] / b[c].max(1e-20);
+                }
+            }
+            sink.add(id, d_beta);
         })
     }
 }
@@ -733,57 +820,19 @@ impl QuadScratch {
 }
 
 // Referenced from a debug_assert!, which type-checks in release builds too.
-fn tensor_is_symmetric(t: &Tensor, tol: f32) -> bool {
+fn packed_is_symmetric(t: &PackedB, tol: f32) -> bool {
     (0..t.rows()).all(|i| (i + 1..t.cols()).all(|j| (t.get(i, j) - t.get(j, i)).abs() <= tol))
-}
-
-/// Stack vars vertically (all must share a tape and a column count).
-pub fn concat_rows<'t>(vars: &[Var<'t>]) -> Var<'t> {
-    assert!(!vars.is_empty(), "concat_rows needs at least one input");
-    let tape = vars[0].tape();
-    let values: Vec<Arc<Tensor>> = vars.iter().map(|v| v.value()).collect();
-    let cols = values[0].cols();
-    let total_rows: usize = values.iter().map(|v| v.rows()).sum();
-    let mut out = Tensor::zeros(total_rows, cols);
-    let mut r0 = 0;
-    for v in &values {
-        assert_eq!(v.cols(), cols, "concat_rows column mismatch");
-        for r in 0..v.rows() {
-            out.row_mut(r0 + r).copy_from_slice(v.row(r));
-        }
-        r0 += v.rows();
-    }
-    let meta: Vec<(usize, usize, bool)> = vars
-        .iter()
-        .zip(&values)
-        .map(|(v, val)| (v.id, val.rows(), v.requires_grad()))
-        .collect();
-    let req = meta.iter().any(|&(_, _, r)| r);
-    let backward = req.then(|| {
-        Box::new(move |g: &Tensor, sink: &mut GradSink| {
-            let mut r0 = 0;
-            for &(id, rows, needs) in &meta {
-                if needs {
-                    let mut piece = Tensor::zeros(rows, g.cols());
-                    for r in 0..rows {
-                        piece.row_mut(r).copy_from_slice(g.row(r0 + r));
-                    }
-                    sink.add(id, piece);
-                }
-                r0 += rows;
-            }
-        }) as _
-    });
-    tape.push(out, req, backward)
 }
 
 #[cfg(test)]
 mod tests {
     use super::{SELU_ALPHA, SELU_LAMBDA};
-    use crate::tape::Tape;
+    use crate::sgemm::PackedB;
+    use crate::tape::{Tape, Var};
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     /// Finite-difference gradient check for a scalar-valued function of one
     /// tensor input.
@@ -1104,25 +1153,107 @@ mod tests {
         assert_eq!(grads.get(x).unwrap().data(), &[2.0; 4]);
     }
 
+    /// The relaxed subset sampler as the primitive chain the fused
+    /// [`Var::relaxed_subset_rows`] replaces: one `(K, V)` node per draw.
+    fn relaxed_subset_chain<'t>(
+        beta: Var<'t>,
+        noise: &Arc<Tensor>,
+        draws: usize,
+        temperature: f32,
+    ) -> Vec<Var<'t>> {
+        let mut r = beta.ln_clamped(1e-20).add_const(noise);
+        let mut out = Vec::with_capacity(draws);
+        for j in 0..draws {
+            let p = r.softmax_rows(temperature);
+            out.push(p);
+            if j + 1 < draws {
+                let one_minus = p.neg().add_scalar(1.0).clamp_min(1e-6);
+                r = r.add(one_minus.ln_clamped(1e-6));
+            }
+        }
+        out
+    }
+
     #[test]
-    fn concat_rows_stacks_and_routes_gradients() {
-        use super::concat_rows;
-        let tape = Tape::new();
-        let a = tape.leaf(Tensor::full(2, 3, 1.0));
-        let b = tape.constant(Tensor::full(1, 3, 2.0));
-        let c = tape.leaf(Tensor::full(2, 3, 3.0));
-        let cat = concat_rows(&[a, b, c]);
-        assert_eq!(cat.shape(), (5, 3));
-        assert_eq!(cat.value().row(2), &[2.0, 2.0, 2.0]);
-        // Weight rows differently so gradients are distinguishable.
-        let w = tape.constant(Tensor::from_vec((0..15).map(|i| i as f32).collect(), 5, 3));
-        let loss = cat.mul(w).sum_all();
-        let grads = tape.backward(loss);
-        let ga = grads.get(a).unwrap();
-        let gc = grads.get(c).unwrap();
-        assert_eq!(ga.row(0), &[0.0, 1.0, 2.0]);
-        assert_eq!(gc.row(1), &[12.0, 13.0, 14.0]);
-        assert!(grads.get(b).is_none());
+    fn relaxed_subset_rows_matches_primitive_chain_bitwise() {
+        use rand::Rng;
+        let (k, v) = (3, 40);
+        let mut rng = StdRng::seed_from_u64(70);
+        let smooth = rand_t(k, v, 71).softmax_rows(1.0);
+        // Rows 0 and 2 put all but ~4e-7 of their mass on one word, so a
+        // draw there reads `p = 1` and `1 - p` falls under the 1e-6 clamp.
+        let mut peaked = smooth.clone();
+        for t in [0, 2] {
+            let row = peaked.row_mut(t);
+            row.fill(1e-8);
+            row[5 * t] = 1.0;
+        }
+        for (name, beta_t) in [("smooth", &smooth), ("peaked", &peaked)] {
+            for draws in [1, 2, 10] {
+                for temperature in [0.1, 0.5] {
+                    let what = format!("{name} beta, {draws} draws, tau {temperature}");
+                    let noise = Tensor::from_vec(
+                        (0..k * v)
+                            .map(|_| -(-rng.gen::<f32>().max(1e-20).ln()).ln())
+                            .collect(),
+                        k,
+                        v,
+                    );
+                    let weights = rand_t(draws * k, v, 72);
+                    let w_stacked = Arc::new(weights.clone());
+
+                    let tape = Tape::new();
+                    let beta = tape.leaf(beta_t.clone());
+                    let fused = beta.relaxed_subset_rows(&noise, draws, temperature);
+                    let grads = tape.backward(fused.mul_const(&w_stacked).sum_all());
+                    let (fused_v, fused_g) = (fused.value(), grads.get(beta).unwrap().clone());
+
+                    let tape = Tape::new();
+                    let beta = tape.leaf(beta_t.clone());
+                    let chain = relaxed_subset_chain(beta, &Arc::new(noise), draws, temperature);
+                    // One weighted sum per draw, built after the whole chain so
+                    // each draw's first gradient is its stacked piece, as the
+                    // fused op adds it.
+                    let mut loss: Option<Var> = None;
+                    for (j, p) in chain.iter().enumerate() {
+                        let mut w = Tensor::zeros(k, v);
+                        for t in 0..k {
+                            w.row_mut(t).copy_from_slice(weights.row(j * k + t));
+                        }
+                        let term = p.mul_const(&Arc::new(w)).sum_all();
+                        loss = Some(loss.map_or(term, |l| l.add(term)));
+                    }
+                    let grads = tape.backward(loss.unwrap());
+                    let chain_g = grads.get(beta).unwrap();
+
+                    let mut clamped = false;
+                    for (j, p) in chain.iter().enumerate() {
+                        let p = p.value();
+                        for t in 0..k {
+                            let (a, b) = (fused_v.row(j * k + t), p.row(t));
+                            for (x, y) in a.iter().zip(b) {
+                                assert_eq!(x.to_bits(), y.to_bits(), "{what}: draw {j} value");
+                            }
+                            clamped |= j + 1 < draws && b.iter().any(|&p| 1.0 - p <= 1e-6);
+                        }
+                    }
+                    for (x, y) in fused_g.data().iter().zip(chain_g.data()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}: beta gradient");
+                    }
+                    if name == "peaked" && draws > 1 {
+                        assert!(clamped, "{what}: the 1e-6 clamp never engaged");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A symmetric `(v, v)` kernel, row-major and packed.
+    fn sym_kernel(v: usize, seed: u64) -> (Arc<Tensor>, Arc<PackedB>) {
+        let base = rand_t(v, v, seed);
+        let n = base.zip(&base.transposed(), |a, b| 0.5 * (a + b));
+        let packed = Arc::new(PackedB::pack(v, v, n.data()));
+        (Arc::new(n), packed)
     }
 
     #[test]
@@ -1130,14 +1261,12 @@ mod tests {
         use super::QuadScratch;
         use std::cell::RefCell;
         use std::rc::Rc;
-        use std::sync::Arc;
-        let base = rand_t(6, 6, 44);
-        let n = Arc::new(base.zip(&base.transposed(), |a, b| 0.5 * (a + b)));
+        let (n, packed) = sym_kernel(6, 44);
         let scratch = Rc::new(RefCell::new(QuadScratch::new()));
         let x_t = rand_t(4, 6, 45);
         let tape = Tape::new();
         let x = tape.leaf(x_t.clone());
-        let fused = x.sym_quadratic_const(&n, &scratch);
+        let fused = x.sym_quadratic_const(&packed, &scratch);
         let tape2 = Tape::new();
         let x2 = tape2.leaf(x_t);
         let chained = x2.matmul_const(&n).matmul_nt(x2);
@@ -1151,9 +1280,7 @@ mod tests {
         use super::QuadScratch;
         use std::cell::RefCell;
         use std::rc::Rc;
-        use std::sync::Arc;
-        let base = rand_t(5, 5, 46);
-        let n = Arc::new(base.zip(&base.transposed(), |a, b| 0.5 * (a + b)));
+        let (_, n) = sym_kernel(5, 46);
         let scratch = Rc::new(RefCell::new(QuadScratch::new()));
         grad_check(
             rand_t(3, 5, 47),
@@ -1170,15 +1297,13 @@ mod tests {
         use super::QuadScratch;
         use std::cell::RefCell;
         use std::rc::Rc;
-        use std::sync::Arc;
-        let base = rand_t(4, 4, 48);
-        let n = Arc::new(base.zip(&base.transposed(), |a, b| 0.5 * (a + b)));
+        let (n, packed) = sym_kernel(4, 48);
         let scratch = Rc::new(RefCell::new(QuadScratch::new()));
         let tape = Tape::new();
         let x = tape.leaf(rand_t(3, 4, 49));
-        let first = x.sym_quadratic_const(&n, &scratch).sum_all();
+        let first = x.sym_quadratic_const(&packed, &scratch).sum_all();
         let y = tape.leaf(rand_t(3, 4, 50));
-        let _second = y.sym_quadratic_const(&n, &scratch);
+        let _second = y.sym_quadratic_const(&packed, &scratch);
         let grads = tape.backward(first);
         let got = grads.get(x).expect("grad on x").clone();
 

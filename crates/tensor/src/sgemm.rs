@@ -22,7 +22,11 @@
 //!   whole strip). Slabs of fewer than `PACK_B_MIN_M` rows read a
 //!   unit-stride `B` in place instead, so small inference-sized products do
 //!   not pay a packing pass that would not be reused.
-//! - `A` is packed one `MR`-row strip at a time (`kc × MR`).
+//! - `A` is packed one `MR`-row strip at a time (`kc × MR`). The k-panels
+//!   are the outer loop, so when `n` spans several `NC` panels a k-panel's
+//!   `A` strips are packed once, during the first panel, and reused.
+//! - A `B` that many products share can be packed once, whole, into the
+//!   same strips ([`PackedB`], multiplied by [`sgemm_nn_packed`]).
 //! - The tile runs on as many rows and columns as the block of `C` has (1
 //!   to `MR`, 1 to `NR`), so the bottom edge of `C`, and a one-row product,
 //!   costs only its own rows. On a ragged right edge the AVX-512 body loads
@@ -102,9 +106,11 @@ impl Strided<'_> {
 }
 
 thread_local! {
-    /// Reused `B`-panel packing buffer — one per thread, so pool workers
-    /// packing concurrently never contend or allocate after warm-up.
-    static PACK_BUF: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Reused packing buffers (`A` strips, `B` panel) — one pair per
+    /// thread, so pool workers packing concurrently never contend or
+    /// allocate after warm-up.
+    static PACK_BUF: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Pack rows `i0..i0 + mr` × columns `p0..p0 + kc` of `a` into `out` as
@@ -142,8 +148,85 @@ fn pack_b(b: Strided, p0: usize, kc: usize, j0: usize, nc: usize, out: &mut [f32
     }
 }
 
-/// `C += A(m x k) · B(k x n)` with `A`, `B` read through their strides and
-/// `C` row-major at `c` with row stride `ldc`, on the calling thread.
+/// A row-major right operand `B (k × n)` packed once, whole, into the
+/// blocked kernel's strip layout, for a `B` that many products share (the
+/// regularizer's constant `V × V` similarity kernel).
+///
+/// Column strip `s` (columns `s·NR..`, zero-padded to `NR`) holds all `k`
+/// rows as one `k × NR` block, so the `kc × NR` strip of any k-panel is a
+/// contiguous slice: exactly what the blocked loop packs per panel for a
+/// row-major `B`. Multiplying by the packed form gives the same bits as
+/// multiplying by the row-major one; it only skips the packing pass.
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Pack the row-major `b (k × n)`.
+    pub fn pack(k: usize, n: usize, b: &[f32]) -> Self {
+        assert_eq!(b.len(), k * n, "PackedB::pack: slice is not k x n");
+        let mut data = vec![0.0; n.div_ceil(NR) * k * NR];
+        if k > 0 {
+            let b = Strided {
+                data: b,
+                rs: n,
+                cs: 1,
+            };
+            pack_b(b, 0, k, 0, n, &mut data);
+        }
+        Self { k, n, data }
+    }
+
+    /// Rows `k` of `B`.
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns `n` of `B`.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// Element `(r, c)` of `B`.
+    pub fn get(&self, r: usize, c: usize) -> f32 {
+        assert!(r < self.k && c < self.n, "PackedB::get out of bounds");
+        self.data[(c / NR) * self.k * NR + r * NR + c % NR]
+    }
+
+    /// Bytes held, including the zero padding of a ragged last strip.
+    pub fn memory_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f32>()
+    }
+
+    /// The `kc × NR` block of rows `p0..` of the strip holding column `j`
+    /// (a multiple of `NR`).
+    fn strip(&self, p0: usize, j: usize) -> *const f32 {
+        debug_assert!(j.is_multiple_of(NR) && j < self.n && p0 < self.k);
+        // SAFETY: strip `j / NR` exists since `j < n`, and row `p0 < k`
+        // lies inside it.
+        unsafe { self.data.as_ptr().add((j / NR) * self.k * NR + p0 * NR) }
+    }
+}
+
+/// Where [`gemm_blocked`] reads `B` from.
+#[derive(Clone, Copy)]
+enum RhsSource<'a> {
+    /// Through strides: packed per panel, or read in place by short slabs.
+    Strided(Strided<'a>),
+    /// Already packed whole.
+    Packed(&'a PackedB),
+}
+
+/// `C += A(m x k) · B(k x n)` with `A` read through its strides, `B` from
+/// `b`, and `C` row-major at `c` with row stride `ldc`, on the calling
+/// thread.
+///
+/// The k-panels are the outer loop: `A`'s strips for a k-panel are packed
+/// during the first column panel and reused by the rest, so `A` is packed
+/// once per product however many `NC` panels `n` spans. Each `C` element
+/// still sees its k-panels, and the `k` inside each, in ascending order.
 ///
 /// # Safety
 ///
@@ -151,66 +234,77 @@ fn pack_b(b: Strided, p0: usize, kc: usize, j0: usize, nc: usize, out: &mut [f32
 /// `j < n`, and no other thread may touch those elements during the call.
 /// `a` must hold every `(i, p)` and `b` every `(p, j)` for `i < m`,
 /// `p < k`, `j < n` (the slices bound what `Strided::at` reads; `b`'s
-/// in-place strips are read through a raw pointer, so this must hold).
+/// in-place strips are read through a raw pointer, so this must hold). A
+/// packed `b` must be `k × n`.
 unsafe fn gemm_blocked(
     body: TileBody,
     (m, k, n): (usize, usize, usize),
     a: Strided,
-    b: Strided,
+    b: RhsSource,
     c: *mut f32,
     ldc: usize,
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let b_in_place = b.cs == 1 && m < PACK_B_MIN_M;
-    PACK_BUF.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        let mut a_pack = [0.0f32; KC * MR];
-        for j0 in (0..n).step_by(NC) {
-            let nc = NC.min(n - j0);
-            let strips = nc.div_ceil(NR);
-            for p0 in (0..k).step_by(KC) {
-                let kc = KC.min(k - p0);
-                if b_in_place {
-                    // Only a ragged last strip needs a padded copy.
-                    if !nc.is_multiple_of(NR) {
-                        buf.resize(kc * NR, 0.0);
+    let b_in_place = matches!(b, RhsSource::Strided(s) if s.cs == 1 && m < PACK_B_MIN_M);
+    // One `A` strip slot suffices when there is one column panel.
+    let a_slots = if n > NC { m.div_ceil(MR) } else { 1 };
+    PACK_BUF.with(|bufs| {
+        let (a_buf, b_buf) = &mut *bufs.borrow_mut();
+        for p0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - p0);
+            a_buf.resize(a_slots * kc * MR, 0.0);
+            for j0 in (0..n).step_by(NC) {
+                let nc = NC.min(n - j0);
+                let strips = nc.div_ceil(NR);
+                if let RhsSource::Strided(b) = b {
+                    if !b_in_place {
+                        b_buf.resize(strips * kc * NR, 0.0);
+                        pack_b(b, p0, kc, j0, nc, &mut b_buf[..strips * kc * NR]);
+                    } else if !nc.is_multiple_of(NR) {
+                        // Only a ragged last strip needs a padded copy.
+                        b_buf.resize(kc * NR, 0.0);
                         let js = (strips - 1) * NR;
-                        pack_b(b, p0, kc, j0 + js, nc - js, &mut buf[..kc * NR]);
+                        pack_b(b, p0, kc, j0 + js, nc - js, &mut b_buf[..kc * NR]);
                     }
-                } else {
-                    buf.resize(strips * kc * NR, 0.0);
-                    pack_b(b, p0, kc, j0, nc, &mut buf[..strips * kc * NR]);
                 }
                 for i0 in (0..m).step_by(MR) {
                     let mr = MR.min(m - i0);
-                    pack_a(a, i0, mr, p0, kc, &mut a_pack);
+                    let a_strip = &mut a_buf[((i0 / MR) % a_slots) * kc * MR..][..kc * MR];
+                    if j0 == 0 {
+                        pack_a(a, i0, mr, p0, kc, a_strip);
+                    }
                     for s in 0..strips {
                         let js = s * NR;
                         let nr = NR.min(nc - js);
-                        // SAFETY: a packed strip lies inside `buf`, resized
-                        // above to `strips · kc · NR` (or `kc · NR` for the
-                        // one ragged in-place strip); a full in-place strip
-                        // reads `NR` columns below `j0 + nc ≤ n` on rows
-                        // below `p0 + kc ≤ k`, which `b` holds. The `C`
-                        // tile's `mr` rows of `nr` columns lie inside the
-                        // caller's `m × n` block, and the tile touches no
-                        // others. It reads at most `kc · MR` values of
-                        // `a_pack` and `NR` per `k` step of the strip.
-                        let (b_strip, b_rs) = if !b_in_place {
-                            (buf.as_ptr().add(s * kc * NR), NR)
-                        } else if nr == NR {
-                            (b.data.as_ptr().add(p0 * b.rs + j0 + js), b.rs)
-                        } else {
-                            (buf.as_ptr(), NR)
+                        // SAFETY: a packed panel strip lies inside `b_buf`,
+                        // resized above to `strips · kc · NR` (or `kc · NR`
+                        // for the one ragged in-place strip); a pre-packed
+                        // strip holds `kc · NR` values from row `p0` (see
+                        // `PackedB::strip`); a full in-place strip reads
+                        // `NR` columns below `j0 + nc ≤ n` on rows below
+                        // `p0 + kc ≤ k`, which `b` holds. The `C` tile's
+                        // `mr` rows of `nr` columns lie inside the caller's
+                        // `m × n` block, and the tile touches no others. It
+                        // reads `kc · MR` values of `a_strip` and `NR` per
+                        // `k` step of the strip.
+                        let (b_strip, b_rs) = match b {
+                            RhsSource::Packed(pb) => (pb.strip(p0, j0 + js), NR),
+                            RhsSource::Strided(_) if !b_in_place => {
+                                (b_buf.as_ptr().add(s * kc * NR), NR)
+                            }
+                            RhsSource::Strided(b) if nr == NR => {
+                                (b.data.as_ptr().add(p0 * b.rs + j0 + js), b.rs)
+                            }
+                            RhsSource::Strided(_) => (b_buf.as_ptr(), NR),
                         };
                         let c_tile = c.add(i0 * ldc + j0 + js);
                         simd::tile(
                             body,
                             (mr, nr),
                             kc,
-                            a_pack.as_ptr(),
+                            a_strip.as_ptr(),
                             b_strip,
                             b_rs,
                             c_tile,
@@ -248,12 +342,30 @@ fn sgemm_nn_with(
         rs: n,
         cs: 1,
     };
-    sgemm_rows(body, m, k, n, a, b, c);
+    sgemm_rows(body, m, k, n, a, RhsSource::Strided(b), c);
+}
+
+/// `C += A(m x k) · B` for a pre-packed `B (k x n)`, all row-major:
+/// bitwise identical to [`sgemm_nn`] on the row-major `B`, without its
+/// per-product packing pass.
+pub fn sgemm_nn_packed(m: usize, a: &[f32], b: &PackedB, c: &mut [f32]) {
+    let (k, n) = (b.rows(), b.cols());
+    assert_eq!(a.len(), m * k);
+    assert_eq!(c.len(), m * n);
+    sgemm_rows(TileBody::host(), m, k, n, a, RhsSource::Packed(b), c);
 }
 
 /// Row-partitioned driver shared by `nn` and the large `nt` route: each
 /// worker runs [`gemm_blocked`] on its own slab of `A` rows and `C` rows.
-fn sgemm_rows(body: TileBody, m: usize, k: usize, n: usize, a: &[f32], b: Strided, c: &mut [f32]) {
+fn sgemm_rows(
+    body: TileBody,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: RhsSource,
+    c: &mut [f32],
+) {
     let c_ptr = MutPtr(c.as_mut_ptr());
     pool::run_partitioned(m, pool::min_items_for_grain(k * n), |rows| {
         let a_slab = Strided {
@@ -422,7 +534,7 @@ fn sgemm_nt_with(
             rs: 1,
             cs: k,
         };
-        sgemm_rows(body, m, k, n, a, bt, c);
+        sgemm_rows(body, m, k, n, a, RhsSource::Strided(bt), c);
         return;
     }
     let c_ptr = MutPtr(c.as_mut_ptr());
@@ -486,7 +598,14 @@ fn sgemm_tn_with(
         // elements `(i, cols)` are only ever touched by this worker.
         unsafe {
             let c_slab = c_ptr.get().add(cols.start);
-            gemm_blocked(body, (m, k, cols.len()), at, b_slab, c_slab, n);
+            gemm_blocked(
+                body,
+                (m, k, cols.len()),
+                at,
+                RhsSource::Strided(b_slab),
+                c_slab,
+                n,
+            );
         }
     });
 }
@@ -722,8 +841,51 @@ mod tests {
                     rs: 1,
                     cs: k,
                 };
+                let b = RhsSource::Strided(b);
                 pool::with_threads(1, || sgemm_rows(body, m, k, n, &a, b, &mut c));
                 assert_bits(&c, &want, &format!("nt {body:?} {m}x{k}x{n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn packed_nn_edge_shapes_bitwise_match_reference() {
+        // Plus the regularizer's `T = A·N` against a packed `V × V` kernel,
+        // scaled down: `V` off every blocking multiple (300 and 1100 are
+        // not multiples of `NR`, `KC` or `NC`; 1100 spans three column
+        // panels and five k-panels, so `A` strips are reused across
+        // panels), `m` below the in-place-`B` cut-off and across slabs.
+        let kernel_shapes = [300, 1100]
+            .into_iter()
+            .flat_map(|v| [1, 11, 40, 77, 130].map(|m| (m, v, v)));
+        for (m, k, n) in edge_shapes().into_iter().chain(kernel_shapes) {
+            let a = rand_vec(m * k, 64);
+            let b = rand_vec(k * n, 65);
+            let packed = PackedB::pack(k, n, &b);
+            let mut want = initial_c(m * n, 66);
+            reference((m, k, n), &a, (k, 1), &b, (n, 1), &mut want);
+            for body in TileBody::supported() {
+                for threads in [1, 2] {
+                    let mut c = initial_c(m * n, 66);
+                    let src = RhsSource::Packed(&packed);
+                    pool::with_threads(threads, || sgemm_rows(body, m, k, n, &a, src, &mut c));
+                    let what = format!("packed nn {body:?} {m}x{k}x{n} {threads} workers");
+                    assert_bits(&c, &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_b_reads_back_its_source() {
+        let (k, n) = (KC + 3, NR + 5);
+        let b = rand_vec(k * n, 67);
+        let packed = PackedB::pack(k, n, &b);
+        assert_eq!((packed.rows(), packed.cols()), (k, n));
+        assert_eq!(packed.memory_bytes(), 2 * NR * k * 4);
+        for r in 0..k {
+            for c in 0..n {
+                assert_eq!(packed.get(r, c).to_bits(), b[r * n + c].to_bits());
             }
         }
     }

@@ -514,26 +514,8 @@ impl Tensor {
     pub fn softmax_rows_inplace(&mut self, temperature: f32) {
         let inv_t = 1.0 / temperature;
         let cols = self.cols;
-        let rows = self.rows;
-        let data = self.dense_mut();
-        for r in 0..rows {
-            let row = &mut data[r * cols..(r + 1) * cols];
-            let mut m = f32::NEG_INFINITY;
-            for &v in row.iter() {
-                let v = v * inv_t;
-                if v > m {
-                    m = v;
-                }
-            }
-            let mut z = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v * inv_t - m).exp();
-                z += *v;
-            }
-            let inv_z = 1.0 / z;
-            for v in row.iter_mut() {
-                *v *= inv_z;
-            }
+        for row in self.dense_mut().chunks_exact_mut(cols.max(1)) {
+            softmax_row_inplace(row, inv_t);
         }
     }
 
@@ -687,6 +669,27 @@ impl fmt::Debug for Tensor {
                 m.nnz()
             ),
         }
+    }
+}
+
+/// Softmax of one row at temperature `1 / inv_t`, in place — the one row
+/// kernel behind [`Tensor::softmax_rows`] and the relaxed subset sampler.
+pub(crate) fn softmax_row_inplace(row: &mut [f32], inv_t: f32) {
+    let mut m = f32::NEG_INFINITY;
+    for &v in row.iter() {
+        let v = v * inv_t;
+        if v > m {
+            m = v;
+        }
+    }
+    let mut z = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v * inv_t - m).exp();
+        z += *v;
+    }
+    let inv_z = 1.0 / z;
+    for v in row.iter_mut() {
+        *v *= inv_z;
     }
 }
 

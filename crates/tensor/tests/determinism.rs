@@ -8,6 +8,7 @@
 //! thread-local `pool::with_threads` override, which exists precisely
 //! because mutating process environment races under parallel test threads).
 
+use ct_tensor::sgemm::PackedB;
 use ct_tensor::{pool, sgemm};
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
@@ -85,6 +86,37 @@ fn regularizer_shapes_bitwise_deterministic_across_thread_counts() {
         sgemm::sgemm_nn(m, m, v, &g, &t, &mut c);
         c
     });
+}
+
+/// A product against a pre-packed `B` (the similarity kernel as the
+/// regularizer holds it) must give the bits of the same product against
+/// the row-major `B`, at one and at two workers. `m` sits below the
+/// in-place-`B` cut-off (64 rows), at one and several row strips and across
+/// worker slabs; `V = 1100` is off every blocking multiple and spans
+/// several column panels and k-panels. (Every tile body is pinned by the
+/// `sgemm` unit tests.)
+#[test]
+fn packed_kernel_products_bitwise_equal_row_major_across_workers() {
+    let v = 1100;
+    let n = rand_vec(v * v, 12);
+    let packed = PackedB::pack(v, v, &n);
+    for m in [1, 11, 40, 77, 130] {
+        let a = rand_vec(m * v, 13);
+        let want = pool::with_threads(1, || {
+            let mut c = vec![0.0; m * v];
+            sgemm::sgemm_nn(m, v, v, &a, &n, &mut c);
+            c
+        });
+        for threads in [1, 2] {
+            let got = pool::with_threads(threads, || {
+                let mut c = vec![0.0; m * v];
+                sgemm::sgemm_nn_packed(m, &a, &packed, &mut c);
+                c
+            });
+            let what = format!("packed {m}x{v}x{v} {threads} workers");
+            assert_bitwise_eq(&got, &want, &what);
+        }
+    }
 }
 
 #[test]

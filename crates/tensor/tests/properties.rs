@@ -120,22 +120,6 @@ proptest! {
     }
 
     #[test]
-    fn concat_rows_preserves_content(a in tensor_strat(2, 3), b in tensor_strat(3, 3)) {
-        let tape = Tape::new();
-        let av = tape.constant(a.clone());
-        let bv = tape.constant(b.clone());
-        let cat = ct_tensor::ops::concat_rows(&[av, bv]);
-        let cv = cat.value();
-        prop_assert_eq!(cv.shape(), (5, 3));
-        for r in 0..2 {
-            prop_assert_eq!(cv.row(r), a.row(r));
-        }
-        for r in 0..3 {
-            prop_assert_eq!(cv.row(2 + r), b.row(r));
-        }
-    }
-
-    #[test]
     fn selu_fixed_point_statistics(t in tensor_strat(4, 8)) {
         // SELU is designed to keep activations roughly standardized; at
         // minimum it must be monotone and pass through 0.

@@ -48,14 +48,16 @@ cargo test -q -p ct-serve --test backpressure
 # instead of dropping them; and fair-share admission protects a tenant
 # from a noisy neighbor saturating the global budget. Every case runs
 # once, on the epoll reactor that serves both listener kinds. The last
-# two suites pin the reactor's resource contracts: 200 parked Unix
-# clients cost no threads, and accept at the fd limit backs off instead
-# of spinning and serves the waiting client once fds free.
+# three suites pin the reactor's resource contracts: 200 parked Unix
+# clients cost no threads, accept at the fd limit backs off instead of
+# spinning and serves the waiting client once fds free, and a client that
+# closes with a request in flight leaves its shard idle.
 echo "== serve protocol + lifecycle tests (epoll reactor, TCP + Unix)"
 cargo test -q -p ct-serve --test protocol
 cargo test -q -p ct-serve --test lifecycle
 cargo test -q -p ct-serve --test unix_fan_in
 cargo test -q -p ct-serve --test accept_emfile
+cargo test -q -p ct-serve --test closed_client
 
 # Streaming-pipeline gates: the generator must sweep a drifting stream
 # out-of-core, a concurrent client must see zero failed queries across

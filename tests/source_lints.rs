@@ -8,6 +8,10 @@
 //! - FNV-1a and the JSON string escaper exist once, in the codec module
 //!   `crates/tensor/src/codec/`: no other file under `crates/*/src`
 //!   carries the FNV-1a 64 offset basis or a JSON string-escape match arm.
+//! - The numeric crates never fuse a multiply and an add: no `mul_add` and
+//!   no FMA intrinsic in `crates/tensor`, `crates/core` or `crates/models`.
+//!   Training is bitwise identical across kernels, SIMD bodies and worker
+//!   counts only because every product rounds before its add.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -23,6 +27,10 @@ const LIB_PATHS: [&str; 8] = [
     "crates/exp/src",
     "crates/bench/src/lib.rs",
 ];
+
+/// Crates whose arithmetic is pinned bit for bit (golden trajectories,
+/// cross-worker determinism), so no multiply-add may be fused there.
+const NO_FMA_CRATES: [&str; 3] = ["crates/tensor", "crates/core", "crates/models"];
 
 /// The one module allowed to implement FNV-1a and JSON escaping.
 const CODEC_DIR: &str = "crates/tensor/src/codec";
@@ -140,4 +148,25 @@ fn fnv1a_and_json_escaping_live_only_in_the_codec() {
             found.join("\n")
         );
     }
+}
+
+#[test]
+fn numeric_crates_never_fuse_multiply_add() {
+    let files: Vec<_> = NO_FMA_CRATES
+        .iter()
+        .flat_map(|p| rust_files(&root().join(p)))
+        .collect();
+    assert!(files.len() > 40, "walked only {} files", files.len());
+    let fused = |c: &str| {
+        c.contains("mul_add")
+            || ["_fmadd_", "_fmsub_", "_fnmadd_", "_fnmsub_"]
+                .iter()
+                .any(|i| c.contains(i))
+    };
+    let found = offenders(&code_lines(&files), fused, |_| false);
+    assert!(
+        found.is_empty(),
+        "fused multiply-add in a bitwise-pinned crate; multiply, then add:\n{}",
+        found.join("\n")
+    );
 }
