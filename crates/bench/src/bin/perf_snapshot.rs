@@ -19,7 +19,10 @@
 //!   one step of the topic-wise regularizer at the NYTimes-like grid shape
 //!   into its layers, at one worker: the three dense products, the
 //!   subset sampler's forward + backward, the whole loss forward +
-//!   backward, and the residual the layers leave unexplained.
+//!   backward, and the residual the layers leave unexplained. An `etm`
+//!   block does the same for one ETM step on a NYTimes-like micro-batch
+//!   (256 × 2400, `K` = 40): encoder, β decoder, reconstruction, the whole
+//!   step and its residual.
 //!
 //! `--smoke` runs the same code paths on a tiny preset with minimal sample
 //! counts and writes nothing — a CI gate so the binary cannot rot.
@@ -37,6 +40,7 @@
 //! count.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use contratopic::{
@@ -45,9 +49,9 @@ use contratopic::{
 };
 use ct_bench::provenance_json;
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
-use ct_models::{fit_etm, TrainConfig};
+use ct_models::{fit_etm, EtmBackbone, TrainConfig};
 use ct_tensor::sgemm::{sgemm_nn_packed, PackedB};
-use ct_tensor::{params_to_bytes, pool, Tape, Tensor};
+use ct_tensor::{params_to_bytes, pool, Params, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -109,11 +113,10 @@ struct SgemmCase {
     best_ns: u128,
 }
 
-/// A synthetic encoder input batch in CSR storage: 256 documents over a
-/// 600-word vocabulary at ~40 distinct words each — the same density as
-/// the train-epoch fixture, so the `csr_*` rows measure the storage
-/// backend on a realistic batch rather than a best-case one.
-fn csr_encoder_batch() -> Tensor {
+/// A synthetic bag-of-words batch in CSR storage: `docs` documents over a
+/// `vocab`-word vocabulary, each `draws` random word ids (deduplicated)
+/// with counts 1–5.
+fn csr_batch(docs: usize, vocab: usize, draws: usize) -> Tensor {
     let mut state = 42u64;
     let mut step = move || {
         state = state
@@ -121,9 +124,9 @@ fn csr_encoder_batch() -> Tensor {
             .wrapping_add(1442695040888963407);
         state
     };
-    let rows: Vec<Vec<(u32, f32)>> = (0..256)
+    let rows: Vec<Vec<(u32, f32)>> = (0..docs)
         .map(|_| {
-            let mut ids: Vec<u32> = (0..40).map(|_| (step() % 600) as u32).collect();
+            let mut ids: Vec<u32> = (0..draws).map(|_| (step() % vocab as u64) as u32).collect();
             ids.sort_unstable();
             ids.dedup();
             ids.into_iter()
@@ -131,7 +134,15 @@ fn csr_encoder_batch() -> Tensor {
                 .collect()
         })
         .collect();
-    Tensor::from_csr(ct_tensor::CsrMatrix::from_rows(256, 600, rows))
+    Tensor::from_csr(ct_tensor::CsrMatrix::from_rows(docs, vocab, rows))
+}
+
+/// The encoder input batch of the `csr_*` rows: 256 documents over a
+/// 600-word vocabulary at ~40 distinct words each — the same density as
+/// the train-epoch fixture, so the rows measure the storage backend on a
+/// realistic batch rather than a best-case one.
+fn csr_encoder_batch() -> Tensor {
+    csr_batch(256, 600, 40)
 }
 
 /// Rows `M = K·v` of the regularizer's subset matrix `A` at the
@@ -458,6 +469,110 @@ fn regularizer_breakdown(smoke: bool, samples: usize) -> RegBreakdown {
     }
 }
 
+/// Median one-worker times of one ETM micro-batch step's layers, each
+/// forward and backward.
+struct EtmBreakdown {
+    docs: usize,
+    vocab: usize,
+    k: usize,
+    nnz: usize,
+    /// L1-normalizing the batch, the encoder MLP, the reparameterized θ
+    /// and the KL term.
+    encoder: Spread,
+    /// `β = softmax(ρ·tᵀ / τ)` from the topic embeddings.
+    decoder: Spread,
+    /// The reconstruction term `Σ x ⊙ ln(θ·β)` (one fused tape op).
+    recon: Spread,
+    /// The whole `EtmBackbone::elbo`, forward and backward.
+    step: Spread,
+}
+
+impl EtmBreakdown {
+    /// What the step spends outside the measured layers (the final sums,
+    /// tape bookkeeping).
+    fn residual_ns(&self) -> i128 {
+        let parts = self.encoder.median_ns + self.decoder.median_ns + self.recon.median_ns;
+        self.step.median_ns as i128 - parts as i128
+    }
+}
+
+/// Time one ETM step on a NYTimes-like micro-batch (the quick grid scale:
+/// `micro_batch` 256, `V` = 2400, `K` = 40, hidden 128, ~63 distinct words
+/// per document) and each of its layers, at one worker.
+fn etm_breakdown(smoke: bool, samples: usize) -> EtmBreakdown {
+    let (docs, vocab, k, draws) = if smoke {
+        (16, 120, 4, 10)
+    } else {
+        (256, REG_V, REG_K, 64)
+    };
+    let config = TrainConfig {
+        num_topics: k,
+        hidden: 128,
+        ..TrainConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(11);
+    let emb = Tensor::randn(vocab, config.embed_dim, 1.0, &mut rng);
+    let mut params = Params::new();
+    let etm = EtmBackbone::new(&mut params, vocab, emb, &config, &mut rng);
+    let x = csr_batch(docs, vocab, draws);
+    let nnz = x.csr().map_or(0, |m| m.nnz());
+    let x_rc = Arc::new(x.clone());
+    // θ and β of a real forward pass, the reconstruction timing's inputs.
+    let tape = Tape::new();
+    let e = etm.elbo(&tape, &params, &x, true, &mut rng);
+    let (theta, beta) = (e.theta.value(), e.beta.value());
+    drop(tape);
+    let mut ns: [Vec<u128>; 4] = Default::default();
+    pool::with_threads(1, || {
+        for round in 0..=samples {
+            let times = [
+                time_once(|| {
+                    let tape = Tape::new();
+                    let mut xn = x.clone();
+                    xn.normalize_rows_l1();
+                    let xn = tape.constant(xn);
+                    let (theta, kl) = etm.encoder.encode(&tape, &params, xn, true, &mut rng);
+                    black_box(tape.backward(theta.sum_all().add(kl)));
+                }),
+                time_once(|| {
+                    let tape = Tape::new();
+                    let beta = etm.decoder.beta(&tape, &params);
+                    black_box(tape.backward(beta.sum_all()));
+                }),
+                time_once(|| {
+                    let tape = Tape::new();
+                    let (t, b) = (tape.leaf((*theta).clone()), tape.leaf((*beta).clone()));
+                    let recon = t
+                        .bow_log_likelihood(b, &x_rc, 1e-10)
+                        .scale(-1.0 / docs as f32);
+                    black_box(tape.backward(recon));
+                }),
+                time_once(|| {
+                    let tape = Tape::new();
+                    let e = etm.elbo(&tape, &params, &x, true, &mut rng);
+                    black_box(tape.backward(e.loss));
+                }),
+            ];
+            if round > 0 {
+                for (v, t) in ns.iter_mut().zip(times) {
+                    v.push(t);
+                }
+            }
+        }
+    });
+    let [encoder, decoder, recon, step] = ns.map(spread_of);
+    EtmBreakdown {
+        docs,
+        vocab,
+        k,
+        nnz,
+        encoder,
+        decoder,
+        recon,
+        step,
+    }
+}
+
 /// One-epoch fixture: the full-size preset mirrors the `train_epoch`
 /// criterion fixture so numbers stay comparable; the smoke preset keeps the
 /// same shape at a fraction of the cost.
@@ -592,6 +707,7 @@ fn write_train_json(
     points: &[SweepPoint],
     etm: Spread,
     reg: &RegBreakdown,
+    etm_step: &EtmBreakdown,
     bitwise_equal: bool,
 ) -> std::io::Result<()> {
     let ms = |ns: u128| ns as f64 / 1e6;
@@ -627,6 +743,19 @@ fn write_train_json(
         ms(reg.sampler.median_ns),
         ms(reg.loss.median_ns),
         reg.residual_ns() as f64 / 1e6
+    );
+    let _ = writeln!(
+        out,
+        "  \"etm\": {{\"workers\": 1, \"docs\": {}, \"vocab\": {}, \"k\": {}, \"nnz\": {}, \"encoder_ms\": {:.3}, \"decoder_ms\": {:.3}, \"recon_ms\": {:.3}, \"step_ms\": {:.3}, \"residual_ms\": {:.3}}},",
+        etm_step.docs,
+        etm_step.vocab,
+        etm_step.k,
+        etm_step.nnz,
+        ms(etm_step.encoder.median_ns),
+        ms(etm_step.decoder.median_ns),
+        ms(etm_step.recon.median_ns),
+        ms(etm_step.step.median_ns),
+        etm_step.residual_ns() as f64 / 1e6
     );
     // The ratio compares like with like: both models at one worker.
     let ct_one = points
@@ -671,6 +800,7 @@ fn main() -> std::io::Result<()> {
     let (points, bitwise_equal) = train_epoch_sweep(&fix, epoch_samples);
     let etm = etm_epoch(&fix, epoch_samples);
     let reg = regularizer_breakdown(smoke, reg_samples);
+    let etm_step = etm_breakdown(smoke, epoch_samples);
     let csr_delta = ct_tensor::csr_matmuls() - csr_before;
     println!("csr_matmuls during epoch sweep: {csr_delta}");
     if csr_delta == 0 {
@@ -703,6 +833,18 @@ fn main() -> std::io::Result<()> {
         reg.loss.median_ns as f64 / 1e6,
         reg.residual_ns() as f64 / 1e6
     );
+    println!(
+        "etm step B={} V={} K={} nnz={} workers=1 median: encoder {:.3} decoder {:.3} recon {:.3} step {:.3} residual {:.3} ms",
+        etm_step.docs,
+        etm_step.vocab,
+        etm_step.k,
+        etm_step.nnz,
+        etm_step.encoder.median_ns as f64 / 1e6,
+        etm_step.decoder.median_ns as f64 / 1e6,
+        etm_step.recon.median_ns as f64 / 1e6,
+        etm_step.step.median_ns as f64 / 1e6,
+        etm_step.residual_ns() as f64 / 1e6
+    );
     println!("bitwise_equal_across_workers: {bitwise_equal}");
     if !bitwise_equal {
         eprintln!("error: trained parameters differ across worker counts");
@@ -716,7 +858,7 @@ fn main() -> std::io::Result<()> {
     }
     write_sgemm_json(&cases)?;
     println!("wrote BENCH_sgemm.json");
-    write_train_json(&fix, &points, etm, &reg, bitwise_equal)?;
+    write_train_json(&fix, &points, etm, &reg, &etm_step, bitwise_equal)?;
     println!("wrote BENCH_train_epoch.json");
     Ok(())
 }

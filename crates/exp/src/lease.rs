@@ -695,6 +695,25 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_log_line_is_malformed_not_fatal() {
+        let dir = temp_dir("deep");
+        let mut a = LeaseManager::open(&dir, "a", 60_000).unwrap();
+        assert!(matches!(
+            a.try_claim("k1").unwrap(),
+            ClaimOutcome::Claimed { .. }
+        ));
+        let log = log_path_in(&dir);
+        let mut text = std::fs::read_to_string(&log).unwrap();
+        text.push_str(&"{\"op\":".repeat(50_000));
+        text.push('\n');
+        std::fs::write(&log, text).unwrap();
+        let stats = replay_log(&log).unwrap();
+        assert_eq!(stats.malformed, 1);
+        assert_eq!(stats.claims.get("k1"), Some(&1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn second_claim_is_held_until_release() {
         let dir = temp_dir("held");
         let mut a = LeaseManager::open(&dir, "a", 60_000).unwrap();

@@ -535,6 +535,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_malformed_not_fatal() {
+        // 100 000 nested `[` (200 KB) overflowed the parser's stack and
+        // aborted the process; replay must count the line and move on.
+        let dir = std::env::temp_dir().join(format!("ct-exp-ledger-d-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.jsonl");
+        let (before, after) = (record(42, TrialOutcome::Ok), record(43, TrialOutcome::Ok));
+        let deep = "[".repeat(100_000);
+        let contents = format!("{}\n{deep}\n{}\n", before.to_line(), after.to_line());
+        std::fs::write(&path, contents).unwrap();
+
+        let ledger = Ledger::open(&path).unwrap();
+        assert_eq!(ledger.records_on_disk(), 2);
+        assert_eq!(ledger.malformed_lines(), 1);
+        assert_eq!(ledger.settled(&before.key), Some(&before));
+        assert_eq!(ledger.settled(&after.key), Some(&after));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn append_seals_a_torn_tail() {
         let dir = std::env::temp_dir().join(format!("ct-exp-ledger-s-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -99,7 +99,7 @@ pub trait Backbone: Sync {
     ///
     /// Defaults to `true`: the standard consumption pattern —
     /// L1-normalize a clone, encode through `matmul`, reconstruct through
-    /// `mul_const` — is fully CSR-compatible, and the CSR kernels are
+    /// `bow_log_likelihood` or `mul_const` — is fully CSR-compatible, and the CSR kernels are
     /// bitwise identical to the dense ones, so opting in never changes a
     /// training trajectory. A backbone whose objective applies dense-only
     /// elementwise ops to the batch variable itself (e.g. NSTM's unrolled

@@ -63,12 +63,7 @@ impl EtmBackbone {
         let (theta, kl) = self.encoder.encode(tape, params, xn, training, rng);
         let beta = self.decoder.beta(tape, params);
         let x_rc = Arc::new(x.clone());
-        let recon = theta
-            .matmul(beta)
-            .ln_clamped(1e-10)
-            .mul_const(&x_rc)
-            .sum_all()
-            .scale(-1.0 / n);
+        let recon = theta.bow_log_likelihood(beta, &x_rc, 1e-10).scale(-1.0 / n);
         ElboOut {
             loss: recon.add(kl),
             kl,

@@ -98,10 +98,7 @@ impl Backbone for WldaBackbone {
         let beta = self.decoder.beta(tape, params);
         let x_rc = Arc::new(x.clone());
         let recon = theta
-            .matmul(beta)
-            .ln_clamped(1e-10)
-            .mul_const(&x_rc)
-            .sum_all()
+            .bow_log_likelihood(beta, &x_rc, 1e-10)
             .scale(-1.0 / n as f32);
         // Dirichlet prior samples for the MMD target.
         let mut prior = Tensor::zeros(n, k);

@@ -10,7 +10,7 @@
 //!   floats are emitted as quoted strings (`"NaN"`, `"inf"`), as the
 //!   training trace does, and [`Json::as_f64`] parses them back.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed or constructed JSON value. Object member order is preserved
 /// (no map type), so emission is deterministic by construction.
@@ -185,14 +185,66 @@ pub fn json_str(value: &str) -> String {
     s
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of a few hundred
+/// kilobytes of `[` overflows the thread's stack and aborts the process;
+/// the documents this workspace writes nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected its input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ParseError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`]; `pos` is the
+    /// byte offset of the first bracket past the limit.
+    TooDeep {
+        /// Byte offset of that bracket.
+        pos: usize,
+    },
+    /// Any other malformed input, described.
+    Syntax(String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::TooDeep { pos } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {pos}")
+            }
+            Self::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<String> for ParseError {
+    fn from(msg: String) -> Self {
+        Self::Syntax(msg)
+    }
+}
+
+impl From<&str> for ParseError {
+    fn from(msg: &str) -> Self {
+        Self::Syntax(msg.to_string())
+    }
+}
+
+/// Callers that report errors as text (the ledger and lease replays) keep
+/// using `?`.
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Parse one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json, String> {
+pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
+        return Err(format!("trailing characters at byte {pos}").into());
     }
     Ok(value)
 }
@@ -203,12 +255,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::TooDeep { pos: *pos }),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -217,16 +271,16 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, ParseError> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
+        Err(format!("invalid literal at byte {pos}", pos = *pos).into())
     }
 }
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
@@ -237,23 +291,23 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     token
         .parse::<f64>()
         .map(Json::Num)
-        .map_err(|_| format!("invalid number '{token}' at byte {start}"))
+        .map_err(|_| format!("invalid number '{token}' at byte {start}").into())
 }
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
         let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".to_string());
+            return Err("unterminated string".into());
         };
         *pos += 1;
         match b {
             b'"' => return Ok(out),
             b'\\' => {
                 let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_string());
+                    return Err("unterminated escape".into());
                 };
                 *pos += 1;
                 match esc {
@@ -270,15 +324,14 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos..*pos + 4)
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         *pos += 4;
                         // Ledger strings are vocabulary words and labels:
                         // no surrogate pairs are ever emitted, so a lone
                         // surrogate is replaced rather than paired up.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
-                    other => return Err(format!("bad escape '\\{}'", other as char)),
+                    other => return Err(format!("bad escape '\\{}'", other as char).into()),
                 }
             }
             _ => {
@@ -306,7 +359,7 @@ fn utf8_width(b: u8) -> usize {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -315,7 +368,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -323,12 +376,12 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos).into()),
         }
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -339,15 +392,15 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     loop {
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+            return Err(format!("expected object key at byte {pos}", pos = *pos).into());
         }
         let key = parse_str(bytes, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
+            return Err(format!("expected ':' at byte {pos}", pos = *pos).into());
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -356,7 +409,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Obj(members));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos).into()),
         }
     }
 }
@@ -446,5 +499,25 @@ mod tests {
         );
         assert_eq!(parse(&text).unwrap(), doc);
         assert_eq!(Json::Obj(Vec::new()).emit_members_per_line(), "{\n}\n");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        // 100 000 levels (200 KB) overflowed an 8 MB stack before the bound.
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        assert_eq!(parse(&deep), Err(ParseError::TooDeep { pos: MAX_DEPTH }));
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(matches!(parse(&objects), Err(ParseError::TooDeep { .. })));
+        // Exactly `MAX_DEPTH` levels still parse; one more does not.
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_limit).is_ok());
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = parse(&past).unwrap_err();
+        assert_eq!(err, ParseError::TooDeep { pos: MAX_DEPTH });
+        assert_eq!(
+            String::from(err),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        assert!(matches!(parse("[1,"), Err(ParseError::Syntax(_))));
     }
 }

@@ -77,6 +77,37 @@ impl CsrMatrix {
         }
     }
 
+    /// The nonzeros of a dense row-major `(rows, cols)` image, scanned in
+    /// row-major order (a `NaN` counts as nonzero).
+    pub(crate) fn from_dense(rows: usize, cols: usize, data: &[f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "dense image is not rows x cols");
+        Self::from_rows(
+            rows,
+            cols,
+            (0..rows).map(|r| {
+                data[r * cols..(r + 1) * cols]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v != 0.0)
+                    .map(|(c, &v)| (c as u32, v))
+                    .collect::<Vec<_>>()
+            }),
+        )
+    }
+
+    /// The same sparsity pattern holding `values` (one per stored entry,
+    /// in storage order).
+    pub(crate) fn with_values(&self, values: Vec<f32>) -> Self {
+        assert_eq!(values.len(), self.nnz(), "one value per stored entry");
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -130,6 +161,12 @@ impl CsrMatrix {
     #[inline]
     pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
+    }
+
+    /// Column index of every stored entry, in storage order.
+    #[inline]
+    pub(crate) fn col_idx(&self) -> &[u32] {
+        &self.col_idx
     }
 
     /// Consume the matrix, returning the values buffer (for the arena).

@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::sgemm::{sgemm_nn_packed, PackedB};
+use crate::csr::CsrMatrix;
+use crate::sgemm::{sddmm_csr, sgemm_csr_nt, sgemm_csr_t_dense, sgemm_nn_packed, PackedB};
 use crate::tape::{GradSink, Var};
-use crate::tensor::{softmax_row_inplace, Tensor};
+use crate::tensor::{count_csr_matmul, softmax_row_inplace, sum_at_nonzeros, Tensor};
 
 /// SELU activation constants (Klambauer et al. 2017), used by the paper's
 /// encoder MLP.
@@ -613,6 +614,84 @@ impl<'t> Var<'t> {
             let gb = broadcast_zip(g, &c, |g, c| g * c);
             sink.add(id, reduce_to_shape(&gb, shape));
         })
+    }
+
+    /// The bag-of-words log-likelihood `Σᵢⱼ xᵢⱼ · ln max((θ·β)ᵢⱼ, eps)` of
+    /// `self = θ (B, K)`, `beta (K, V)` and a constant batch `x (B, V)`, as
+    /// one `(1, 1)` tape node that touches only the nonzeros of `x` (given
+    /// as CSR, or found by scanning a dense `x`).
+    ///
+    /// Its value and its gradients into `θ` and `β` are bitwise those of
+    /// the chain `self.matmul(beta).ln_clamped(eps).mul_const(x).sum_all()`,
+    /// which builds the dense `(B, V)` product only to multiply most of its
+    /// logarithms by zero:
+    ///
+    /// - forward, `R = θ·β` is computed at the nonzeros only (an SDDMM, each
+    ///   entry summed from `+0.0` over ascending `k` as the `nn` tile
+    ///   does), and the terms `ln max(R, eps) · x` are summed with
+    ///   [`Tensor::sum`]'s grouping over the dense flat index;
+    /// - backward, `d = (g·x) / max(R, eps)` at the nonzeros, then
+    ///   `dθ = d·βᵀ` through `sgemm_csr_nt` (which follows `sgemm_nt`'s
+    ///   route rule) and `dβ = (dᵀ·θ)ᵀ` through
+    ///   [`crate::sgemm::sgemm_csr_t_dense`] (ascending batch rows, the
+    ///   `tn` tile's order), deposited into `θ` first, as `matmul` does.
+    ///
+    /// Each of the three sparse products counts in [`crate::csr_matmuls`].
+    ///
+    /// Every skipped term is an exact `±0.0` product added to an
+    /// accumulator that starts at `+0.0` and so is never `-0.0`: it can
+    /// change no bit. (As with the other CSR kernels this holds for finite
+    /// operands: a non-finite `β` entry in a column the batch never uses
+    /// reaches `dθ` through the dense chain's `0 · inf` but not here.)
+    pub fn bow_log_likelihood(self, beta: Var<'t>, x: &Arc<Tensor>, eps: f32) -> Var<'t> {
+        let (theta, beta_v) = (self.value(), beta.value());
+        let (b, k) = theta.shape();
+        let v = beta_v.cols();
+        assert_eq!(beta_v.rows(), k, "beta rows must match theta columns");
+        assert_eq!(x.shape(), (b, v), "x must be (theta rows, beta columns)");
+        let x = match x.csr() {
+            Some(_) => x.clone(),
+            None => Arc::new(Tensor::from_csr(CsrMatrix::from_dense(b, v, x.data()))),
+        };
+        let xs = x.csr().expect("CSR by construction");
+        let beta_t = beta_v.transposed();
+        let mut r = vec![0.0f32; xs.nnz()];
+        count_csr_matmul();
+        sddmm_csr(xs, k, theta.data(), beta_t.data(), &mut r);
+        let terms: Vec<f32> = r
+            .iter()
+            .zip(xs.values())
+            .map(|(&r, &x)| r.max(eps).ln() * x)
+            .collect();
+        let out = Tensor::scalar(sum_at_nonzeros(xs, &terms));
+        let (a_req, b_req) = (self.requires_grad(), beta.requires_grad());
+        let (a_id, b_id) = (self.id, beta.id);
+        let req = a_req || b_req;
+        let backward = req.then(|| {
+            Box::new(move |g: &Tensor, sink: &mut GradSink| {
+                let gv = g.data()[0];
+                let xs = x.csr().expect("CSR by construction");
+                let d = xs.with_values(
+                    r.iter()
+                        .zip(xs.values())
+                        .map(|(&r, &x)| (gv * x) / r.max(eps))
+                        .collect(),
+                );
+                if a_req {
+                    let mut d_theta = Tensor::zeros(b, k);
+                    count_csr_matmul();
+                    sgemm_csr_nt(&d, k, beta_t.data(), d_theta.data_mut());
+                    sink.add(a_id, d_theta);
+                }
+                if b_req {
+                    let mut d_beta_t = Tensor::zeros(v, k);
+                    count_csr_matmul();
+                    sgemm_csr_t_dense(&d, k, theta.data(), d_beta_t.data_mut());
+                    sink.add(b_id, d_beta_t.transposed());
+                }
+            }) as _
+        });
+        self.tape().push(out, req, backward)
     }
 
     /// Elementwise add a constant tensor (no gradient into the constant).

@@ -482,6 +482,114 @@ pub fn sgemm_csr_t_dense(a: &CsrMatrix, n: usize, b: &[f32], c: &mut [f32]) {
     });
 }
 
+/// `C += A · Bᵀ` for a CSR `A (m x k)` and a dense `B (n x k)`, producing
+/// dense `C (m x n)`: [`sgemm_nt`] with the zero terms of `A` skipped,
+/// bitwise equal to it on the densified `A`. `B` is handed over
+/// transposed, as `bt = Bᵀ (k x n)` row-major, so one axpy over a row of
+/// `bt` updates every output column of a row at once (the caller, the
+/// fused bag-of-words likelihood, holds `βᵀ` already).
+///
+/// It follows `sgemm_nt`'s route rule on the dense-equivalent shape. At or
+/// above `NT_VIA_BLOCKED_MIN_FLOPS` every element sums its nonzero terms in
+/// ascending column order, as the blocked tile does. Below it, every
+/// element reproduces [`simd::dot4`]: four lane sums (the terms of the
+/// columns `≡ 0, 1, 2, 3 mod 4` below the last multiple of four), combined
+/// as `((l0 + l1) + l2) + l3`, then the tail columns in order. Each skipped
+/// term is an exact `±0.0` product, and an accumulator started at `+0.0`
+/// never becomes `-0.0`, so skipping it changes no bit.
+pub(crate) fn sgemm_csr_nt(a: &CsrMatrix, n: usize, bt: &[f32], c: &mut [f32]) {
+    let (m, k) = (a.rows(), a.cols());
+    assert_eq!(bt.len(), k * n);
+    assert_eq!(c.len(), m * n);
+    if m * k * n >= NT_VIA_BLOCKED_MIN_FLOPS {
+        // Ascending `j` per element: exactly the CSR-times-dense product.
+        sgemm_csr_dense(a, n, bt, c);
+        return;
+    }
+    let k4 = k - k % 4;
+    let cost_per_row = (a.nnz() / m.max(1)).max(1) * n;
+    let c_ptr = MutPtr(c.as_mut_ptr());
+    pool::run_partitioned(m, pool::min_items_for_grain(cost_per_row), |rows| {
+        let base = c_ptr.get();
+        // SAFETY: disjoint row ranges — see `sgemm_rows`.
+        let c_slab =
+            unsafe { std::slice::from_raw_parts_mut(base.add(rows.start * n), rows.len() * n) };
+        // Four lane rows, then the combined row.
+        let mut lanes = vec![0.0f32; 5 * n];
+        for (i, r) in rows.clone().enumerate() {
+            lanes.fill(0.0);
+            let (lane_rows, acc) = lanes.split_at_mut(4 * n);
+            let (cols, vals) = a.row(r);
+            let split = cols.partition_point(|&j| (j as usize) < k4);
+            for (&j, &v) in cols[..split].iter().zip(vals) {
+                let j = j as usize;
+                simd::axpy(&mut lane_rows[(j % 4) * n..][..n], v, &bt[j * n..][..n]);
+            }
+            for (t, s) in acc.iter_mut().enumerate() {
+                *s = ((lane_rows[t] + lane_rows[n + t]) + lane_rows[2 * n + t])
+                    + lane_rows[3 * n + t];
+            }
+            for (&j, &v) in cols[split..].iter().zip(&vals[split..]) {
+                simd::axpy(acc, v, &bt[j as usize * n..][..n]);
+            }
+            for (cv, &s) in c_slab[i * n..(i + 1) * n].iter_mut().zip(acc.iter()) {
+                *cv += s;
+            }
+        }
+    });
+}
+
+/// Sampled dense-dense product: for the `p`-th stored `(i, j)` of
+/// `pattern (m x n)`, `out[p] = (A·B)ᵢⱼ` for `A (m x k)` row-major and `B`
+/// given transposed as `bt (n x k)` row-major. Each entry is accumulated
+/// from `+0.0` in ascending `k` with a separate multiply and add, the order
+/// of the blocked `nn` tile, so it is bitwise that product's entry; entries
+/// of `A·B` off the pattern are never computed.
+pub(crate) fn sddmm_csr(pattern: &CsrMatrix, k: usize, a: &[f32], bt: &[f32], out: &mut [f32]) {
+    let (m, n) = (pattern.rows(), pattern.cols());
+    assert_eq!(a.len(), m * k);
+    assert_eq!(bt.len(), n * k);
+    assert_eq!(out.len(), pattern.nnz());
+    let row_ptr = pattern.row_ptr();
+    let cost_per_row = (pattern.nnz() / m.max(1)).max(1) * k;
+    let out_ptr = MutPtr(out.as_mut_ptr());
+    pool::run_partitioned(m, pool::min_items_for_grain(cost_per_row), |rows| {
+        let (lo, hi) = (row_ptr[rows.start] as usize, row_ptr[rows.end] as usize);
+        // SAFETY: disjoint row ranges own disjoint runs of stored entries.
+        let out = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo), hi - lo) };
+        for r in rows {
+            let a_row = &a[r * k..(r + 1) * k];
+            let (cols, _) = pattern.row(r);
+            let dst = &mut out[row_ptr[r] as usize - lo..][..cols.len()];
+            // Eight entries at a time: eight independent sums in flight.
+            let mut col_blocks = cols.chunks_exact(8);
+            let mut dst_blocks = dst.chunks_exact_mut(8);
+            for (js, ds) in (&mut col_blocks).zip(&mut dst_blocks) {
+                let b_rows: [&[f32]; 8] = std::array::from_fn(|l| &bt[js[l] as usize * k..][..k]);
+                let mut acc = [0.0f32; 8];
+                for (kk, &av) in a_row.iter().enumerate() {
+                    for (s, b_row) in acc.iter_mut().zip(&b_rows) {
+                        *s += av * b_row[kk];
+                    }
+                }
+                ds.copy_from_slice(&acc);
+            }
+            for (&j, d) in col_blocks
+                .remainder()
+                .iter()
+                .zip(dst_blocks.into_remainder())
+            {
+                let b_row = &bt[j as usize * k..][..k];
+                let mut s = 0.0f32;
+                for (&av, &bv) in a_row.iter().zip(b_row) {
+                    s += av * bv;
+                }
+                *d = s;
+            }
+        }
+    });
+}
+
 /// Whether `a` is sparse enough (and the multiply big enough) that scanning
 /// it and dispatching to [`sgemm_nn_sparse_a`] is likely to win. The scan is
 /// `O(mk)` against an `O(mkn)` multiply, so it is only attempted when `n`
@@ -935,19 +1043,6 @@ mod tests {
         assert_bits(&c, &want, "nt above crossover");
     }
 
-    fn csr_from_dense(m: usize, k: usize, a: &[f32]) -> CsrMatrix {
-        CsrMatrix::from_rows(
-            m,
-            k,
-            (0..m).map(|i| {
-                (0..k)
-                    .filter(|&j| a[i * k + j] != 0.0)
-                    .map(|j| (j as u32, a[i * k + j]))
-                    .collect::<Vec<_>>()
-            }),
-        )
-    }
-
     #[test]
     fn csr_dense_bitwise_matches_sparse_a() {
         let (m, k, n) = (7, 40, 23);
@@ -957,7 +1052,7 @@ mod tests {
                 *v = 0.0;
             }
         }
-        let csr = csr_from_dense(m, k, &a);
+        let csr = CsrMatrix::from_dense(m, k, &a);
         let b = rand_vec(k * n, 32);
         let mut dense = vec![0.0; m * n];
         sgemm_nn_sparse_a(m, k, n, &a, &b, &mut dense);
@@ -977,7 +1072,7 @@ mod tests {
                 *v = 0.0;
             }
         }
-        let csr = csr_from_dense(m, k, &a);
+        let csr = CsrMatrix::from_dense(m, k, &a);
         let b = rand_vec(m * n, 34);
         let mut dense = vec![0.0; k * n];
         sgemm_tn(m, k, n, &a, &b, &mut dense);
@@ -985,6 +1080,85 @@ mod tests {
         sgemm_csr_t_dense(&csr, n, &b, &mut sparse);
         for (x, y) in sparse.iter().zip(&dense) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn csr_nt_bitwise_matches_nt_on_both_routes() {
+        // (m, k, n): `dot4` route below the crossover (k % 4 = 0, 1, 3),
+        // blocked route at and above it (k % 4 = 0 and 3).
+        let shapes = [
+            (7, 40, 5),
+            (9, 37, 21),
+            (13, 603, 7),
+            (64, 2048, 64),
+            (70, 3003, 41),
+        ];
+        for (m, k, n) in shapes {
+            let mut a = rand_vec(m * k, 35);
+            for (idx, v) in a.iter_mut().enumerate() {
+                // ~10% dense, with row 1 empty and some entries -0.0.
+                if idx % 10 != 3 || idx / k == 1 {
+                    *v = if idx % 7 == 0 { -0.0 } else { 0.0 };
+                }
+            }
+            let csr = CsrMatrix::from_dense(m, k, &a);
+            let b = rand_vec(n * k, 36);
+            let mut bt = vec![0.0; k * n];
+            for j in 0..n {
+                for kk in 0..k {
+                    bt[kk * n + j] = b[j * k + kk];
+                }
+            }
+            let mut want = vec![0.0; m * n];
+            sgemm_nt(m, k, n, &a, &b, &mut want);
+            for threads in [1, 2] {
+                let mut got = vec![0.0; m * n];
+                pool::with_threads(threads, || sgemm_csr_nt(&csr, n, &bt, &mut got));
+                let route = if m * k * n >= NT_VIA_BLOCKED_MIN_FLOPS {
+                    "blocked"
+                } else {
+                    "dot4"
+                };
+                assert_bits(
+                    &got,
+                    &want,
+                    &format!("csr nt {route} {m}x{k}x{n} {threads} workers"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sddmm_bitwise_matches_nn_at_the_pattern() {
+        for (m, k, n) in [(5, 1, 9), (11, 40, 37), (3, 17, 300)] {
+            let mut mask = rand_vec(m * n, 37);
+            for (idx, v) in mask.iter_mut().enumerate() {
+                if idx % 3 == 0 {
+                    *v = 0.0;
+                }
+            }
+            let pattern = CsrMatrix::from_dense(m, n, &mask);
+            let a = rand_vec(m * k, 38);
+            let b = rand_vec(k * n, 39);
+            let mut bt = vec![0.0; n * k];
+            for kk in 0..k {
+                for j in 0..n {
+                    bt[j * k + kk] = b[kk * n + j];
+                }
+            }
+            let mut dense = vec![0.0; m * n];
+            sgemm_nn(m, k, n, &a, &b, &mut dense);
+            let mut got = vec![0.0; pattern.nnz()];
+            sddmm_csr(&pattern, k, &a, &bt, &mut got);
+            let mut p = 0;
+            for i in 0..m {
+                for &j in pattern.row(i).0 {
+                    let want = dense[i * n + j as usize];
+                    assert_eq!(got[p].to_bits(), want.to_bits(), "{m}x{k}x{n} ({i}, {j})");
+                    p += 1;
+                }
+            }
         }
     }
 
@@ -997,7 +1171,7 @@ mod tests {
                 *v = 0.0;
             }
         }
-        let csr = csr_from_dense(m, k, &a);
+        let csr = CsrMatrix::from_dense(m, k, &a);
         let b = rand_vec(k * n, 42);
         let g = rand_vec(m * n, 43);
         let mut ref_fwd: Option<Vec<f32>> = None;

@@ -19,6 +19,7 @@
 //!   [`crate::csr`] for why zero-skipping preserves that.
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::distributions::Distribution;
 use rand::Rng;
@@ -31,9 +32,60 @@ use crate::csr::CsrMatrix;
 static CSR_MATMULS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Cumulative number of matrix products routed to the CSR kernels since
-/// start-up (both the `A·B` forward and the `Aᵀ·B` gradient form).
+/// start-up (the `A·B` forward, the `Aᵀ·B` gradient form, and the three
+/// sparse products of `Var::bow_log_likelihood`).
 pub fn csr_matmuls() -> u64 {
     CSR_MATMULS.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// Count one product routed to a CSR kernel.
+pub(crate) fn count_csr_matmul() {
+    CSR_MATMULS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+}
+
+/// Elements per `f64` partial in [`Tensor::sum`].
+const SUM_CHUNK: usize = 4096;
+
+/// The grouping of [`Tensor::sum`]: `0..len` is cut into `SUM_CHUNK`-element
+/// chunks, `chunk_sum` returns each chunk's `f64` partial, and the partials
+/// are added in ascending order from `+0.0`. Every sum that must match
+/// `Tensor::sum` bit for bit (the dense sum itself, and the fused
+/// bag-of-words likelihood, which sums only its nonzero terms) goes
+/// through here, so the grouping cannot drift between them.
+pub(crate) fn chunked_sum(len: usize, mut chunk_sum: impl FnMut(Range<usize>) -> f64) -> f32 {
+    let mut acc = 0.0f64;
+    for start in (0..len).step_by(SUM_CHUNK) {
+        acc += chunk_sum(start..len.min(start + SUM_CHUNK));
+    }
+    acc as f32
+}
+
+/// `Tensor::sum` of the dense `(rows, cols)` image of `pattern` holding
+/// `terms[p]` at its `p`-th stored position and zeros elsewhere, computed
+/// from the stored terms alone: the terms of each chunk of the dense flat
+/// index are summed in index order (CSR order is row-major with ascending
+/// columns). A skipped zero is an exact `±0.0` in its chunk's partial, and
+/// can at most turn a zero partial's sign, which adding it to an
+/// accumulator started at `+0.0` erases, so the result is bitwise the
+/// dense sum's.
+pub(crate) fn sum_at_nonzeros(pattern: &CsrMatrix, terms: &[f32]) -> f32 {
+    assert_eq!(terms.len(), pattern.nnz(), "one term per stored entry");
+    let (row_ptr, col_idx) = (pattern.row_ptr(), pattern.col_idx());
+    let cols = pattern.cols();
+    let (mut next, mut row) = (0usize, 0usize);
+    chunked_sum(pattern.rows() * cols, |chunk| {
+        let start = next;
+        while next < terms.len() {
+            while next >= row_ptr[row + 1] as usize {
+                row += 1;
+            }
+            if row * cols + col_idx[next] as usize >= chunk.end {
+                break;
+            }
+            next += 1;
+        }
+        terms[start..next].iter().map(|&t| t as f64).sum::<f64>()
+    })
 }
 
 /// Backing storage of a [`Tensor`].
@@ -410,11 +462,9 @@ impl Tensor {
             Storage::Csr(m) => m.values(),
         };
         // Chunked accumulation for better float accuracy than a single fold.
-        let mut acc = 0.0f64;
-        for chunk in vals.chunks(4096) {
-            acc += chunk.iter().map(|&x| x as f64).sum::<f64>();
-        }
-        acc as f32
+        chunked_sum(vals.len(), |chunk| {
+            vals[chunk].iter().map(|&x| x as f64).sum::<f64>()
+        })
     }
 
     /// Mean of all elements.
@@ -580,7 +630,7 @@ impl Tensor {
         let b = other.dense();
         match &self.storage {
             Storage::Csr(m) => {
-                CSR_MATMULS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                count_csr_matmul();
                 crate::sgemm::sgemm_csr_dense(m, other.cols, b, out.dense_mut());
             }
             Storage::Dense(a) => {
@@ -633,7 +683,7 @@ impl Tensor {
         let b = other.dense();
         match &self.storage {
             Storage::Csr(m) => {
-                CSR_MATMULS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                count_csr_matmul();
                 crate::sgemm::sgemm_csr_t_dense(m, other.cols, b, out.dense_mut());
             }
             Storage::Dense(a) => {
@@ -907,6 +957,30 @@ mod tests {
         let g = Tensor::ones(3, 2);
         let _ = t.matmul_tn(&g);
         assert!(csr_matmuls() >= before + 2);
+    }
+
+    #[test]
+    fn sum_at_nonzeros_groups_like_the_dense_sum() {
+        // Terms whose f64 total depends on the 4096-element grouping: by
+        // chunks, 2^-20 vanishes into -2^40 and the total is the tie
+        // 2^24 + 1, which rounds to 2^24 in f32; summed in one run it
+        // survives and the total rounds up to 2^24 + 2. 2^40 and -2^40
+        // straddle the first chunk boundary, row 1 is empty and the last
+        // chunk holds nothing.
+        let (big, tiny) = (2f32.powi(40), 2f32.powi(-20));
+        let pattern = CsrMatrix::from_rows(
+            3,
+            5000,
+            vec![
+                vec![(4095u32, big), (4096, -big), (4097, tiny)],
+                vec![],
+                vec![(0, 2f32.powi(24)), (1, 1.0)],
+            ],
+        );
+        let dense = Tensor::from_csr(pattern.clone()).to_dense();
+        let got = sum_at_nonzeros(&pattern, pattern.values());
+        assert_eq!(got.to_bits(), dense.sum().to_bits());
+        assert_eq!(got, 2f32.powi(24));
     }
 
     #[test]

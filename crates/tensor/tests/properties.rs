@@ -1,7 +1,11 @@
 //! Property-based tests of the tensor/autodiff substrate invariants.
 
-use ct_tensor::{Tape, Tensor};
+use std::sync::Arc;
+
+use ct_tensor::{pool, CsrMatrix, Tape, Tensor};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a tensor with the given shape and bounded entries.
 fn tensor_strat(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -154,5 +158,127 @@ proptest! {
         for &g in grads.get(x).unwrap().data() {
             prop_assert!((g - 1.0).abs() < 1e-3, "grad {g}");
         }
+    }
+}
+
+/// `(B, V, K)` shapes for the fused bag-of-words likelihood: the `dθ`
+/// product's dense-equivalent `B·V·K` lies below `sgemm_nt`'s blocked-route
+/// crossover (2^23) for the first two and at or above it for the rest,
+/// with `V % 4` both 0 and 3 on each side. The last is the NYTimes-like
+/// micro-batch.
+const BOW_SHAPES: [(usize, usize, usize); 5] = [
+    (16, 600, 12),
+    (9, 603, 7),
+    (200, 1027, 41),
+    (64, 3200, 41),
+    (256, 2400, 40),
+];
+
+/// A softmax `θ (B, K)` with exact zeros (every third entry of row 1, and
+/// all of row 2, so its `θ·β` row is 0 < eps), a softmax `β (K, V)` with
+/// its first column pushed under eps, and a ~3%-dense count batch whose
+/// row 0 is empty.
+fn bow_operands(b: usize, v: usize, k: usize, seed: u64) -> (Tensor, Tensor, CsrMatrix) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut theta = Tensor::randn(b, k, 1.0, &mut rng).softmax_rows(1.0);
+    for c in (0..k).step_by(3) {
+        theta.set(1, c, 0.0);
+    }
+    theta.row_mut(2).fill(0.0);
+    let mut beta = Tensor::randn(k, v, 2.0, &mut rng).softmax_rows(1.0);
+    for t in 0..k {
+        beta.set(t, 0, 1e-13);
+    }
+    let x = CsrMatrix::from_rows(
+        b,
+        v,
+        (0..b).map(|i| {
+            let mut row = Vec::new();
+            for j in 0..v {
+                if i != 0 && (j == 0 || rng.gen::<f32>() < 0.03) {
+                    row.push((j as u32, rng.gen_range(1..5) as f32));
+                }
+            }
+            row
+        }),
+    );
+    (theta, beta, x)
+}
+
+/// Value, `dθ` and `dβ` of `scale · Σ x ⊙ ln max(θ·β, eps)`, fused or as
+/// the dense chain.
+fn bow_loss_and_grads(
+    theta: &Tensor,
+    beta: &Tensor,
+    x: &Arc<Tensor>,
+    fused: bool,
+) -> (f32, Tensor, Tensor) {
+    let tape = Tape::new();
+    let (t, bv) = (tape.leaf(theta.clone()), tape.leaf(beta.clone()));
+    let ll = if fused {
+        t.bow_log_likelihood(bv, x, 1e-10)
+    } else {
+        t.matmul(bv).ln_clamped(1e-10).mul_const(x).sum_all()
+    };
+    let loss = ll.scale(-1.0 / theta.rows() as f32);
+    let grads = tape.backward(loss);
+    (
+        loss.scalar_value(),
+        grads.get(t).unwrap().clone(),
+        grads.get(bv).unwrap().clone(),
+    )
+}
+
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn bow_log_likelihood_matches_the_dense_chain_bitwise(
+        shape in 0..BOW_SHAPES.len(),
+        seed in 0u64..u64::MAX,
+        threads in 1usize..=2,
+    ) {
+        let (b, v, k) = BOW_SHAPES[shape];
+        let (theta, beta, x) = bow_operands(b, v, k, seed);
+        let csr = Arc::new(Tensor::from_csr(x));
+        let dense = Arc::new(csr.to_dense());
+        pool::with_threads(threads, || {
+            let want = bow_loss_and_grads(&theta, &beta, &dense, false);
+            // The chain itself does not care how x is stored.
+            let chain_csr = bow_loss_and_grads(&theta, &beta, &csr, false);
+            prop_assert_eq!(want.0.to_bits(), chain_csr.0.to_bits());
+            for (what, x) in [("csr", &csr), ("dense", &dense)] {
+                let got = bow_loss_and_grads(&theta, &beta, x, true);
+                prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "{} x {:?}: value", what, (b, v, k));
+                prop_assert!(same_bits(&got.1, &want.1), "{} x {:?}: d theta", what, (b, v, k));
+                prop_assert!(same_bits(&got.2, &want.2), "{} x {:?}: d beta", what, (b, v, k));
+            }
+        });
+    }
+}
+
+#[test]
+fn bow_log_likelihood_covers_every_shape() {
+    // Proptest samples shapes at random; run each once with a fixed seed
+    // so no shape is ever left out.
+    for (idx, &(b, v, k)) in BOW_SHAPES.iter().enumerate() {
+        let (theta, beta, x) = bow_operands(b, v, k, idx as u64);
+        let csr = Arc::new(Tensor::from_csr(x));
+        let want = bow_loss_and_grads(&theta, &beta, &Arc::new(csr.to_dense()), false);
+        let got = bow_loss_and_grads(&theta, &beta, &csr, true);
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{:?}: value", (b, v, k));
+        assert!(same_bits(&got.1, &want.1), "{:?}: d theta", (b, v, k));
+        assert!(same_bits(&got.2, &want.2), "{:?}: d beta", (b, v, k));
+        // Row 2 of θ is all zeros, so its products fall under eps there.
+        let r = theta.matmul(&beta);
+        assert!(r.row(2).iter().all(|&p| p < 1e-10));
     }
 }

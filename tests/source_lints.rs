@@ -12,6 +12,11 @@
 //!   no FMA intrinsic in `crates/tensor`, `crates/core` or `crates/models`.
 //!   Training is bitwise identical across kernels, SIMD bodies and worker
 //!   counts only because every product rounds before its add.
+//! - No model in `crates/models/src` takes `.ln_clamped(` of a `.matmul(`
+//!   result: the bag-of-words reconstruction `Σ x ⊙ ln(θ·β)` is the fused
+//!   `Var::bow_log_likelihood`, which never builds the dense `θ·β`. A log
+//!   of a parameter itself (VTMRL's `β.ln_clamped(..).mul_const(mask)`) is
+//!   not a product and stays allowed.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -31,6 +36,9 @@ const LIB_PATHS: [&str; 8] = [
 /// Crates whose arithmetic is pinned bit for bit (golden trajectories,
 /// cross-worker determinism), so no multiply-add may be fused there.
 const NO_FMA_CRATES: [&str; 3] = ["crates/tensor", "crates/core", "crates/models"];
+
+/// Model sources, where the dense reconstruction chain is forbidden.
+const MODELS_SRC: &str = "crates/models/src";
 
 /// The one module allowed to implement FNV-1a and JSON escaping.
 const CODEC_DIR: &str = "crates/tensor/src/codec";
@@ -167,6 +175,76 @@ fn numeric_crates_never_fuse_multiply_add() {
     assert!(
         found.is_empty(),
         "fused multiply-add in a bitwise-pinned crate; multiply, then add:\n{}",
+        found.join("\n")
+    );
+}
+
+/// Whether `code` takes `.ln_clamped(` directly of a `.matmul(..)` result,
+/// whitespace and line breaks ignored.
+fn matmul_feeds_ln(code: &str) -> bool {
+    let code: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+    let mut rest = code.as_str();
+    while let Some(at) = rest.find(".matmul(") {
+        let args = &rest[at + ".matmul(".len()..];
+        let mut depth = 1;
+        let close = args.char_indices().find_map(|(i, c)| {
+            match c {
+                '(' => depth += 1,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(i)
+        });
+        let Some(close) = close else {
+            return false;
+        };
+        if args[close + 1..].starts_with(".ln_clamped(") {
+            return true;
+        }
+        // Rescan from inside the arguments: they may hold a matmul too.
+        rest = args;
+    }
+    false
+}
+
+#[test]
+fn models_use_the_fused_bow_likelihood() {
+    // The detector itself: the chain it replaced, split over lines as
+    // rustfmt writes it, is caught; other uses of either op are not.
+    assert!(matmul_feeds_ln(
+        "let r = theta\n    .matmul(beta)\n    .ln_clamped(1e-10)\n    .mul_const(&x);"
+    ));
+    assert!(matmul_feeds_ln("a.matmul(b.matmul(c)).ln_clamped(1e-10)"));
+    assert!(matmul_feeds_ln("a.matmul(b.matmul(c).ln_clamped(1e-10))"));
+    assert!(!matmul_feeds_ln(
+        "beta.ln_clamped(1e-10).mul_const(&mask).mul_const(&adv)"
+    ));
+    assert!(!matmul_feeds_ln("x.matmul(w).square().ln_clamped(1e-10)"));
+    assert!(!matmul_feeds_ln(
+        "theta.bow_log_likelihood(beta, &x, 1e-10)"
+    ));
+
+    let files = rust_files(&root().join(MODELS_SRC));
+    assert!(files.len() > 10, "walked only {} files", files.len());
+    let found: Vec<String> = files
+        .iter()
+        .filter(|file| {
+            let code: Vec<String> = code_lines(std::slice::from_ref(*file))
+                .into_iter()
+                .map(|(_, _, code)| code)
+                .collect();
+            matmul_feeds_ln(&code.join("\n"))
+        })
+        .map(|file| {
+            file.strip_prefix(root())
+                .unwrap_or(file)
+                .display()
+                .to_string()
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "`.matmul(..).ln_clamped(..)` in a model; use Var::bow_log_likelihood:\n{}",
         found.join("\n")
     );
 }
