@@ -1,8 +1,8 @@
 //! Open-loop TCP load generator for the `ct-serve` network tier.
 //!
-//! Unlike the closed-loop clients in `serve_bench` (which wait for each
-//! response before sending the next request, so a slow server slows the
-//! offered load and hides queueing delay), this driver schedules request
+//! Unlike a closed-loop client (which waits for each response before
+//! sending the next request, so a slow server slows the offered load and
+//! hides queueing delay), this driver schedules request
 //! `i` at `start + i/rate` and measures latency **from that scheduled
 //! arrival time** — if the server falls behind, the lateness shows up in
 //! the tail instead of disappearing into a throttled client. That is
@@ -18,11 +18,16 @@
 //!
 //! Three modes:
 //!
-//! - default: self-host the production-shaped fixture model (same
-//!   quick-scale 20NG corpus as `serve_bench`) behind a real
-//!   [`TcpServer`], sweep arrival rates, and splice a
-//!   `latency_under_load` curve plus a `p99_gate` verdict into
-//!   `BENCH_serve.json` (other keys untouched);
+//! - default: train the production-shaped fixture model (quick-scale
+//!   20NG corpus, paper-sized encoder). First time what micro-batching
+//!   buys in process — one thread running one document per forward pass
+//!   (`unbatched_1t`) against 4 closed-loop clients on a [`ServeEngine`]
+//!   (`engine_4t`), cache off — and gate their throughput ratio
+//!   `speedup_4t_vs_unbatched` at [`SPEEDUP_4T_FLOOR`]. Then self-host
+//!   the model behind a real [`TcpServer`], sweep arrival rates, and
+//!   gate the curve's p99 (`latency_under_load`, `p99_gate`). Both splice
+//!   into `BENCH_serve.json` (other keys untouched), and the exit code is
+//!   1 if either gate fails;
 //! - `--idle-conns N` (without `--smoke`): the fan-in benchmark — park
 //!   `N` idle connections on the server, drive the gate rate through a
 //!   separate active pool, and splice a `fan_in` key recording tail
@@ -42,7 +47,8 @@
 //!
 //! `--addr HOST:PORT` drives an already-running server instead of
 //! self-hosting (the fixture corpus vocabulary must match; thread
-//! counting is skipped since the server is out-of-process).
+//! counting and the in-process batching check are skipped since the
+//! server is out-of-process).
 
 use std::io::Read as _;
 use std::net::TcpStream;
@@ -51,11 +57,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ct_bench::update_bench_json;
-use ct_corpus::{generate, train_embeddings, BowCorpus, DatasetPreset, Scale};
+use ct_corpus::{generate, train_embeddings, BowCorpus, DatasetPreset, Scale, SparseDoc};
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, TrainConfig};
 use ct_serve::{
-    ModelRegistry, ModelSnapshot, ProtocolLimits, RegistryConfig, ServeConfig, TcpClient, TcpServer,
+    ModelRegistry, ModelSnapshot, ProtocolLimits, RegistryConfig, ServeConfig, ServeEngine,
+    TcpClient, TcpServer,
 };
 use ct_tensor::codec::json;
 use rand::rngs::StdRng;
@@ -355,6 +362,99 @@ fn host_fixture(snapshot: ModelSnapshot) -> (TcpServer, Arc<ModelRegistry>, Stri
     .expect("bind 127.0.0.1:0");
     let addr = server.local_addr().to_string();
     (server, registry, addr)
+}
+
+/// Queries per client thread in each closed-loop batching run.
+const BATCHING_QUERIES: usize = 400;
+/// Client threads in the batched run that `speedup_4t_vs_unbatched`
+/// compares against the unbatched baseline.
+const BATCHING_CLIENTS: usize = 4;
+/// Floor on `speedup_4t_vs_unbatched`. On one core, 4 clients buy only
+/// batching amortization (one memory pass over the encoder weights per
+/// batch, not four); the 2× multi-core expectation is recorded, not
+/// gated.
+const SPEEDUP_4T_FLOOR: f64 = 1.1;
+
+/// One closed-loop run of the batching check: its `runs` entry and its
+/// throughput.
+fn closed_loop_run(
+    name: &str,
+    clients: usize,
+    mut latencies_ns: Vec<u64>,
+    wall: Duration,
+) -> (String, f64) {
+    latencies_ns.sort_unstable();
+    let queries = latencies_ns.len();
+    let qps = queries as f64 / wall.as_secs_f64().max(1e-9);
+    let run = format!(
+        "{{\"name\": \"{name}\", \"clients\": {clients}, \"queries\": {queries}, \
+         \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"qps\": {qps:.1}}}",
+        1e3 * percentile_ms(&latencies_ns, 0.50),
+        1e3 * percentile_ms(&latencies_ns, 0.99),
+    );
+    (run, qps)
+}
+
+/// What micro-batching buys over one-document forward passes, in
+/// process: the unbatched single-thread baseline straight into the
+/// snapshot, then [`BATCHING_CLIENTS`] closed-loop clients on one engine
+/// with the cache off. Returns the `runs` array (baseline first) and the
+/// batched/unbatched throughput ratio.
+fn batching_speedup(snapshot: &ModelSnapshot, docs: &[SparseDoc]) -> (String, f64) {
+    let mut latencies = Vec::with_capacity(BATCHING_QUERIES);
+    let t0 = Instant::now();
+    for doc in docs.iter().cycle().take(BATCHING_QUERIES) {
+        let qt = Instant::now();
+        let theta = snapshot.infer_theta(&snapshot.dense_batch(&[doc]));
+        assert_eq!(theta.rows(), 1);
+        latencies.push(qt.elapsed().as_nanos() as u64);
+    }
+    let (unbatched, unbatched_qps) = closed_loop_run("unbatched_1t", 1, latencies, t0.elapsed());
+
+    let engine = ServeEngine::start(
+        snapshot.clone(),
+        ServeConfig {
+            max_batch: 64,
+            queue_capacity: 1024,
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let t0 = Instant::now();
+    let latencies: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..BATCHING_CLIENTS)
+            .map(|c| {
+                let handle = engine.handle();
+                scope.spawn(move || {
+                    (0..BATCHING_QUERIES)
+                        .map(|q| {
+                            let doc = &docs[(c + q * BATCHING_CLIENTS) % docs.len()];
+                            let qt = Instant::now();
+                            handle.query(doc).expect("query");
+                            qt.elapsed().as_nanos() as u64
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    let wall = t0.elapsed();
+    let stats = engine.stats();
+    eprintln!(
+        "engine {BATCHING_CLIENTS}t: {} served in {} batches (max batch {})",
+        stats.served, stats.batches, stats.max_batch_size
+    );
+    engine.shutdown();
+    let name = format!("engine_{BATCHING_CLIENTS}t");
+    let (batched, batched_qps) = closed_loop_run(&name, BATCHING_CLIENTS, latencies, wall);
+    (
+        format!("[{unbatched},{batched}]"),
+        batched_qps / unbatched_qps,
+    )
 }
 
 fn tiny_fixture() -> (ModelSnapshot, BowCorpus) {
@@ -740,9 +840,11 @@ fn run_fan_in(args: &Args) {
     }
 }
 
-/// Full mode: sweep rates against the production-shaped fixture and
-/// splice the curve into BENCH_serve.json.
+/// Full mode: check the batching speedup in process (self-hosted only),
+/// then sweep rates against the production-shaped fixture, and splice
+/// both into BENCH_serve.json.
 fn run_sweep(args: &Args) {
+    let mut batching = None;
     let (texts, server_and_registry, addr) = match &args.addr {
         Some(addr) => {
             let (_, corpus) = tiny_fixture();
@@ -750,6 +852,12 @@ fn run_sweep(args: &Args) {
         }
         None => {
             let (snapshot, corpus) = production_fixture();
+            let (runs, speedup) = batching_speedup(&snapshot, &corpus.docs);
+            eprintln!(
+                "batching: {speedup:.2}x unbatched throughput at {BATCHING_CLIENTS} clients \
+                 (floor {SPEEDUP_4T_FLOOR}x)"
+            );
+            batching = Some((runs, speedup));
             let texts = corpus_texts(&corpus, 256);
             let (server, registry, addr) = host_fixture(snapshot);
             (texts, Some((server, registry)), addr)
@@ -810,20 +918,34 @@ fn run_sweep(args: &Args) {
          \"bound_ms\": {GATE_P99_MS:.0}, \"pass\": {gate_pass}}}"
     );
 
-    let doc = update_bench_json(
-        &args.out,
-        &[("latency_under_load", &curve), ("p99_gate", &gate)],
-    )
-    .expect("write BENCH output");
+    let mut keys = Vec::new();
+    let mut speedup_pass = true;
+    if let Some((runs, speedup)) = batching {
+        speedup_pass = speedup >= SPEEDUP_4T_FLOOR;
+        keys.push(("runs", runs));
+        keys.push(("speedup_4t_vs_unbatched", format!("{speedup:.2}")));
+        keys.push((
+            "speedup_4t_gate",
+            format!(
+                "{{\"floor\": {SPEEDUP_4T_FLOOR}, \"multi_core_expectation\": 2.0, \
+                 \"pass\": {speedup_pass}}}"
+            ),
+        ));
+    }
+    keys.push(("latency_under_load", curve));
+    keys.push(("p99_gate", gate));
+    let keys: Vec<(&str, &str)> = keys.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    let doc = update_bench_json(&args.out, &keys).expect("write BENCH output");
     println!("{doc}");
     eprintln!(
-        "wrote {} (p99 {:.2} ms @ {:.0} QPS, gate {})",
+        "wrote {} (p99 {:.2} ms @ {:.0} QPS, gate {}; batching gate {})",
         args.out,
         gate_p99,
         gate_rate,
-        if gate_pass { "pass" } else { "FAIL" }
+        if gate_pass { "pass" } else { "FAIL" },
+        if speedup_pass { "pass" } else { "FAIL" }
     );
-    if !gate_pass {
+    if !gate_pass || !speedup_pass {
         std::process::exit(1);
     }
 }

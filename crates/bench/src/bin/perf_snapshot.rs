@@ -573,9 +573,9 @@ fn etm_breakdown(smoke: bool, samples: usize) -> EtmBreakdown {
     }
 }
 
-/// One-epoch fixture: the full-size preset mirrors the `train_epoch`
-/// criterion fixture so numbers stay comparable; the smoke preset keeps the
-/// same shape at a fraction of the cost.
+/// One-epoch fixture: a 400-document, 600-word synthetic corpus (the
+/// shape every committed `BENCH_train_epoch.json` was measured on); the
+/// smoke preset keeps the same shape at a fraction of the cost.
 struct EpochFixture {
     corpus: ct_corpus::BowCorpus,
     emb: Tensor,

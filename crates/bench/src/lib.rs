@@ -2,8 +2,8 @@
 //!
 //! Experiment harness regenerating every table and figure of the
 //! ContraTopic paper. The binaries in `src/bin/` each print one
-//! table/figure; the Criterion benches in `benches/` cover the §V-E
-//! computational analysis and the substrate micro-benchmarks.
+//! table/figure, `sec5e_compute` covers the §V-E computational analysis,
+//! and `perf_snapshot` times the kernels and training epochs behind it.
 //!
 //! The experiment machinery itself — dataset contexts, model fitting,
 //! evaluation, trial specs, the run ledger and the scheduler — lives in
@@ -208,9 +208,9 @@ pub fn provenance() -> Json {
 
 /// Set `members` (values as JSON text) and the `host` block
 /// ([`provenance`]) in the `BENCH_*.json` file at `path`, keeping every
-/// other member, and return the written document: how `load_gen` and
-/// `serve_bench` share `BENCH_serve.json` without clobbering each
-/// other's keys.
+/// other member, and return the written document: how `load_gen`'s
+/// default sweep and its fan-in run share `BENCH_serve.json` without
+/// clobbering each other's keys.
 pub fn update_bench_json(path: &str, members: &[(&str, &str)]) -> std::io::Result<String> {
     let host = provenance().emit();
     let mut all = vec![("host", host.as_str())];

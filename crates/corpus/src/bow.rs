@@ -182,12 +182,6 @@ impl BowCorpus {
         t
     }
 
-    /// Labels for documents `indices`; panics if the corpus is unlabelled.
-    pub fn labels_for(&self, indices: &[usize]) -> Vec<usize> {
-        let labels = self.labels.as_ref().expect("corpus has no labels");
-        indices.iter().map(|&i| labels[i]).collect()
-    }
-
     /// Per-word document frequency (number of docs containing the word).
     pub fn doc_frequencies(&self) -> Vec<u32> {
         let mut df = vec![0u32; self.vocab_size()];

@@ -521,9 +521,3 @@ where
     );
     Fitted::new(backbone, params, stats)
 }
-
-/// Fresh deterministic RNG for eval-mode passes (eval paths draw no random
-/// numbers, but the encoder API threads an RNG through).
-pub fn eval_rng() -> StdRng {
-    StdRng::seed_from_u64(0)
-}

@@ -112,21 +112,6 @@ impl TrainConfig {
         self
     }
 
-    pub fn with_topics(mut self, k: usize) -> Self {
-        self.num_topics = k;
-        self
-    }
-
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
-        self
-    }
-
-    pub fn with_divergence(mut self, policy: DivergencePolicy) -> Self {
-        self.divergence = policy;
-        self
-    }
-
     /// Set the data-parallel micro-batch size (see
     /// [`TrainConfig::micro_batch`]).
     pub fn with_micro_batch(mut self, micro_batch: usize) -> Self {

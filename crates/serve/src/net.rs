@@ -213,11 +213,6 @@ impl Shutdown {
     pub fn signal(&self) {
         self.flag.store(true, Ordering::Release);
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_signaled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
 }
 
 /// Outcome of a graceful shutdown.

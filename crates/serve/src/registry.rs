@@ -105,7 +105,7 @@ impl Drop for AdmissionPermit {
 
 impl<M: InferenceModel> ModelRegistry<M> {
     /// An empty registry. The first registered model becomes the default
-    /// route (overridable with [`ModelRegistry::set_default`]).
+    /// route.
     pub fn new(config: RegistryConfig) -> Self {
         Self {
             tenants: RwLock::new(HashMap::new()),
@@ -168,14 +168,6 @@ impl<M: InferenceModel> ModelRegistry<M> {
         let tenant = self.get(name)?;
         tenant.engine.swap_snapshot(model)?;
         Ok(tenant.engine.stats().generation)
-    }
-
-    /// Route `None` (the unprefixed request line) to `name` instead of
-    /// the first-registered model.
-    pub fn set_default(&self, name: &str) -> Result<(), ServeError> {
-        self.get(name)?;
-        *self.default_model.write().unwrap() = Some(name.to_string());
-        Ok(())
     }
 
     /// The name unprefixed requests route to, if any model is registered.

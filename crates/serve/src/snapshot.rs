@@ -10,7 +10,7 @@
 
 use ct_corpus::{NpmiMatrix, SparseDoc, Vocab};
 use ct_models::{Backbone, EncoderWeights, EtmBackbone, ModelBundle, TrainedModel};
-use ct_tensor::{Params, Tensor};
+use ct_tensor::{top_k_indices, Params, Tensor};
 
 use crate::error::ServeError;
 
@@ -24,8 +24,6 @@ use crate::error::ServeError;
 pub struct ModelSnapshot {
     encoder: EncoderWeights,
     beta: Tensor,
-    /// Serving-only bf16 score table (see [`ModelSnapshot::with_bf16_beta`]).
-    beta_bf16: Option<Vec<u16>>,
     vocab: Vocab,
     top_ids: Vec<Vec<usize>>,
     top_words: Vec<Vec<String>>,
@@ -99,7 +97,6 @@ impl ModelSnapshot {
         let snap = Self {
             encoder,
             beta,
-            beta_bf16: None,
             vocab,
             top_ids,
             top_words,
@@ -153,102 +150,7 @@ impl ModelSnapshot {
         if let Some(bad) = self.beta.data().iter().find(|v| !v.is_finite()) {
             return Err(format!("beta contains a non-finite value ({bad})"));
         }
-        if let Some(bits) = &self.beta_bf16 {
-            if bits.len() != self.beta.numel() {
-                return Err(format!(
-                    "bf16 score table has {} entries but beta has {}",
-                    bits.len(),
-                    self.beta.numel()
-                ));
-            }
-        }
         Ok(())
-    }
-
-    /// [`ModelSnapshot::validate`], plus the training/export gate: a
-    /// bf16-flagged snapshot is **rejected**. Reduced precision is a
-    /// serving-time scoring optimization only — its word scores have
-    /// already been rounded (relative error up to `2^-8`), so feeding
-    /// them back into training, evaluation, or an on-disk bundle would
-    /// silently degrade every downstream f32 computation. Exporters must
-    /// call this instead of [`ModelSnapshot::validate`]; rebuild from the
-    /// f32 bundle to export.
-    pub fn validate_for_export(&self) -> Result<(), String> {
-        self.validate()?;
-        if self.beta_bf16.is_some() {
-            return Err(
-                "snapshot is bf16-flagged (serving-only reduced precision); \
-                 rebuild from the f32 bundle for training or export"
-                    .into(),
-            );
-        }
-        Ok(())
-    }
-
-    /// Switch topic-word scoring to a bf16-storage / f32-accumulate
-    /// table: `beta` is rounded to bfloat16 (round-to-nearest-even) and
-    /// every topic's top-k word ranking is recomputed from the 16-bit
-    /// score table, halving the memory traffic of the `K x V` scan.
-    ///
-    /// **Tolerance bound:** bfloat16 keeps 8 significand bits, so each
-    /// stored score differs from its f32 source by a relative error of at
-    /// most `2^-8` (≈ 0.39%). θ inference is *unaffected* — the encoder
-    /// runs entirely in f32, so served mixtures stay bitwise identical to
-    /// the unflagged snapshot; only word-rank scoring reads rounded
-    /// values, and rank order is preserved whenever adjacent scores are
-    /// more than one bf16 ULP apart (asserted on the fixture snapshots by
-    /// the serving test suite).
-    ///
-    /// Serving-only: [`ModelSnapshot::validate_for_export`] rejects
-    /// flagged snapshots so rounded scores can never leak back into
-    /// training. The f32 `beta` is retained for [`ModelSnapshot::beta`]
-    /// consumers (e.g. NPMI annotation).
-    pub fn with_bf16_beta(mut self) -> Self {
-        let bits: Vec<u16> = self.beta.data().iter().map(|&v| f32_to_bf16(v)).collect();
-        let v = self.vocab_size();
-        // Re-rank from the rounded table: bf16 bit patterns of
-        // non-negative finite floats are monotone in value, so the u16
-        // keys order exactly as the f32 values they encode.
-        self.top_ids = (0..self.num_topics())
-            .map(|t| {
-                let k = self.top_ids[t].len();
-                scan_top_k(&bits[t * v..(t + 1) * v], k)
-            })
-            .collect();
-        self.top_words = self
-            .top_ids
-            .iter()
-            .map(|ids| {
-                ids.iter()
-                    .map(|&w| self.vocab.word(w as u32).to_string())
-                    .collect()
-            })
-            .collect();
-        self.beta_bf16 = Some(bits);
-        self
-    }
-
-    /// Whether topic-word scoring reads the bf16 table.
-    pub fn bf16_beta_enabled(&self) -> bool {
-        self.beta_bf16.is_some()
-    }
-
-    /// Recompute every topic's top-`k` word ids from the active score
-    /// table — the `K x V` scan the bf16 flag accelerates (and the
-    /// operation `serve_bench` times). Both paths use the same
-    /// single-pass selection (descending, ties to the lower index), so
-    /// with the flag off this returns exactly the ranking precomputed at
-    /// assembly time.
-    pub fn score_top_k(&self, k: usize) -> Vec<Vec<usize>> {
-        let v = self.vocab_size();
-        match &self.beta_bf16 {
-            Some(bits) => (0..self.num_topics())
-                .map(|t| scan_top_k(&bits[t * v..(t + 1) * v], k))
-                .collect(),
-            None => (0..self.num_topics())
-                .map(|t| scan_top_k(self.beta.row(t), k))
-                .collect(),
-        }
     }
 
     /// Amortized topic mixture for a dense batch of raw counts
@@ -317,7 +219,7 @@ impl ModelSnapshot {
 
     /// Assemble the full response for one inferred θ row.
     pub fn build_response(&self, theta: Vec<f32>, top_n: usize) -> QueryResponse {
-        let order = top_k_indices(&theta, top_n.min(theta.len()));
+        let order = top_k_indices(&theta, top_n);
         let top = order
             .into_iter()
             .map(|t| TopicHit {
@@ -329,65 +231,6 @@ impl ModelSnapshot {
             .collect();
         QueryResponse { theta, top }
     }
-}
-
-/// Round an f32 to bfloat16 (round-to-nearest-even), returned as the raw
-/// 16-bit pattern. Finite inputs only (snapshot `beta` is validated
-/// finite before conversion).
-fn f32_to_bf16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let round = ((bits >> 16) & 1).wrapping_add(0x7FFF);
-    (bits.wrapping_add(round) >> 16) as u16
-}
-
-/// Widen a bf16 bit pattern back to f32 (exact). Scoring never widens —
-/// ranks compare the u16 patterns directly — so this is only exercised by
-/// the round-trip tests.
-#[cfg(test)]
-fn bf16_to_f32(b: u16) -> f32 {
-    f32::from_bits((b as u32) << 16)
-}
-
-/// Indices of the `k` largest keys of `row` by one linear scan with a
-/// small sorted buffer: descending, ties broken by lower index — the same
-/// order [`top_k_indices`] produces by full sort, but memory-bound on the
-/// score table, which is what makes the bf16 table's halved traffic
-/// measurable. Works for `f32` rows (finite) and for bf16 bit patterns as
-/// `u16`, whose unsigned order equals value order for the non-negative
-/// scores a softmax produces.
-fn scan_top_k<K: Copy + PartialOrd>(row: &[K], k: usize) -> Vec<usize> {
-    let mut buf: Vec<(K, usize)> = Vec::with_capacity(k + 1);
-    for (i, &key) in row.iter().enumerate() {
-        if buf.len() == k {
-            match buf.last() {
-                Some(&(last, _)) if key > last => {}
-                _ => continue,
-            }
-        }
-        let pos = buf
-            .iter()
-            .position(|&(bk, _)| key > bk)
-            .unwrap_or(buf.len());
-        buf.insert(pos, (key, i));
-        if buf.len() > k {
-            buf.pop();
-        }
-    }
-    buf.into_iter().map(|(_, i)| i).collect()
-}
-
-/// Indices of the `k` largest values of `row`, descending; ties broken by
-/// lower index for determinism.
-fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..row.len()).collect();
-    idx.sort_by(|&a, &b| {
-        row[b]
-            .partial_cmp(&row[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
 }
 
 /// Mean NPMI over all cross pairs between two topics' top-word id lists.
@@ -480,59 +323,6 @@ fn push_f32(s: &mut String, v: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn top_k_indices_descending_stable() {
-        let row = [0.1, 0.5, 0.5, 0.3];
-        assert_eq!(top_k_indices(&row, 3), vec![1, 2, 3]);
-        assert_eq!(top_k_indices(&row, 10), vec![1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn scan_top_k_matches_full_sort() {
-        let row = [0.1f32, 0.5, 0.5, 0.3, 0.0, 0.5, 0.2];
-        for k in 0..=row.len() + 1 {
-            assert_eq!(
-                scan_top_k(&row, k),
-                top_k_indices(&row, k.min(row.len())),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn bf16_round_trip_and_tolerance() {
-        // Exactly representable values survive the round trip.
-        for v in [0.0f32, 0.5, 1.0, 2.0, -1.5] {
-            assert_eq!(bf16_to_f32(f32_to_bf16(v)), v);
-        }
-        // Round-to-nearest-even at the midpoint: bf16's ulp at 1.0 is
-        // 2^-7, so 1 + 2^-8 is a tie and must round to the even
-        // significand (down to 1.0 here).
-        assert_eq!(bf16_to_f32(f32_to_bf16(1.0 + 2f32.powi(-8))), 1.0);
-        // Relative error stays within 2^-8 over several magnitudes.
-        let mut state = 9u64;
-        for _ in 0..2000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = ((state >> 33) as f32 / (1u64 << 33) as f32 + 1e-6) * 3.0;
-            let r = bf16_to_f32(f32_to_bf16(v));
-            assert!(
-                (r - v).abs() <= v.abs() * 2f32.powi(-8),
-                "{v} rounded to {r}"
-            );
-        }
-    }
-
-    #[test]
-    fn bf16_keys_order_like_their_values() {
-        // Monotonicity of the u16 patterns for non-negative floats.
-        let vals = [0.0f32, 1e-30, 1e-8, 0.001, 0.5, 0.999, 1.0, 7.25, 3e7];
-        for w in vals.windows(2) {
-            assert!(f32_to_bf16(w[0]) <= f32_to_bf16(w[1]), "{} {}", w[0], w[1]);
-        }
-    }
 
     #[test]
     fn response_json_shape() {

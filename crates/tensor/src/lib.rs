@@ -49,4 +49,4 @@ pub use nn::{Activation, BatchNorm1d, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{he_normal, xavier_uniform, ClipReport, ParamId, Params};
 pub use tape::{Grads, Tape, Var};
-pub use tensor::{csr_matmuls, Tensor};
+pub use tensor::{csr_matmuls, top_k_indices, Tensor};

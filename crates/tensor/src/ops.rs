@@ -551,12 +551,6 @@ impl<'t> Var<'t> {
         })
     }
 
-    /// Row means, producing an `(n, 1)` column.
-    pub fn mean_axis1(self) -> Var<'t> {
-        let n = self.value().cols() as f32;
-        self.sum_axis1().scale(1.0 / n)
-    }
-
     /// Inverted-scaling dropout. Identity when `training` is false or `p == 0`.
     pub fn dropout<R: Rng>(self, p: f32, training: bool, rng: &mut R) -> Var<'t> {
         if !training || p <= 0.0 {

@@ -43,6 +43,29 @@ pub(crate) fn count_csr_matmul() {
     CSR_MATMULS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 }
 
+/// Indices of the `k` largest values of `row` (all of them if `k`
+/// exceeds its length), descending, ties to the lower index. NaN ranks
+/// below every number, so the order is total and the result
+/// deterministic for any input. Selects the top `k` before sorting them,
+/// so a short list out of a long row costs one linear pass.
+pub fn top_k_indices(row: &[f32], k: usize) -> Vec<usize> {
+    let k = k.min(row.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let descending = |&a: &usize, &b: &usize| {
+        row[b]
+            .partial_cmp(&row[a])
+            .unwrap_or_else(|| row[a].is_nan().cmp(&row[b].is_nan()))
+            .then(a.cmp(&b))
+    };
+    let mut idx: Vec<usize> = (0..row.len()).collect();
+    idx.select_nth_unstable_by(k - 1, descending);
+    idx.truncate(k);
+    idx.sort_unstable_by(descending);
+    idx
+}
+
 /// Elements per `f64` partial in [`Tensor::sum`].
 const SUM_CHUNK: usize = 4096;
 
@@ -408,13 +431,6 @@ impl Tensor {
         Tensor::from_vec(data, self.rows, self.cols)
     }
 
-    /// In-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.dense_mut() {
-            *x = f(*x);
-        }
-    }
-
     /// Elementwise binary combination; shapes must match.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
@@ -506,23 +522,10 @@ impl Tensor {
         best
     }
 
-    /// Indices of the `k` largest elements of row `r`, descending.
+    /// Indices of the `k` largest elements of row `r`, in
+    /// [`top_k_indices`] order.
     pub fn top_k_row(&self, r: usize, k: usize) -> Vec<usize> {
-        let row = self.row(r);
-        let mut idx: Vec<usize> = (0..row.len()).collect();
-        let k = k.min(row.len());
-        idx.select_nth_unstable_by(k.saturating_sub(1), |&a, &b| {
-            row[b]
-                .partial_cmp(&row[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        idx.truncate(k);
-        idx.sort_by(|&a, &b| {
-            row[b]
-                .partial_cmp(&row[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        idx
+        top_k_indices(self.row(r), k)
     }
 
     /// Frobenius norm.
@@ -831,6 +834,17 @@ mod tests {
         let soft = t.softmax_rows(1.0);
         let sharp = t.softmax_rows(0.1);
         assert!(sharp.get(0, 2) > soft.get(0, 2));
+    }
+
+    #[test]
+    fn top_k_indices_descending_stable() {
+        let row = [0.1, 0.5, 0.5, 0.3];
+        assert_eq!(top_k_indices(&row, 3), vec![1, 2, 3]);
+        assert_eq!(top_k_indices(&row, 10), vec![1, 2, 3, 0]);
+        assert_eq!(top_k_indices(&row, 0), Vec::<usize>::new());
+        // NaN ranks below every number; ±0 tie and go to the lower index.
+        let row = [f32::NAN, 0.0, -0.0, 1.0, f32::NAN];
+        assert_eq!(top_k_indices(&row, 5), vec![3, 1, 2, 0, 4]);
     }
 
     #[test]

@@ -68,6 +68,20 @@ proptest! {
     }
 
     #[test]
+    fn top_k_indices_is_a_prefix_of_the_stable_descending_sort(
+        row in proptest::collection::vec(0u32..4, 0..40),
+        k in 0usize..45,
+    ) {
+        // Four distinct values, so most rows carry ties: they must go to
+        // the lower index, as a stable sort leaves them.
+        let row: Vec<f32> = row.into_iter().map(|v| v as f32).collect();
+        let mut expected: Vec<usize> = (0..row.len()).collect();
+        expected.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
+        expected.truncate(k);
+        prop_assert_eq!(ct_tensor::top_k_indices(&row, k), expected);
+    }
+
+    #[test]
     fn sum_matches_reduction_chain(t in tensor_strat(4, 5)) {
         // sum_all == sum of row sums == sum of column sums.
         let tape = Tape::new();
