@@ -1,10 +1,16 @@
-//! End-to-end test of `contratopic stream`: a run killed mid-stream (via
+//! End-to-end tests of `contratopic stream`: a run killed mid-stream (via
 //! `--max-chunks`) and resumed from its checkpoint must emit exactly the
 //! per-chunk coherence trajectory of one uninterrupted run — the
-//! kill-and-resume robustness contract of the continual-learning pipeline.
+//! kill-and-resume robustness contract of the continual-learning pipeline —
+//! and a live run must hot-promote snapshots without failing a concurrent
+//! query.
 
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 fn run_stream(dir: &Path, trace: &str, checkpoint: &str, extra: &[&str]) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_contratopic"));
@@ -118,6 +124,114 @@ fn resume_rejects_mismatched_flags() {
     assert!(
         stderr.contains("does not match") || stderr.contains("vocabulary"),
         "unexpected error: {stderr}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Live promotion under load: a stream run serving on an ephemeral TCP
+/// port promotes a new snapshot every two chunks while a concurrent query
+/// loop runs. No query may fail while the pipeline is up, at least one
+/// must succeed, and the trace must record a successful promotion.
+#[cfg(target_os = "linux")]
+#[test]
+fn live_promotion_fails_no_query() {
+    let bin = env!("CARGO_BIN_EXE_contratopic");
+    let dir = std::env::temp_dir().join(format!("ct_stream_cli_live_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut child = Command::new(bin)
+        .current_dir(&dir)
+        .args([
+            "stream",
+            "--topics",
+            "3",
+            "--extra-vocab",
+            "30",
+            "--docs",
+            "600",
+            "--chunk",
+            "100",
+            "--avg-len",
+            "18.0",
+            "--epochs",
+            "1",
+            "--batch",
+            "64",
+            "--start-vocab",
+            "61",
+            "--drift",
+            "vocab:90@300,birth:2@300",
+            "--checkpoint-every",
+            "1",
+            "--tcp",
+            "127.0.0.1:0",
+            "--promote-every",
+            "2",
+            "--hold-ms",
+            "2000",
+            "--trace",
+            "live.jsonl",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn contratopic stream");
+    // Drain stderr on a thread (a full pipe would stall the run), handing
+    // over the bound address from its `serving '…' on tcp ADDR` line.
+    let stderr = child.stderr.take().unwrap();
+    let (addr_tx, addr_rx) = mpsc::channel();
+    let reader = thread::spawn(move || {
+        let mut lines = Vec::new();
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if let Some((_, addr)) = line.split_once(" on tcp ") {
+                if line.starts_with("serving ") {
+                    addr_tx.send(addr.to_string()).ok();
+                }
+            }
+            lines.push(line);
+        }
+        lines
+    });
+    let Ok(addr) = addr_rx.recv_timeout(Duration::from_secs(120)) else {
+        child.kill().ok();
+        child.wait().ok();
+        panic!(
+            "no `serving … on tcp` line:\n{}",
+            reader.join().unwrap().join("\n")
+        );
+    };
+
+    let (mut ok, mut failed) = (0usize, 0usize);
+    while child.try_wait().unwrap().is_none() {
+        let status = Command::new(bin)
+            .args(["query", "--tcp", &addr, "--text", "space nasa orbit launch"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("spawn contratopic query");
+        if status.success() {
+            ok += 1;
+        } else if child.try_wait().unwrap().is_none() {
+            // Only a failure while the pipeline is still up counts as a
+            // drop; refusals after it drains and exits are its end of life.
+            failed += 1;
+        }
+        thread::sleep(Duration::from_millis(50));
+    }
+    let status = child.wait().unwrap();
+    let log = reader.join().unwrap().join("\n");
+    assert!(status.success(), "stream failed:\n{log}");
+    assert!(
+        failed == 0 && ok > 0,
+        "live stream dropped queries (ok={ok} failed={failed}):\n{log}"
+    );
+    let trace = std::fs::read_to_string(dir.join("live.jsonl")).expect("trace file");
+    assert!(
+        trace
+            .lines()
+            .any(|l| l.contains("\"event\":\"promotion\"") && l.contains("\"ok\":true")),
+        "no successful promotion in the trace"
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -43,8 +43,7 @@ pub use gumbel::{gumbel_noise, relaxed_subset, SubsetSample, SubsetSamplerConfig
 pub use kernel::SimilarityKernel;
 pub use model::{
     build_kernel, fit_contratopic, fit_contratopic_traced, fit_contratopic_wete,
-    fit_contratopic_wlda, fit_multilevel, fit_with_backbone, fit_with_backbone_traced, ContraTopic,
-    ContraTopicConfig,
+    fit_contratopic_wlda, fit_multilevel, fit_with_backbone, ContraTopic, ContraTopicConfig,
 };
 pub use online::OnlineContraTopic;
 pub use regularizer::{AblationVariant, ContrastiveRegularizer};

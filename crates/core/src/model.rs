@@ -5,8 +5,8 @@
 use ct_corpus::{BowCorpus, NpmiMatrix};
 use ct_models::trace::{NoopSink, TraceEvent, TraceSink};
 use ct_models::{
-    fit_backbone_with_regularizer_traced, Backbone, EtmBackbone, Fitted, TopicModel, TrainConfig,
-    WeTeBackbone, WldaBackbone,
+    train_backbone, Backbone, EtmBackbone, Fitted, TopicModel, TrainConfig, WeTeBackbone,
+    WldaBackbone,
 };
 use ct_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
@@ -118,33 +118,13 @@ impl<B: Backbone> TopicModel for ContraTopic<B> {
 }
 
 /// Train any backbone with the contrastive regularizer attached
-/// (Algorithm 1).
+/// (Algorithm 1), with training telemetry routed to `trace` (pass
+/// [`NoopSink`] for none): per-batch/per-epoch loss components (including
+/// the weighted regularizer term), divergence events, and the
+/// regularizer's pair-mask cache-miss counter (`masks_built`).
 pub fn fit_with_backbone<B: Backbone>(
     backbone: B,
-    params: Params,
-    corpus: &BowCorpus,
-    kernel: SimilarityKernel,
-    base: &TrainConfig,
-    config: &ContraTopicConfig,
-) -> ContraTopic<B> {
-    fit_with_backbone_traced(
-        backbone,
-        params,
-        corpus,
-        kernel,
-        base,
-        config,
-        &mut NoopSink,
-    )
-}
-
-/// [`fit_with_backbone`] with training telemetry routed to `trace`:
-/// per-batch/per-epoch loss components (including the weighted
-/// regularizer term), divergence events, and the regularizer's pair-mask
-/// cache-miss counter (`masks_built`).
-pub fn fit_with_backbone_traced<B: Backbone>(
-    backbone: B,
-    params: Params,
+    mut params: Params,
     corpus: &BowCorpus,
     kernel: SimilarityKernel,
     base: &TrainConfig,
@@ -153,15 +133,17 @@ pub fn fit_with_backbone_traced<B: Backbone>(
 ) -> ContraTopic<B> {
     let reg = ContrastiveRegularizer::new(kernel, config.sampler, config.variant);
     let name = ContraTopic::<B>::label_for(backbone.name(), config.variant);
-    let inner = fit_backbone_with_regularizer_traced(
-        backbone,
-        params,
+    let stats = train_backbone(
+        &backbone,
+        &mut params,
         corpus,
         base,
-        config.lambda,
-        |tape, beta, rng| reg.loss(tape, beta, rng),
+        Some((config.lambda, &mut |tape, beta, rng| {
+            reg.loss(tape, beta, rng)
+        })),
         trace,
     );
+    let inner = Fitted::new(backbone, params, stats);
     if trace.enabled() {
         trace.record(&TraceEvent::Counter {
             name: "masks_built",
@@ -226,7 +208,7 @@ pub fn fit_contratopic_traced(
     let mut params = Params::new();
     let mut rng = StdRng::seed_from_u64(base.seed);
     let backbone = EtmBackbone::new(&mut params, corpus.vocab_size(), embeddings, base, &mut rng);
-    fit_with_backbone_traced(backbone, params, corpus, kernel, base, config, trace)
+    fit_with_backbone(backbone, params, corpus, kernel, base, config, trace)
 }
 
 /// §V-I backbone substitution: WLDA + regularizer.
@@ -241,7 +223,15 @@ pub fn fit_contratopic_wlda(
     let mut params = Params::new();
     let mut rng = StdRng::seed_from_u64(base.seed);
     let backbone = WldaBackbone::new(&mut params, corpus.vocab_size(), base, &mut rng);
-    fit_with_backbone(backbone, params, corpus, kernel, base, config)
+    fit_with_backbone(
+        backbone,
+        params,
+        corpus,
+        kernel,
+        base,
+        config,
+        &mut NoopSink,
+    )
 }
 
 /// The paper's §VI future-work *multi-level* framework: combine the
@@ -259,7 +249,15 @@ pub fn fit_multilevel(
     let mut params = Params::new();
     let mut rng = StdRng::seed_from_u64(base.seed);
     let backbone = ct_models::ClntmBackbone::new(&mut params, corpus, embeddings, base, &mut rng);
-    fit_with_backbone(backbone, params, corpus, kernel, base, config)
+    fit_with_backbone(
+        backbone,
+        params,
+        corpus,
+        kernel,
+        base,
+        config,
+        &mut NoopSink,
+    )
 }
 
 /// §V-I backbone substitution: WeTe + regularizer.
@@ -274,7 +272,15 @@ pub fn fit_contratopic_wete(
     let mut params = Params::new();
     let mut rng = StdRng::seed_from_u64(base.seed);
     let backbone = WeTeBackbone::new(&mut params, corpus.vocab_size(), embeddings, base, &mut rng);
-    fit_with_backbone(backbone, params, corpus, kernel, base, config)
+    fit_with_backbone(
+        backbone,
+        params,
+        corpus,
+        kernel,
+        base,
+        config,
+        &mut NoopSink,
+    )
 }
 
 #[cfg(test)]

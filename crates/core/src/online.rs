@@ -10,8 +10,7 @@ use ct_corpus::npmi::{CoocAccumulator, NpmiMatrix};
 use ct_corpus::{BowCorpus, Vocab};
 use ct_models::trace::{NoopSink, TraceEvent, TraceSink};
 use ct_models::{
-    train_backbone_regularized_traced, Backbone, EtmBackbone, ModelBundle, TopicModel, TrainConfig,
-    TrainStats,
+    train_backbone, Backbone, EtmBackbone, ModelBundle, TopicModel, TrainConfig, TrainStats,
 };
 use ct_tensor::codec::{self, invalid_data};
 use ct_tensor::{Params, Tensor};
@@ -77,21 +76,20 @@ impl OnlineContraTopic {
         // Distinct seed per slice so batching/Gumbel noise differ.
         let mut cfg = self.base.clone();
         cfg.seed = self.base.seed.wrapping_add(self.slices_seen as u64 + 1);
-        let lambda = self.config.lambda;
-        let backbone = &self.backbone;
         if trace.enabled() {
             trace.record(&TraceEvent::Meta {
                 key: "slice",
                 value: self.slices_seen.to_string(),
             });
         }
-        let stats = train_backbone_regularized_traced(
-            backbone,
+        let stats = train_backbone(
+            &self.backbone,
             &mut self.params,
             slice,
             &cfg,
-            lambda,
-            |tape, beta, rng| reg.loss(tape, beta, rng),
+            Some((self.config.lambda, &mut |tape, beta, rng| {
+                reg.loss(tape, beta, rng)
+            })),
             trace,
         );
         if trace.enabled() {

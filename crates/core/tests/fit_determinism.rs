@@ -1,6 +1,6 @@
 //! Bitwise determinism of full ContraTopic training (backbone + batch-level
-//! contrastive regularizer) under the sharded data-parallel driver: worker
-//! count and shard width must not change the trained parameters.
+//! contrastive regularizer) under the sharded data-parallel driver: the
+//! worker count must not change the trained parameters.
 
 use contratopic::{fit_contratopic, ContraTopicConfig};
 use ct_corpus::NpmiMatrix;
@@ -8,7 +8,7 @@ use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::TrainConfig;
 use ct_tensor::{params_to_bytes, pool};
 
-/// Micro-batch (16) below the batch size (64) so the sharded executor
+/// Micro-batch (16) below the batch size (64) so the sharded path
 /// engages; the regularizer runs once per mini-batch on the driver thread.
 fn configs() -> (TrainConfig, ContraTopicConfig) {
     let base = TrainConfig {
@@ -43,26 +43,5 @@ fn contratopic_fit_bitwise_equal_across_worker_counts() {
         params_to_bytes(&one.inner.params),
         params_to_bytes(&four.inner.params),
         "ContraTopic params differ between 1 and 4 pool workers"
-    );
-}
-
-#[test]
-fn contratopic_fit_bitwise_equal_across_shard_widths() {
-    let corpus = cluster_corpus(2, 12, 80);
-    let emb = cluster_embeddings(&corpus);
-    let npmi = NpmiMatrix::from_corpus(&corpus);
-    let (base, config) = configs();
-    let narrow = fit_contratopic(
-        &corpus,
-        emb.clone(),
-        &npmi,
-        &base.clone().with_shards(1),
-        &config,
-    );
-    let wide = fit_contratopic(&corpus, emb, &npmi, &base.with_shards(4), &config);
-    assert_eq!(
-        params_to_bytes(&narrow.inner.params),
-        params_to_bytes(&wide.inner.params),
-        "ContraTopic params differ between shard widths 1 and 4"
     );
 }

@@ -6,15 +6,15 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ct_corpus::BowCorpus;
-use ct_tensor::{pool, ParamId, Params, Tape, Tensor, Var};
+use ct_corpus::{BatchIter, BowCorpus};
+use ct_tensor::{pool, Adam, Optimizer, ParamId, Params, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::common::{
-    infer_theta_blocked, train_loop_core, BatchOutcome, TopicModel, TrainConfig, TrainStats,
+    infer_theta_blocked, DivergencePolicy, TopicModel, TrainConfig, TrainOutcome, TrainStats,
 };
-use crate::trace::{LossComponents, NoopSink, TraceSink};
+use crate::trace::{ConsoleSink, LossComponents, NoopSink, TraceEvent, TraceSink};
 
 /// Output of one backbone forward pass.
 pub struct BackboneOut<'t> {
@@ -132,10 +132,6 @@ pub struct Fitted<B: Backbone> {
     pub stats: TrainStats,
 }
 
-/// A trained model ready for evaluation, persistence, or serving — alias
-/// for [`Fitted`], the name used throughout the serving documentation.
-pub type TrainedModel<B> = Fitted<B>;
-
 impl<B: Backbone> Fitted<B> {
     pub fn new(backbone: B, params: Params, stats: TrainStats) -> Self {
         Self {
@@ -200,52 +196,34 @@ pub fn fit_backbone_traced<B: Backbone>(
     config: &TrainConfig,
     trace: &mut dyn TraceSink,
 ) -> Fitted<B> {
-    let stats = train_backbone_traced(&backbone, &mut params, corpus, config, trace);
+    let stats = train_backbone(&backbone, &mut params, corpus, config, None, trace);
     Fitted::new(backbone, params, stats)
 }
 
-/// Borrowing form of [`fit_backbone_traced`]: trains `backbone`'s
-/// parameters in place and returns the run's stats. Used by callers that
-/// keep the backbone across training runs (the online/streaming variant
-/// warm-starts each slice from the previous one).
-pub fn train_backbone_traced<B: Backbone>(
-    backbone: &B,
-    params: &mut Params,
-    corpus: &BowCorpus,
-    config: &TrainConfig,
-    trace: &mut dyn TraceSink,
-) -> TrainStats {
-    train_backbone_inner(backbone, params, corpus, config, None, trace)
-}
-
-/// Borrowing form of [`fit_backbone_with_regularizer_traced`]; see
-/// [`train_backbone_traced`].
-pub fn train_backbone_regularized_traced<B, F>(
-    backbone: &B,
-    params: &mut Params,
-    corpus: &BowCorpus,
-    config: &TrainConfig,
-    lambda: f32,
-    mut reg: F,
-    trace: &mut dyn TraceSink,
-) -> TrainStats
-where
-    B: Backbone,
-    F: for<'t> FnMut(&'t Tape, Var<'t>, &mut StdRng) -> Var<'t>,
-{
-    train_backbone_inner(
-        backbone,
-        params,
-        corpus,
-        config,
-        Some((lambda, &mut reg)),
-        trace,
-    )
-}
-
 /// A batch-level regularizer: builds a scalar penalty from the
-/// differentiable `beta` on the given tape.
-type RegClosure<'r> = &'r mut dyn for<'t> FnMut(&'t Tape, Var<'t>, &mut StdRng) -> Var<'t>;
+/// differentiable `beta` on the given tape, drawing any randomness from
+/// the driver RNG.
+pub(crate) type RegClosure<'r> =
+    &'r mut dyn for<'t> FnMut(&'t Tape, Var<'t>, &mut StdRng) -> Var<'t>;
+
+/// What one executed batch reports back to the epoch loop. The batch step
+/// has already run forward and backward and accumulated (pre-clip)
+/// gradients into the parameter registry; the loop clips, steps the
+/// optimizer and records telemetry.
+struct BatchOutcome {
+    loss: f32,
+    components: LossComponents,
+    /// Forward wall time. On the sharded path this covers the whole
+    /// micro-batch fan-out (whose per-micro forward and backward are
+    /// fused), on the single-tape path just the forward pass.
+    forward_ns: u64,
+    /// Backward wall time. On the sharded path this is the fixed-order
+    /// gradient reduction (plus the batch-level regularizer).
+    backward_ns: u64,
+    /// Number of micro-batches the batch was split into (1 on the
+    /// single-tape path).
+    shards: usize,
+}
 
 /// One micro-batch's contribution, produced on a pool worker and reduced
 /// by the driver in micro-batch order.
@@ -255,7 +233,57 @@ struct MicroOut {
     grads: Vec<(ParamId, Tensor)>,
 }
 
-/// The deterministic data-parallel backbone driver.
+fn now_if(enabled: bool) -> Option<Instant> {
+    enabled.then(Instant::now)
+}
+
+fn ns_since(t0: Option<Instant>) -> u64 {
+    t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
+}
+
+/// Running sums for per-epoch component means.
+#[derive(Default)]
+struct ComponentAccum {
+    backbone: f64,
+    kl: Option<f64>,
+    regularizer: Option<f64>,
+    grad_norm: f64,
+}
+
+impl ComponentAccum {
+    fn add(&mut self, c: &LossComponents, grad_norm: f32) {
+        self.backbone += c.backbone as f64;
+        if let Some(kl) = c.kl {
+            *self.kl.get_or_insert(0.0) += kl as f64;
+        }
+        if let Some(reg) = c.regularizer {
+            *self.regularizer.get_or_insert(0.0) += reg as f64;
+        }
+        self.grad_norm += grad_norm as f64;
+    }
+
+    fn mean(&self, batches: usize) -> (LossComponents, f32) {
+        let n = batches.max(1) as f64;
+        (
+            LossComponents {
+                backbone: (self.backbone / n) as f32,
+                kl: self.kl.map(|v| (v / n) as f32),
+                regularizer: self.regularizer.map(|v| (v / n) as f32),
+            },
+            (self.grad_norm / n) as f32,
+        )
+    }
+}
+
+/// The training driver: trains `backbone`'s parameters in place on
+/// `corpus` with its own objective plus, when `reg` is `Some((lambda,
+/// reg))`, the weighted batch-level regularizer `lambda * reg(beta)` (the
+/// hook ContraTopic uses), and returns the run's stats.
+///
+/// Shuffled batching, gradient clipping, the Adam step, the
+/// [`TrainConfig::divergence`] policy and every trace event live here.
+/// With a disabled sink (the [`NoopSink`] default) no events are built and
+/// no clocks are read.
 ///
 /// Every mini-batch is split into fixed contiguous micro-batches of
 /// [`TrainConfig::micro_batch`] documents. Each micro-batch draws a seed
@@ -265,12 +293,15 @@ struct MicroOut {
 /// driver then sums the per-micro gradients weighted by document share, in
 /// micro-batch order. Nothing about the gradient math depends on the
 /// worker count or schedule, so trained parameters are bitwise identical
-/// for any `CT_NUM_THREADS` and any [`TrainConfig::shards`] value.
+/// for any `CT_NUM_THREADS`.
 ///
 /// A batch that fits inside one micro-batch takes a legacy single-tape
 /// path instead, which reproduces the historical driver bit-for-bit
-/// (same op order, same RNG stream, regularizer on the same tape).
-fn train_backbone_inner<B: Backbone>(
+/// (same op order, same RNG stream, regularizer on the same tape). One
+/// tape is reused across all such batches: [`Tape::reset`] returns every
+/// op-output buffer to the thread-local arena, so steady-state training
+/// allocates almost nothing.
+pub fn train_backbone<B: Backbone>(
     backbone: &B,
     params: &mut Params,
     corpus: &BowCorpus,
@@ -280,132 +311,165 @@ fn train_backbone_inner<B: Backbone>(
 ) -> TrainStats {
     let micro = config.micro_batch.max(1);
     let tape = Tape::new();
-    let mut exec = |params: &mut Params,
-                    batch: &[usize],
-                    rng: &mut StdRng,
-                    timing: bool|
-     -> Result<BatchOutcome, f32> {
-        let n_micros = batch.len().div_ceil(micro).max(1);
-        if n_micros <= 1 {
-            return single_tape_batch(
-                backbone, &tape, params, corpus, batch, &mut reg, rng, timing,
-            );
-        }
-
-        // --- Sharded path ---------------------------------------------
-        // Fixed partition: contiguous chunks of `micro` documents. The
-        // partition depends only on the batch and `micro_batch`, never on
-        // the worker count.
-        let micros: Vec<&[usize]> = batch.chunks(micro).collect();
-        let total = batch.len() as f32;
-        // One RNG seed per micro-batch, drawn from the driver stream in
-        // micro order *before* dispatch so the stream is schedule-free.
-        let seeds: Vec<u64> = micros.iter().map(|_| rng.gen::<u64>()).collect();
-        let fwd_t0 = timing.then(Instant::now);
-        let slots: Vec<Mutex<Option<Result<MicroOut, f32>>>> =
-            micros.iter().map(|_| Mutex::new(None)).collect();
+    let tracing = trace.enabled();
+    // Verbose progress goes through a console sink on stderr, never via
+    // direct printing from library code (tests/source_lints.rs enforces
+    // this).
+    let mut console = config.verbose.then(ConsoleSink::stderr);
+    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
+    let mut opt = Adam::new(config.learning_rate);
+    let mut stats = TrainStats::default();
+    let train_t0 = now_if(tracing);
+    if tracing {
+        trace.record(&TraceEvent::TrainStart {
+            epochs: config.epochs,
+            num_docs: corpus.num_docs(),
+            batch_size: config.batch_size,
+        });
+    }
+    'train: for epoch in 0..config.epochs {
+        let epoch_t0 = now_if(tracing);
+        let mut epoch_loss = 0.0f64;
+        let mut batches = 0usize;
+        let mut epoch_skipped = 0usize;
+        let mut accum = ComponentAccum::default();
+        for (batch_idx, batch) in
+            BatchIter::new(corpus.num_docs(), config.batch_size, &mut rng).enumerate()
         {
-            let params: &Params = params;
-            let shards_req = if config.shards == 0 {
-                n_micros
+            let arena0 = if tracing {
+                ct_tensor::arena::counters()
             } else {
-                config.shards
+                (0, 0)
             };
-            let min_items = n_micros.div_ceil(shards_req.max(1)).max(1);
-            pool::run_partitioned(n_micros, min_items, |range| {
-                for m in range {
-                    let result = pool::with_micro_seq(m as u64, || {
-                        // Force single-threaded math inside the micro so
-                        // its reduction order is fixed regardless of which
-                        // worker runs it (and to keep pool use non-nested).
-                        pool::with_threads(1, || {
-                            let mut mrng = StdRng::seed_from_u64(seeds[m]);
-                            let x = batch_input(backbone, corpus, micros[m]);
-                            let mtape = Tape::new();
-                            let out =
-                                backbone.batch_loss(&mtape, params, &x, micros[m], true, &mut mrng);
-                            let loss_v = out.loss.scalar_value();
-                            if !loss_v.is_finite() {
-                                return Err(loss_v);
+            let outcome = if batch.len() <= micro {
+                single_tape_batch(
+                    backbone, &tape, params, corpus, &batch, &mut reg, &mut rng, tracing,
+                )
+            } else {
+                sharded_batch(
+                    backbone, &tape, params, corpus, &batch, micro, &mut reg, &mut rng, tracing,
+                )
+            };
+            let out = match outcome {
+                Ok(out) => out,
+                Err(loss_v) => {
+                    // The batch step left the gradient sinks untouched (no
+                    // backward has run since the optimizer step zeroed
+                    // them), so there is nothing to clear before skipping.
+                    match config.divergence {
+                        DivergencePolicy::SkipBatch => {
+                            epoch_skipped += 1;
+                            stats.skipped_batches += 1;
+                            if tracing {
+                                trace.record(&TraceEvent::BatchSkipped {
+                                    epoch,
+                                    batch: batch_idx,
+                                    loss: loss_v,
+                                });
                             }
-                            let kl = out.kl.map(|k| k.scalar_value());
-                            let grads = mtape.backward(out.loss).into_param_grads();
-                            mtape.reset();
-                            Ok(MicroOut {
+                            continue;
+                        }
+                        DivergencePolicy::Halt => {
+                            stats.outcome = TrainOutcome::HaltedOnDivergence {
+                                epoch,
+                                batch: batch_idx,
                                 loss: loss_v,
-                                kl,
-                                grads,
-                            })
-                        })
-                    });
-                    *slots[m].lock().unwrap() = Some(result);
+                            };
+                            let ev = TraceEvent::HaltedOnDivergence {
+                                epoch,
+                                batch: batch_idx,
+                                loss: loss_v,
+                            };
+                            if tracing {
+                                trace.record(&ev);
+                            }
+                            if let Some(c) = &mut console {
+                                c.record(&ev);
+                            }
+                            break 'train;
+                        }
+                    }
                 }
-            });
-        }
-        // Replay queued side effects (batch-norm stats, RL baselines) in
-        // micro order. Like the historical driver, forward side effects
-        // happen even when the batch is subsequently skipped as divergent.
-        backbone.commit_batch_stats();
-        let forward_ns = fwd_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        // Collect in micro order; the first non-finite micro skips the
-        // batch before anything touches the gradient sinks.
-        let mut outs = Vec::with_capacity(n_micros);
-        for slot in &slots {
-            match slot.lock().unwrap().take().expect("micro result missing") {
-                Err(l) => return Err(l),
-                Ok(o) => outs.push(o),
+            };
+            epoch_loss += out.loss as f64;
+            batches += 1;
+            let step_t0 = now_if(tracing);
+            let (grad_norm, clipped) = if config.grad_clip > 0.0 {
+                let report = params.clip_grad_norm_report(config.grad_clip);
+                (report.pre_norm, report.clipped)
+            } else if tracing {
+                (params.grad_norm(), false)
+            } else {
+                (0.0, false)
+            };
+            opt.step(params);
+            let step_ns = ns_since(step_t0);
+            accum.add(&out.components, grad_norm);
+            if tracing {
+                let arena1 = ct_tensor::arena::counters();
+                trace.record(&TraceEvent::BatchEnd {
+                    epoch,
+                    batch: batch_idx,
+                    loss: out.loss,
+                    components: out.components,
+                    grad_norm,
+                    clipped,
+                    adam_step: opt.steps(),
+                    forward_ns: out.forward_ns,
+                    backward_ns: out.backward_ns,
+                    step_ns,
+                    shards: out.shards,
+                    arena_reuse: arena1.0.saturating_sub(arena0.0),
+                    arena_miss: arena1.1.saturating_sub(arena0.1),
+                });
             }
         }
-        let bwd_t0 = timing.then(Instant::now);
-        // The batch-level regularizer is a function of beta alone, so it
-        // is built once per mini-batch on the driver thread, on its own
-        // tape; its gradient joins the reduction after the shard sum.
-        let mut reg_weighted = None;
-        let mut reg_grads = None;
-        if let Some((lambda, reg_fn)) = reg.as_mut() {
-            tape.reset();
-            let beta = backbone.beta_var(&tape, params);
-            let r = reg_fn(&tape, beta, rng);
-            let rv = r.scalar_value();
-            if !rv.is_finite() {
-                return Err(rv);
+        if batches == 0 {
+            if epoch_skipped > 0 {
+                // Every batch diverged: terminal event, not a NaN mean.
+                stats.outcome = TrainOutcome::AllBatchesDiverged { epoch };
+                let ev = TraceEvent::AllBatchesDiverged { epoch };
+                if tracing {
+                    trace.record(&ev);
+                }
+                if let Some(c) = &mut console {
+                    c.record(&ev);
+                }
+                break 'train;
             }
-            reg_weighted = Some(*lambda * rv);
-            reg_grads = Some(tape.backward(r.scale(*lambda)));
+            // Empty corpus: nothing to record for this epoch.
+            continue;
         }
-        // Fixed-order weighted reduction: micro m contributes with weight
-        // n_m / N, so the total equals the full-batch per-document mean.
-        let mut loss_total = 0.0f32;
-        let mut kl_total: Option<f32> = None;
-        for (m, out) in outs.into_iter().enumerate() {
-            let w = micros[m].len() as f32 / total;
-            loss_total += w * out.loss;
-            if let Some(k) = out.kl {
-                *kl_total.get_or_insert(0.0) += w * k;
+        let mean = (epoch_loss / batches as f64) as f32;
+        let (mean_components, mean_grad_norm) = accum.mean(batches);
+        stats.epoch_losses.push(mean);
+        stats.epoch_components.push(mean_components);
+        if tracing || console.is_some() {
+            let ev = TraceEvent::EpochEnd {
+                epoch,
+                mean_loss: mean,
+                components: mean_components,
+                grad_norm: mean_grad_norm,
+                batches,
+                skipped: epoch_skipped,
+                wall_ns: ns_since(epoch_t0),
+            };
+            if tracing {
+                trace.record(&ev);
             }
-            for (pid, g) in out.grads {
-                params.grad_mut(pid).axpy(w, &g);
-                ct_tensor::arena::recycle(g);
+            if let Some(c) = &mut console {
+                c.record(&ev);
             }
         }
-        if let Some(g) = reg_grads {
-            g.accumulate_into(params);
-            g.recycle();
-        }
-        let backward_ns = bwd_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        Ok(BatchOutcome {
-            loss: loss_total + reg_weighted.unwrap_or(0.0),
-            components: LossComponents {
-                backbone: loss_total,
-                kl: kl_total,
-                regularizer: reg_weighted,
-            },
-            forward_ns,
-            backward_ns,
-            shards: n_micros,
-        })
-    };
-    train_loop_core(corpus, config, params, trace, &mut exec)
+    }
+    if tracing {
+        trace.record(&TraceEvent::TrainEnd {
+            epochs_run: stats.epoch_losses.len(),
+            skipped_batches: stats.skipped_batches,
+            wall_ns: ns_since(train_t0),
+        });
+    }
+    stats
 }
 
 /// Materialize one training batch in the storage the backbone supports:
@@ -423,7 +487,9 @@ fn batch_input<B: Backbone>(backbone: &B, corpus: &BowCorpus, indices: &[usize])
 /// The legacy single-tape batch: identical op order, RNG stream and
 /// (same-tape) regularizer placement as the historical driver, so runs
 /// whose batches fit in one micro-batch stay bitwise reproducible against
-/// checkpoints from before the data-parallel driver existed.
+/// checkpoints from before the data-parallel driver existed. Returns
+/// `Err(loss)` for a non-finite loss, before any gradient reaches the
+/// parameter registry.
 #[allow(clippy::too_many_arguments)]
 fn single_tape_batch<B: Backbone>(
     backbone: &B,
@@ -437,7 +503,7 @@ fn single_tape_batch<B: Backbone>(
 ) -> Result<BatchOutcome, f32> {
     tape.reset();
     let x = batch_input(backbone, corpus, batch);
-    let fwd_t0 = timing.then(Instant::now);
+    let fwd_t0 = now_if(timing);
     let out = backbone.batch_loss(tape, params, &x, batch, true, rng);
     let (loss, components) = match reg.as_mut() {
         None => (out.loss, out.components(None)),
@@ -451,14 +517,14 @@ fn single_tape_batch<B: Backbone>(
         }
     };
     let loss_v = loss.scalar_value();
-    let forward_ns = fwd_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+    let forward_ns = ns_since(fwd_t0);
     if !loss_v.is_finite() {
         return Err(loss_v);
     }
-    let bwd_t0 = timing.then(Instant::now);
+    let bwd_t0 = now_if(timing);
     let grads = tape.backward(loss);
     grads.accumulate_into(params);
-    let backward_ns = bwd_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+    let backward_ns = ns_since(bwd_t0);
     grads.recycle();
     Ok(BatchOutcome {
         loss: loss_v,
@@ -469,55 +535,127 @@ fn single_tape_batch<B: Backbone>(
     })
 }
 
-/// Train a backbone with an additional differentiable regularizer term
-/// `reg(tape, beta_var)` scaled by `lambda` — the hook ContraTopic uses.
-pub fn fit_backbone_with_regularizer<B, F>(
-    backbone: B,
-    params: Params,
+/// The sharded batch: fans the fixed micro partition out over the pool
+/// and reduces in micro order (see [`train_backbone`]). Returns
+/// `Err(loss)` for a non-finite micro loss or regularizer value, before
+/// any gradient reaches the parameter registry.
+#[allow(clippy::too_many_arguments)]
+fn sharded_batch<B: Backbone>(
+    backbone: &B,
+    tape: &Tape,
+    params: &mut Params,
     corpus: &BowCorpus,
-    config: &TrainConfig,
-    lambda: f32,
-    reg: F,
-) -> Fitted<B>
-where
-    B: Backbone,
-    F: for<'t> FnMut(&'t Tape, Var<'t>, &mut StdRng) -> Var<'t>,
-{
-    fit_backbone_with_regularizer_traced(
-        backbone,
-        params,
-        corpus,
-        config,
-        lambda,
-        reg,
-        &mut NoopSink,
-    )
-}
-
-/// [`fit_backbone_with_regularizer`] with training telemetry routed to
-/// `trace`; the weighted regularizer value is reported as a separate loss
-/// component per batch.
-pub fn fit_backbone_with_regularizer_traced<B, F>(
-    backbone: B,
-    mut params: Params,
-    corpus: &BowCorpus,
-    config: &TrainConfig,
-    lambda: f32,
-    reg: F,
-    trace: &mut dyn TraceSink,
-) -> Fitted<B>
-where
-    B: Backbone,
-    F: for<'t> FnMut(&'t Tape, Var<'t>, &mut StdRng) -> Var<'t>,
-{
-    let stats = train_backbone_regularized_traced(
-        &backbone,
-        &mut params,
-        corpus,
-        config,
-        lambda,
-        reg,
-        trace,
-    );
-    Fitted::new(backbone, params, stats)
+    batch: &[usize],
+    micro: usize,
+    reg: &mut Option<(f32, RegClosure<'_>)>,
+    rng: &mut StdRng,
+    timing: bool,
+) -> Result<BatchOutcome, f32> {
+    // Fixed partition: contiguous chunks of `micro` documents. The
+    // partition depends only on the batch and `micro_batch`, never on the
+    // worker count.
+    let micros: Vec<&[usize]> = batch.chunks(micro).collect();
+    let n_micros = micros.len();
+    let total = batch.len() as f32;
+    // One RNG seed per micro-batch, drawn from the driver stream in micro
+    // order *before* dispatch so the stream is schedule-free.
+    let seeds: Vec<u64> = micros.iter().map(|_| rng.gen::<u64>()).collect();
+    let fwd_t0 = now_if(timing);
+    let slots: Vec<Mutex<Option<Result<MicroOut, f32>>>> =
+        micros.iter().map(|_| Mutex::new(None)).collect();
+    {
+        let params: &Params = params;
+        // One work item per micro-batch.
+        pool::run_partitioned(n_micros, 1, |range| {
+            for m in range {
+                let result = pool::with_micro_seq(m as u64, || {
+                    // Force single-threaded math inside the micro so its
+                    // reduction order is fixed regardless of which worker
+                    // runs it (and to keep pool use non-nested).
+                    pool::with_threads(1, || {
+                        let mut mrng = StdRng::seed_from_u64(seeds[m]);
+                        let x = batch_input(backbone, corpus, micros[m]);
+                        let mtape = Tape::new();
+                        let out =
+                            backbone.batch_loss(&mtape, params, &x, micros[m], true, &mut mrng);
+                        let loss_v = out.loss.scalar_value();
+                        if !loss_v.is_finite() {
+                            return Err(loss_v);
+                        }
+                        let kl = out.kl.map(|k| k.scalar_value());
+                        let grads = mtape.backward(out.loss).into_param_grads();
+                        mtape.reset();
+                        Ok(MicroOut {
+                            loss: loss_v,
+                            kl,
+                            grads,
+                        })
+                    })
+                });
+                *slots[m].lock().unwrap() = Some(result);
+            }
+        });
+    }
+    // Replay queued side effects (batch-norm stats, RL baselines) in micro
+    // order. Like the historical driver, forward side effects happen even
+    // when the batch is subsequently skipped as divergent.
+    backbone.commit_batch_stats();
+    let forward_ns = ns_since(fwd_t0);
+    // Collect in micro order; the first non-finite micro skips the batch
+    // before anything touches the gradient sinks.
+    let mut outs = Vec::with_capacity(n_micros);
+    for slot in &slots {
+        match slot.lock().unwrap().take().expect("micro result missing") {
+            Err(l) => return Err(l),
+            Ok(o) => outs.push(o),
+        }
+    }
+    let bwd_t0 = now_if(timing);
+    // The batch-level regularizer is a function of beta alone, so it is
+    // built once per mini-batch on the driver thread, on its own tape; its
+    // gradient joins the reduction after the micro sum.
+    let mut reg_weighted = None;
+    let mut reg_grads = None;
+    if let Some((lambda, reg_fn)) = reg.as_mut() {
+        tape.reset();
+        let beta = backbone.beta_var(tape, params);
+        let r = reg_fn(tape, beta, rng);
+        let rv = r.scalar_value();
+        if !rv.is_finite() {
+            return Err(rv);
+        }
+        reg_weighted = Some(*lambda * rv);
+        reg_grads = Some(tape.backward(r.scale(*lambda)));
+    }
+    // Fixed-order weighted reduction: micro m contributes with weight
+    // n_m / N, so the total equals the full-batch per-document mean.
+    let mut loss_total = 0.0f32;
+    let mut kl_total: Option<f32> = None;
+    for (m, out) in outs.into_iter().enumerate() {
+        let w = micros[m].len() as f32 / total;
+        loss_total += w * out.loss;
+        if let Some(k) = out.kl {
+            *kl_total.get_or_insert(0.0) += w * k;
+        }
+        for (pid, g) in out.grads {
+            params.grad_mut(pid).axpy(w, &g);
+            ct_tensor::arena::recycle(g);
+        }
+    }
+    if let Some(g) = reg_grads {
+        g.accumulate_into(params);
+        g.recycle();
+    }
+    let backward_ns = ns_since(bwd_t0);
+    Ok(BatchOutcome {
+        loss: loss_total + reg_weighted.unwrap_or(0.0),
+        components: LossComponents {
+            backbone: loss_total,
+            kl: kl_total,
+            regularizer: reg_weighted,
+        },
+        forward_ns,
+        backward_ns,
+        shards: n_micros,
+    })
 }

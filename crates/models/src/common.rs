@@ -1,13 +1,10 @@
-//! Shared model interface and training driver.
+//! Shared model interface, training configuration and run records. The
+//! training driver itself is [`crate::backbone::train_backbone`].
 
-use std::time::Instant;
+use ct_corpus::BowCorpus;
+use ct_tensor::Tensor;
 
-use ct_corpus::{BatchIter, BowCorpus};
-use ct_tensor::{Adam, Optimizer, Params, Tape, Tensor, Var};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::trace::{ConsoleSink, LossComponents, NoopSink, TraceEvent, TraceSink};
+use crate::trace::LossComponents;
 
 /// What the training driver does when a batch loss comes back non-finite.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,12 +60,6 @@ pub struct TrainConfig {
     /// parameters are bitwise identical for any `CT_NUM_THREADS`. A
     /// mini-batch that fits in one micro-batch takes the single-tape path.
     pub micro_batch: usize,
-    /// Dispatch width for the micro-batch fan-out: an upper bound on how
-    /// many pool workers the micro-batches are spread across. `0` (the
-    /// default) lets every micro-batch be its own work item. This knob
-    /// only changes scheduling granularity — results are bitwise
-    /// identical for any value.
-    pub shards: usize,
 }
 
 impl Default for TrainConfig {
@@ -88,7 +79,6 @@ impl Default for TrainConfig {
             verbose: false,
             divergence: DivergencePolicy::SkipBatch,
             micro_batch: 256,
-            shards: 0,
         }
     }
 }
@@ -116,12 +106,6 @@ impl TrainConfig {
     /// [`TrainConfig::micro_batch`]).
     pub fn with_micro_batch(mut self, micro_batch: usize) -> Self {
         self.micro_batch = micro_batch;
-        self
-    }
-
-    /// Set the micro-batch dispatch width (see [`TrainConfig::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }
@@ -219,327 +203,6 @@ impl TrainStats {
     }
 }
 
-/// What a traced loss closure returns for one batch: the scalar loss plus
-/// its telemetry breakdown.
-pub struct BatchLoss<'t> {
-    pub loss: Var<'t>,
-    pub components: LossComponents,
-}
-
-impl<'t> From<Var<'t>> for BatchLoss<'t> {
-    /// Wrap a bare loss: the whole value is attributed to the backbone.
-    fn from(loss: Var<'t>) -> Self {
-        let components = LossComponents {
-            backbone: loss.scalar_value(),
-            ..LossComponents::default()
-        };
-        Self { loss, components }
-    }
-}
-
-/// Generic mini-batch training loop shared by every neural model.
-///
-/// `loss_fn(tape, params, x_batch, doc_indices, rng)` builds the scalar
-/// loss for one batch; the driver handles shuffled batching, backward,
-/// gradient clipping and the Adam step. Equivalent to
-/// [`train_loop_traced`] with a [`NoopSink`].
-pub fn train_loop<F>(
-    corpus: &BowCorpus,
-    config: &TrainConfig,
-    params: &mut Params,
-    mut loss_fn: F,
-) -> TrainStats
-where
-    F: for<'t> FnMut(&'t Tape, &Params, &Tensor, &[usize], &mut StdRng) -> Var<'t>,
-{
-    train_loop_traced(
-        corpus,
-        config,
-        params,
-        |tape, params, x, idx, rng| BatchLoss::from(loss_fn(tape, params, x, idx, rng)),
-        &mut NoopSink,
-    )
-}
-
-fn now_if(enabled: bool) -> Option<Instant> {
-    enabled.then(Instant::now)
-}
-
-fn ns_since(t0: Option<Instant>) -> u64 {
-    t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
-}
-
-/// Running sums for per-epoch component means.
-#[derive(Default)]
-struct ComponentAccum {
-    backbone: f64,
-    kl: Option<f64>,
-    regularizer: Option<f64>,
-    grad_norm: f64,
-}
-
-impl ComponentAccum {
-    fn add(&mut self, c: &LossComponents, grad_norm: f32) {
-        self.backbone += c.backbone as f64;
-        if let Some(kl) = c.kl {
-            *self.kl.get_or_insert(0.0) += kl as f64;
-        }
-        if let Some(reg) = c.regularizer {
-            *self.regularizer.get_or_insert(0.0) += reg as f64;
-        }
-        self.grad_norm += grad_norm as f64;
-    }
-
-    fn mean(&self, batches: usize) -> (LossComponents, f32) {
-        let n = batches.max(1) as f64;
-        (
-            LossComponents {
-                backbone: (self.backbone / n) as f32,
-                kl: self.kl.map(|v| (v / n) as f32),
-                regularizer: self.regularizer.map(|v| (v / n) as f32),
-            },
-            (self.grad_norm / n) as f32,
-        )
-    }
-}
-
-/// What a batch executor reports back to [`train_loop_core`] for one
-/// successfully executed batch. The executor has already run forward and
-/// backward and accumulated (pre-clip) gradients into the parameter
-/// registry; the driver clips, steps the optimizer and records telemetry.
-pub(crate) struct BatchOutcome {
-    pub loss: f32,
-    pub components: LossComponents,
-    /// Forward wall time. On the data-parallel path this covers the whole
-    /// micro-batch fan-out (whose per-shard forward and backward are
-    /// fused), on the single-tape path just the forward pass.
-    pub forward_ns: u64,
-    /// Backward wall time. On the data-parallel path this is the
-    /// fixed-order gradient reduction (plus the batch-level regularizer).
-    pub backward_ns: u64,
-    /// Number of micro-batch shards the batch was split into (1 on the
-    /// single-tape path).
-    pub shards: usize,
-}
-
-/// A batch executor: runs forward + backward for the documents in
-/// `batch`, accumulates gradients into the params, and returns the batch
-/// telemetry — or `Err(loss)` for a non-finite loss, in which case it must
-/// leave the gradient sinks untouched so the driver can skip the batch.
-pub(crate) type BatchExec<'a> =
-    &'a mut dyn FnMut(&mut Params, &[usize], &mut StdRng, bool) -> Result<BatchOutcome, f32>;
-
-/// [`train_loop`] with telemetry: every batch and epoch is reported to
-/// `trace`, divergence is surfaced according to
-/// [`TrainConfig::divergence`], and the loss closure returns a
-/// [`BatchLoss`] carrying the component breakdown. With a disabled sink
-/// (the [`NoopSink`] default) no events are built and no clocks are read.
-///
-/// One tape is reused across all batches: [`Tape::reset`] returns every
-/// op-output buffer to the thread-local arena, so steady-state training
-/// allocates almost nothing.
-pub fn train_loop_traced<F>(
-    corpus: &BowCorpus,
-    config: &TrainConfig,
-    params: &mut Params,
-    mut loss_fn: F,
-    trace: &mut dyn TraceSink,
-) -> TrainStats
-where
-    F: for<'t> FnMut(&'t Tape, &Params, &Tensor, &[usize], &mut StdRng) -> BatchLoss<'t>,
-{
-    let tape = Tape::new();
-    let mut exec = |params: &mut Params, batch: &[usize], rng: &mut StdRng, timing: bool| {
-        tape.reset();
-        let x = corpus.dense_batch(batch);
-        let fwd_t0 = now_if(timing);
-        let BatchLoss { loss, components } = loss_fn(&tape, params, &x, batch, rng);
-        let loss_v = loss.scalar_value();
-        let forward_ns = ns_since(fwd_t0);
-        if !loss_v.is_finite() {
-            return Err(loss_v);
-        }
-        let bwd_t0 = now_if(timing);
-        let grads = tape.backward(loss);
-        grads.accumulate_into(params);
-        let backward_ns = ns_since(bwd_t0);
-        grads.recycle();
-        Ok(BatchOutcome {
-            loss: loss_v,
-            components,
-            forward_ns,
-            backward_ns,
-            shards: 1,
-        })
-    };
-    train_loop_core(corpus, config, params, trace, &mut exec)
-}
-
-/// The shared epoch/divergence/telemetry machinery behind both the
-/// closure-based [`train_loop_traced`] and the data-parallel backbone
-/// driver ([`crate::backbone::train_backbone_traced`]). Shuffled batching,
-/// gradient clipping, the Adam step, divergence policy and all trace
-/// events live here; how a batch turns into gradients is the executor's
-/// business.
-pub(crate) fn train_loop_core(
-    corpus: &BowCorpus,
-    config: &TrainConfig,
-    params: &mut Params,
-    trace: &mut dyn TraceSink,
-    exec: BatchExec<'_>,
-) -> TrainStats {
-    let tracing = trace.enabled();
-    // Verbose progress goes through a console sink on stderr, never via
-    // direct printing from library code (scripts/check.sh enforces this).
-    let mut console = config.verbose.then(ConsoleSink::stderr);
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
-    let mut opt = Adam::new(config.learning_rate);
-    let mut stats = TrainStats::default();
-    let train_t0 = now_if(tracing);
-    if tracing {
-        trace.record(&TraceEvent::TrainStart {
-            epochs: config.epochs,
-            num_docs: corpus.num_docs(),
-            batch_size: config.batch_size,
-        });
-    }
-    'train: for epoch in 0..config.epochs {
-        let epoch_t0 = now_if(tracing);
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        let mut epoch_skipped = 0usize;
-        let mut accum = ComponentAccum::default();
-        for (batch_idx, batch) in
-            BatchIter::new(corpus.num_docs(), config.batch_size, &mut rng).enumerate()
-        {
-            let arena0 = if tracing {
-                ct_tensor::arena::counters()
-            } else {
-                (0, 0)
-            };
-            let outcome = exec(params, &batch, &mut rng, tracing);
-            let out = match outcome {
-                Ok(out) => out,
-                Err(loss_v) => {
-                    // The executor left the gradient sinks untouched (no
-                    // backward has run since the optimizer step zeroed
-                    // them), so there is nothing to clear before skipping.
-                    match config.divergence {
-                        DivergencePolicy::SkipBatch => {
-                            epoch_skipped += 1;
-                            stats.skipped_batches += 1;
-                            if tracing {
-                                trace.record(&TraceEvent::BatchSkipped {
-                                    epoch,
-                                    batch: batch_idx,
-                                    loss: loss_v,
-                                });
-                            }
-                            continue;
-                        }
-                        DivergencePolicy::Halt => {
-                            stats.outcome = TrainOutcome::HaltedOnDivergence {
-                                epoch,
-                                batch: batch_idx,
-                                loss: loss_v,
-                            };
-                            let ev = TraceEvent::HaltedOnDivergence {
-                                epoch,
-                                batch: batch_idx,
-                                loss: loss_v,
-                            };
-                            if tracing {
-                                trace.record(&ev);
-                            }
-                            if let Some(c) = &mut console {
-                                c.record(&ev);
-                            }
-                            break 'train;
-                        }
-                    }
-                }
-            };
-            epoch_loss += out.loss as f64;
-            batches += 1;
-            let step_t0 = now_if(tracing);
-            let (grad_norm, clipped) = if config.grad_clip > 0.0 {
-                let report = params.clip_grad_norm_report(config.grad_clip);
-                (report.pre_norm, report.clipped)
-            } else if tracing {
-                (params.grad_norm(), false)
-            } else {
-                (0.0, false)
-            };
-            opt.step(params);
-            let step_ns = ns_since(step_t0);
-            accum.add(&out.components, grad_norm);
-            if tracing {
-                let arena1 = ct_tensor::arena::counters();
-                trace.record(&TraceEvent::BatchEnd {
-                    epoch,
-                    batch: batch_idx,
-                    loss: out.loss,
-                    components: out.components,
-                    grad_norm,
-                    clipped,
-                    adam_step: opt.steps(),
-                    forward_ns: out.forward_ns,
-                    backward_ns: out.backward_ns,
-                    step_ns,
-                    shards: out.shards,
-                    arena_reuse: arena1.0.saturating_sub(arena0.0),
-                    arena_miss: arena1.1.saturating_sub(arena0.1),
-                });
-            }
-        }
-        if batches == 0 {
-            if epoch_skipped > 0 {
-                // Every batch diverged: terminal event, not a NaN mean.
-                stats.outcome = TrainOutcome::AllBatchesDiverged { epoch };
-                let ev = TraceEvent::AllBatchesDiverged { epoch };
-                if tracing {
-                    trace.record(&ev);
-                }
-                if let Some(c) = &mut console {
-                    c.record(&ev);
-                }
-                break 'train;
-            }
-            // Empty corpus: nothing to record for this epoch.
-            continue;
-        }
-        let mean = (epoch_loss / batches as f64) as f32;
-        let (mean_components, mean_grad_norm) = accum.mean(batches);
-        stats.epoch_losses.push(mean);
-        stats.epoch_components.push(mean_components);
-        if tracing || console.is_some() {
-            let ev = TraceEvent::EpochEnd {
-                epoch,
-                mean_loss: mean,
-                components: mean_components,
-                grad_norm: mean_grad_norm,
-                batches,
-                skipped: epoch_skipped,
-                wall_ns: ns_since(epoch_t0),
-            };
-            if tracing {
-                trace.record(&ev);
-            }
-            if let Some(c) = &mut console {
-                c.record(&ev);
-            }
-        }
-    }
-    if tracing {
-        trace.record(&TraceEvent::TrainEnd {
-            epochs_run: stats.epoch_losses.len(),
-            skipped_batches: stats.skipped_batches,
-            wall_ns: ns_since(train_t0),
-        });
-    }
-    stats
-}
-
 /// Amortized θ inference over a whole corpus in blocks: runs `encode` on
 /// CSR-backed batches (every eval-mode encoder path is
 /// normalize-then-matmul, which the sparse storage backend handles with
@@ -584,7 +247,11 @@ pub fn normalize_rows_l2(mut emb: Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backbone::{train_backbone, Backbone, BackboneOut, RegClosure};
+    use crate::trace::{CollectSink, TraceEvent};
     use ct_corpus::{SparseDoc, Vocab};
+    use ct_tensor::{params_to_bytes, ParamId, Params, Tape, Var};
+    use rand::rngs::StdRng;
 
     fn tiny_corpus() -> BowCorpus {
         let vocab = Vocab::from_words((0..6).map(|i| format!("w{i}")));
@@ -596,171 +263,279 @@ mod tests {
         c
     }
 
-    #[test]
-    fn train_loop_reduces_simple_loss() {
-        // Learn a per-word bias b to reconstruct mean word counts:
-        // loss = mean((x - b)^2).
-        let corpus = tiny_corpus();
-        let config = TrainConfig {
-            epochs: 40,
-            batch_size: 8,
-            learning_rate: 0.05,
-            ..TrainConfig::tiny()
-        };
-        let mut params = Params::new();
-        let b = params.add("b", Tensor::zeros(1, 6));
-        let stats = train_loop(
-            &corpus,
-            &config,
-            &mut params,
-            |tape, params, x, _idx, _rng| {
-                let bv = tape.param(params, b);
-                let xc = tape.constant(x.clone());
-                xc.sub(bv).square().mean_all()
-            },
-        );
-        assert!(stats.epoch_losses.first().unwrap() > stats.epoch_losses.last().unwrap());
-        assert!(*stats.epoch_losses.last().unwrap() < 0.3);
+    /// A one-parameter backbone for driver tests: a per-word bias `b`
+    /// fitted to raw counts, `loss = mean((x - b)²)`, with `beta =
+    /// softmax(b)`. Any (micro-)batch holding a document listed in
+    /// `poisoned` returns a NaN loss, so which batches diverge is fixed by
+    /// document index, never by scheduling.
+    struct BiasBackbone {
+        b: ParamId,
+        poisoned: Vec<usize>,
     }
 
-    /// Loss closure that returns `b`-dependent MSE normally but a NaN
-    /// constant on batches selected by `diverge` (1-based call count).
-    fn diverging_loss(
-        corpus: &BowCorpus,
-        config: &TrainConfig,
-        diverge: impl Fn(usize) -> bool + 'static,
-    ) -> (TrainStats, crate::trace::CollectSink) {
+    impl Backbone for BiasBackbone {
+        fn name(&self) -> &'static str {
+            "bias"
+        }
+
+        fn batch_loss<'t>(
+            &self,
+            tape: &'t Tape,
+            params: &Params,
+            x: &Tensor,
+            indices: &[usize],
+            _training: bool,
+            _rng: &mut StdRng,
+        ) -> BackboneOut<'t> {
+            let bv = tape.param(params, self.b);
+            let loss = if indices.iter().any(|d| self.poisoned.contains(d)) {
+                tape.constant(Tensor::scalar(f32::NAN))
+            } else {
+                tape.constant(x.clone()).sub(bv).square().mean_all()
+            };
+            BackboneOut::new(loss, bv.softmax_rows(1.0))
+        }
+
+        fn beta_var<'t>(&self, tape: &'t Tape, params: &Params) -> Var<'t> {
+            tape.param(params, self.b).softmax_rows(1.0)
+        }
+
+        fn infer_theta_batch(&self, _params: &Params, x: &Tensor) -> Tensor {
+            Tensor::full(x.rows(), 1, 1.0)
+        }
+
+        fn supports_csr_batch(&self) -> bool {
+            false
+        }
+
+        fn beta_tensor(&self, params: &Params) -> Tensor {
+            params.value(self.b).clone()
+        }
+
+        fn num_topics(&self) -> usize {
+            1
+        }
+    }
+
+    /// `micro_batch` values for a batch of 8: the single-tape path, then
+    /// the sharded path with a ragged 3 + 3 + 2 partition.
+    const PATHS: [usize; 2] = [8, 3];
+
+    struct Run {
+        stats: TrainStats,
+        sink: CollectSink,
+        params: Params,
+        initial: Vec<u8>,
+    }
+
+    impl Run {
+        /// Parameters bitwise as initialized and every gradient sink zero:
+        /// no diverged batch reached the registry.
+        fn untouched(&self) -> bool {
+            params_to_bytes(&self.params) == self.initial
+                && self
+                    .params
+                    .ids()
+                    .all(|id| self.params.grad(id).data().iter().all(|&g| g == 0.0))
+        }
+
+        fn count(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
+            self.sink.events.iter().filter(|e| pred(e)).count()
+        }
+    }
+
+    /// A regularizer that is NaN for every `beta`.
+    fn nan_regularizer<'t>(_: &'t Tape, beta: Var<'t>, _: &mut StdRng) -> Var<'t> {
+        beta.sum_all().scale(f32::NAN)
+    }
+
+    /// Train [`BiasBackbone`] on [`tiny_corpus`] through the production
+    /// driver, with [`nan_regularizer`] attached when `nan_reg` is set.
+    fn train_bias(config: &TrainConfig, poisoned: Vec<usize>, nan_reg: bool) -> Run {
+        let corpus = tiny_corpus();
         let mut params = Params::new();
         let b = params.add("b", Tensor::zeros(1, 6));
-        let mut calls = 0usize;
-        let mut sink = crate::trace::CollectSink::default();
-        let stats = train_loop_traced(
-            corpus,
-            config,
-            &mut params,
-            |tape, params, x, _idx, _rng| {
-                calls += 1;
-                if diverge(calls) {
-                    return BatchLoss::from(tape.constant(Tensor::scalar(f32::NAN)));
-                }
-                let bv = tape.param(params, b);
-                let xc = tape.constant(x.clone());
-                BatchLoss::from(xc.sub(bv).square().mean_all())
-            },
-            &mut sink,
-        );
-        (stats, sink)
+        let initial = params_to_bytes(&params);
+        let backbone = BiasBackbone { b, poisoned };
+        let mut sink = CollectSink::default();
+        let mut reg_fn = nan_regularizer;
+        let reg = nan_reg.then_some((1.0, &mut reg_fn as RegClosure<'_>));
+        let stats = train_backbone(&backbone, &mut params, &corpus, config, reg, &mut sink);
+        Run {
+            stats,
+            sink,
+            params,
+            initial,
+        }
     }
 
     #[test]
     fn skip_policy_counts_diverged_batches_and_keeps_means_finite() {
-        let corpus = tiny_corpus(); // 40 docs
-        let config = TrainConfig {
-            epochs: 2,
-            batch_size: 8, // 5 batches per epoch
-            ..TrainConfig::tiny()
-        };
-        // Every other batch diverges: 2-3 skips per epoch, never all 5.
-        let (stats, sink) = diverging_loss(&corpus, &config, |c| c % 2 == 0);
-        assert_eq!(stats.skipped_batches, 5, "10 batches, every other one");
-        assert_eq!(stats.outcome, TrainOutcome::Completed);
-        assert_eq!(stats.epoch_losses.len(), 2);
-        assert!(stats.epoch_losses.iter().all(|l| l.is_finite()));
-        assert_eq!(stats.epoch_components.len(), 2);
-        let skips = sink
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::BatchSkipped { .. }))
-            .count();
-        assert_eq!(skips, 5);
-        let epoch_skips: usize = sink
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::EpochEnd { skipped, .. } => Some(*skipped),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(epoch_skips, 5);
+        for micro in PATHS {
+            let config = TrainConfig {
+                epochs: 3,
+                batch_size: 8, // 5 batches per epoch over 40 docs
+                ..TrainConfig::tiny()
+            }
+            .with_micro_batch(micro);
+            // Doc 0 lands in exactly one batch per epoch: 3 skips, never all 5.
+            let run = train_bias(&config, vec![0], false);
+            let stats = &run.stats;
+            assert_eq!(stats.skipped_batches, 3, "micro {micro}");
+            assert_eq!(stats.outcome, TrainOutcome::Completed);
+            assert_eq!(stats.epoch_losses.len(), 3);
+            assert!(stats.epoch_losses.iter().all(|l| l.is_finite()));
+            assert_eq!(stats.epoch_components.len(), 3);
+            assert_eq!(
+                run.count(|e| matches!(e, TraceEvent::BatchSkipped { .. })),
+                3
+            );
+            assert_eq!(run.count(|e| matches!(e, TraceEvent::BatchEnd { .. })), 12);
+            let epoch_skips: usize = run
+                .sink
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::EpochEnd { skipped, .. } => Some(*skipped),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(epoch_skips, 3);
+        }
     }
 
     #[test]
     fn halt_policy_stops_on_first_divergence() {
-        let corpus = tiny_corpus();
-        let config = TrainConfig {
-            epochs: 3,
-            batch_size: 8,
-            divergence: DivergencePolicy::Halt,
-            ..TrainConfig::tiny()
-        };
-        let (stats, sink) = diverging_loss(&corpus, &config, |c| c == 3);
-        assert!(matches!(
-            stats.outcome,
-            TrainOutcome::HaltedOnDivergence {
-                epoch: 0,
-                batch: 2,
-                ..
+        for micro in PATHS {
+            let config = TrainConfig {
+                epochs: 3,
+                batch_size: 8,
+                divergence: DivergencePolicy::Halt,
+                ..TrainConfig::tiny()
             }
-        ));
-        assert!(stats.check_diverged().is_err());
-        // The partial epoch is not recorded.
-        assert!(stats.epoch_losses.is_empty());
-        assert!(sink
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::HaltedOnDivergence { .. })));
+            .with_micro_batch(micro);
+            let run = train_bias(&config, vec![0], false);
+            // Halts at doc 0's batch; every batch before it stepped.
+            let stepped = run.count(|e| matches!(e, TraceEvent::BatchEnd { .. }));
+            assert!(
+                matches!(
+                    run.stats.outcome,
+                    TrainOutcome::HaltedOnDivergence { epoch: 0, batch, .. } if batch == stepped
+                ),
+                "micro {micro}: {:?} after {stepped} batches",
+                run.stats.outcome
+            );
+            assert!(run.stats.check_diverged().is_err());
+            // The partial epoch is not recorded.
+            assert!(run.stats.epoch_losses.is_empty());
+            assert_eq!(
+                run.count(|e| matches!(e, TraceEvent::HaltedOnDivergence { .. })),
+                1
+            );
+        }
     }
 
     #[test]
     fn all_diverged_epoch_is_terminal_not_nan() {
-        let corpus = tiny_corpus();
-        let config = TrainConfig {
-            epochs: 4,
-            batch_size: 8,
-            ..TrainConfig::tiny()
-        };
-        let (stats, sink) = diverging_loss(&corpus, &config, |_| true);
-        assert_eq!(stats.outcome, TrainOutcome::AllBatchesDiverged { epoch: 0 });
-        assert!(stats.epoch_losses.is_empty(), "no NaN means recorded");
-        assert_eq!(stats.skipped_batches, 5, "one epoch of skips, then stop");
-        assert!(sink
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::AllBatchesDiverged { epoch: 0 })));
-        let msg = stats.check_diverged().unwrap_err();
-        assert!(msg.contains("every batch"), "{msg}");
+        for micro in PATHS {
+            let config = TrainConfig {
+                epochs: 4,
+                batch_size: 8,
+                ..TrainConfig::tiny()
+            }
+            .with_micro_batch(micro);
+            let run = train_bias(&config, (0..40).collect(), false);
+            let stats = &run.stats;
+            assert_eq!(stats.outcome, TrainOutcome::AllBatchesDiverged { epoch: 0 });
+            assert!(stats.epoch_losses.is_empty(), "no NaN means recorded");
+            assert_eq!(stats.skipped_batches, 5, "one epoch of skips, then stop");
+            assert!(run.untouched(), "micro {micro}");
+            assert_eq!(
+                run.count(|e| matches!(e, TraceEvent::AllBatchesDiverged { epoch: 0 })),
+                1
+            );
+            let msg = stats.check_diverged().unwrap_err();
+            assert!(msg.contains("every batch"), "{msg}");
+        }
     }
 
     #[test]
     fn trace_events_carry_grad_norm_and_components() {
-        let corpus = tiny_corpus();
+        for (micro, shards) in PATHS.into_iter().zip([1, 3]) {
+            let config = TrainConfig {
+                epochs: 1,
+                batch_size: 8,
+                grad_clip: 1e-6, // tiny cap: clipping must trigger
+                ..TrainConfig::tiny()
+            }
+            .with_micro_batch(micro);
+            let run = train_bias(&config, Vec::new(), false);
+            let batch_events: Vec<_> = run
+                .sink
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::BatchEnd {
+                        grad_norm,
+                        clipped,
+                        adam_step,
+                        components,
+                        shards,
+                        ..
+                    } => Some((*grad_norm, *clipped, *adam_step, *components, *shards)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(batch_events.len(), 5);
+            for (i, &(grad_norm, clipped, adam_step, components, n)) in
+                batch_events.iter().enumerate()
+            {
+                assert!(grad_norm > 0.0, "pre-clip norm recorded");
+                assert!(clipped, "1e-6 cap must clip");
+                assert_eq!(adam_step, i as u64 + 1);
+                assert!(components.backbone.is_finite());
+                assert_eq!(n, shards, "micro {micro}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_micro_skips_the_sharded_batch_with_params_unchanged() {
+        // One 40-doc batch in five micros; doc 0's micro diverges while the
+        // other four finish their backward passes.
         let config = TrainConfig {
             epochs: 1,
-            batch_size: 8,
-            grad_clip: 1e-6, // tiny cap: clipping must trigger
+            batch_size: 40,
             ..TrainConfig::tiny()
-        };
-        let (_stats, sink) = diverging_loss(&corpus, &config, |_| false);
-        let batch_events: Vec<_> = sink
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::BatchEnd {
-                    grad_norm,
-                    clipped,
-                    adam_step,
-                    components,
-                    ..
-                } => Some((*grad_norm, *clipped, *adam_step, *components)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(batch_events.len(), 5);
-        for (i, (grad_norm, clipped, adam_step, components)) in batch_events.iter().enumerate() {
-            assert!(*grad_norm > 0.0, "pre-clip norm recorded");
-            assert!(*clipped, "1e-6 cap must clip");
-            assert_eq!(*adam_step, i as u64 + 1);
-            assert!(components.backbone.is_finite());
+        }
+        .with_micro_batch(8);
+        let run = train_bias(&config, vec![0], false);
+        assert_eq!(run.stats.skipped_batches, 1);
+        assert_eq!(
+            run.stats.outcome,
+            TrainOutcome::AllBatchesDiverged { epoch: 0 }
+        );
+        assert!(run.untouched());
+    }
+
+    #[test]
+    fn nan_regularizer_skips_the_batch_with_params_unchanged() {
+        // Single-tape (micro 40) and sharded (micro 8) paths: the
+        // backbone loss is finite everywhere, only the regularizer is NaN.
+        for micro in [40, 8] {
+            let config = TrainConfig {
+                epochs: 1,
+                batch_size: 40,
+                ..TrainConfig::tiny()
+            }
+            .with_micro_batch(micro);
+            let run = train_bias(&config, Vec::new(), true);
+            assert_eq!(run.stats.skipped_batches, 1, "micro {micro}");
+            assert_eq!(
+                run.stats.outcome,
+                TrainOutcome::AllBatchesDiverged { epoch: 0 }
+            );
+            assert!(run.untouched(), "micro {micro}");
         }
     }
 

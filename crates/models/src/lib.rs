@@ -25,16 +25,11 @@ pub mod wete;
 pub mod wlda;
 
 pub use backbone::{
-    fit_backbone, fit_backbone_traced, fit_backbone_with_regularizer,
-    fit_backbone_with_regularizer_traced, train_backbone_regularized_traced, train_backbone_traced,
-    Backbone, BackboneOut, Fitted, TrainedModel,
+    fit_backbone, fit_backbone_traced, train_backbone, Backbone, BackboneOut, Fitted,
 };
 pub use bundle::ModelBundle;
 pub use clntm::{fit_clntm, Clntm, ClntmBackbone};
-pub use common::{
-    train_loop, train_loop_traced, BatchLoss, DivergencePolicy, TopicModel, TrainConfig,
-    TrainOutcome, TrainStats,
-};
+pub use common::{DivergencePolicy, TopicModel, TrainConfig, TrainOutcome, TrainStats};
 pub use decoder::{EtmDecoder, FreeDecoder};
 pub use ecrtm::{fit_ecrtm, Ecrtm, EcrtmBackbone};
 pub use encoder::{Encoder, EncoderWeights};

@@ -1,6 +1,6 @@
 //! Structured training telemetry.
 //!
-//! The training driver ([`crate::common::train_loop_traced`]) emits
+//! The training driver ([`crate::backbone::train_backbone`]) emits
 //! [`TraceEvent`]s into a [`TraceSink`]: per-batch loss components, the
 //! global gradient norm before clipping, clip activations, the Adam step
 //! count, divergence events (skipped batches with the offending loss
@@ -48,7 +48,7 @@ pub enum TraceEvent {
     /// A named counter sampled at a point in time (e.g. `masks_built`,
     /// the regularizer's pair-mask cache-miss count).
     Counter { name: &'static str, value: u64 },
-    /// Emitted once when `train_loop_traced` starts.
+    /// Emitted once when `train_backbone` starts.
     TrainStart {
         epochs: usize,
         num_docs: usize,

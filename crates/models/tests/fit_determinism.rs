@@ -1,18 +1,17 @@
 //! Bitwise determinism of the sharded training driver.
 //!
-//! The data-parallel executor splits each mini-batch into fixed
-//! micro-batches (`TrainConfig::micro_batch`), runs each micro on its own
-//! tape, and reduces gradients in micro order with fixed weights. The
+//! The driver (`ct_models::train_backbone`) splits each mini-batch into
+//! fixed micro-batches (`TrainConfig::micro_batch`), runs each micro on its
+//! own tape, and reduces gradients in micro order with fixed weights. The
 //! trained parameters must therefore be *bitwise identical* regardless of
-//! how many pool workers execute the micros (`CT_NUM_THREADS`) and how the
-//! micros are grouped into shards (`TrainConfig::shards`).
+//! how many pool workers execute the micros (`CT_NUM_THREADS`).
 
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
 use ct_models::{fit_etm, fit_prodlda, TrainConfig};
 use ct_tensor::{params_to_bytes, pool};
 
 /// Micro-batch (16) below the batch size (64) so every batch fans out
-/// into several micros and the sharded executor is actually exercised;
+/// into several micros and the sharded path is actually exercised;
 /// 160 docs also leave a 32-doc ragged tail batch (micros 16+16).
 fn config() -> TrainConfig {
     TrainConfig {
@@ -36,19 +35,6 @@ fn etm_fit_bitwise_equal_across_worker_counts() {
         params_to_bytes(&one.params),
         params_to_bytes(&four.params),
         "ETM params differ between 1 and 4 pool workers"
-    );
-}
-
-#[test]
-fn etm_fit_bitwise_equal_across_shard_widths() {
-    let corpus = cluster_corpus(2, 12, 80);
-    let emb = cluster_embeddings(&corpus);
-    let narrow = fit_etm(&corpus, emb.clone(), &config().with_shards(1));
-    let wide = fit_etm(&corpus, emb, &config().with_shards(4));
-    assert_eq!(
-        params_to_bytes(&narrow.params),
-        params_to_bytes(&wide.params),
-        "ETM params differ between shard widths 1 and 4"
     );
 }
 

@@ -9,7 +9,7 @@
 //! batches, which keep their own clone until they finish.
 
 use ct_corpus::{NpmiMatrix, SparseDoc, Vocab};
-use ct_models::{Backbone, EncoderWeights, EtmBackbone, ModelBundle, TrainedModel};
+use ct_models::{Backbone, EncoderWeights, EtmBackbone, Fitted, ModelBundle};
 use ct_tensor::{top_k_indices, Params, Tensor};
 
 use crate::error::ServeError;
@@ -36,7 +36,7 @@ impl ModelSnapshot {
     /// `top_k` is the number of top words precomputed per topic. The
     /// vocabulary must match the model's `beta` width.
     pub fn from_model(
-        model: &TrainedModel<EtmBackbone>,
+        model: &Fitted<EtmBackbone>,
         vocab: Vocab,
         top_k: usize,
     ) -> Result<Self, ServeError> {
