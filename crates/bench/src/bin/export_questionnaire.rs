@@ -7,13 +7,13 @@
 //! ```
 
 use ct_bench::{ExperimentContext, ModelKind};
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 use ct_eval::intrusion::{generate_questionnaire, IntrusionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let ctx = ExperimentContext::build(DatasetPreset::Ng20Like, scale, 42);
     let model = ModelKind::ContraTopic.fit(&ctx, 42);
     let config = IntrusionConfig::default();

@@ -13,7 +13,7 @@
 //! topics are included.
 
 use ct_bench::{fmt_header, fmt_row, num_seeds, ModelKind};
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 use ct_eval::PERCENTAGES;
 use ct_exp::{aggregate_groups, ExperimentDef, GroupAggregate};
 
@@ -28,7 +28,7 @@ fn curve(group: &GroupAggregate, prefix: &str) -> Vec<f64> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let seeds = num_seeds();
     // Optional filter: pass model names as args to run a subset.
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -7,11 +7,11 @@
 //! means this harness trains nothing — it reads the run ledger.
 
 use ct_bench::{cluster_counts, fmt_header, fmt_row, num_seeds, ModelKind};
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 use ct_exp::{aggregate_groups, ExperimentDef};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let seeds = num_seeds();
     let counts = cluster_counts(scale);
     let cols: Vec<String> = counts.iter().map(|c| format!("k={c}")).collect();

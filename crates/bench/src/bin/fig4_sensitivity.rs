@@ -15,7 +15,9 @@
 //! then fall once lambda gets large; v rises quickly then plateaus.
 
 use contratopic::fit_contratopic_traced;
-use ct_bench::{cluster_counts, evaluate_clustering, trace_sink_from_env, ExperimentContext};
+use ct_bench::{
+    cluster_counts, evaluate_clustering, scale_from_env, trace_sink_from_env, ExperimentContext,
+};
 use ct_corpus::{DatasetPreset, Scale};
 use ct_eval::{diversity_at, TopicScores, K_TC, K_TD};
 use ct_exp::{aggregate_groups, default_lambda, GroupAggregate};
@@ -151,7 +153,7 @@ fn sweep_traced(scale: Scale, trace: &mut dyn TraceSink) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     println!("Figure 4 — sensitivity to lambda and v (scale {scale:?})");
     let mut trace = trace_sink_from_env();
     if trace.enabled() {

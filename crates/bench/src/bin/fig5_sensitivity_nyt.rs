@@ -5,7 +5,6 @@
 //! the sweep covers a wider range. Runs through the `ct-exp` ledger; the
 //! default point (lambda=600, v=10) is shared with fig2's NYTimes trial.
 
-use ct_corpus::Scale;
 use ct_exp::{aggregate_groups, default_lambda, GroupAggregate};
 
 const LAMBDAS: [f32; 4] = [0.0, 150.0, 600.0, 1800.0];
@@ -19,7 +18,7 @@ fn cells(group: &GroupAggregate) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     println!("Figure 5 — sensitivity on NYTimes-like (scale {scale:?})");
     let records = ct_bench::run_experiment("fig5", scale, 1, &|p| {
         if let Some(line) = ct_bench::progress_line(&p) {

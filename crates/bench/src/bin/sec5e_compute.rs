@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use contratopic::{fit_contratopic, SimilarityKernel};
 use ct_bench::ExperimentContext;
-use ct_corpus::{DatasetPreset, NpmiMatrix, Scale};
+use ct_corpus::{DatasetPreset, NpmiMatrix};
 use ct_models::fit_etm;
 
 /// Short fits timed per model; the reported epoch time is their median.
@@ -48,7 +48,7 @@ fn three_sig(x: f64) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     println!("§V-E — computational analysis (scale {scale:?})\n");
     println!(
         "{:<14} {:>6} {:>12} {:>12} {:>14} {:>14} {:>8}",

@@ -16,8 +16,9 @@
 //!    NaN must fail with a *typed* `InvalidSnapshot` error, and the
 //!    previous generation must keep answering.
 //!
-//! `--smoke` shrinks every dimension for the CI gate; the JSON artifact
-//! is only meaningful from a full run.
+//! `--smoke` shrinks every dimension for the gate in
+//! `tests/stream_bench_smoke.rs`; the JSON artifact is only meaningful from
+//! a full run.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

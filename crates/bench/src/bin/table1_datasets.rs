@@ -6,10 +6,10 @@
 //! document length, label availability) at laptop scale.
 
 use ct_bench::ExperimentContext;
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     println!("Table I — dataset statistics (scale: {scale:?})\n");
     println!(
         "{:<14} {:>8} {:>10} {:>9} {:>10} {:>12} {:>8}",

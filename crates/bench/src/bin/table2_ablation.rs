@@ -13,7 +13,6 @@
 
 use contratopic::AblationVariant;
 use ct_bench::{cluster_counts, num_seeds};
-use ct_corpus::Scale;
 use ct_exp::{aggregate_groups, GroupAggregate};
 
 fn cell(group: &GroupAggregate, metric: &str) -> String {
@@ -24,7 +23,7 @@ fn cell(group: &GroupAggregate, metric: &str) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let seeds = num_seeds();
     let counts = cluster_counts(scale);
     // 20/60/100% of the cluster-count range.

@@ -7,13 +7,13 @@
 //! NSTM .68, WeTe .67, NTMR .29, VTMRL .46, CLNTM .64, ContraTopic .80).
 
 use ct_bench::{num_seeds, ExperimentContext, ModelKind};
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 use ct_eval::{word_intrusion_score, IntrusionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let seeds = num_seeds();
     let ctx = ExperimentContext::build(DatasetPreset::Ng20Like, scale, 42);
     let config = IntrusionConfig::default();

@@ -6,11 +6,11 @@
 //! run ledger.
 
 use ct_bench::ModelKind;
-use ct_corpus::{DatasetPreset, Scale};
+use ct_corpus::DatasetPreset;
 use ct_eval::{describe_topic, TopicSummary};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = ct_bench::scale_from_env();
     let models = [
         ModelKind::Lda,
         ModelKind::Etm,

@@ -22,6 +22,7 @@
 use std::io::BufWriter;
 use std::path::PathBuf;
 
+use ct_corpus::Scale;
 use ct_models::{JsonlSink, NoopSink, TraceSink};
 use ct_tensor::codec::json::{self, Json};
 
@@ -114,7 +115,7 @@ pub fn run_trials(
 /// grid-ordered records for the binary's own table rendering.
 pub fn run_experiment(
     name: &str,
-    scale: ct_corpus::Scale,
+    scale: Scale,
     seeds: usize,
     progress: &(dyn Fn(ct_exp::Progress) + Sync),
 ) -> Vec<ct_exp::TrialRecord> {
@@ -131,6 +132,12 @@ pub fn run_experiment(
         .write_artifacts(&out_dir)
         .unwrap_or_else(|e| panic!("write report artifacts under {}: {e}", out_dir.display()));
     records
+}
+
+/// The experiment scale from `CT_SCALE` (see [`Scale::from_env`]). An
+/// unknown value stops the harness before it trains anything.
+pub fn scale_from_env() -> Scale {
+    Scale::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// JSONL trace sink gated on `CT_TRACE`: when the variable names a path,

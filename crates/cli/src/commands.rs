@@ -24,15 +24,6 @@ fn parse_preset(s: &str) -> Result<DatasetPreset, String> {
     }
 }
 
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "tiny" => Ok(Scale::Tiny),
-        "quick" => Ok(Scale::Quick),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale '{other}' (tiny|quick|full)")),
-    }
-}
-
 fn parse_variant(s: &str) -> Result<AblationVariant, String> {
     match s.to_ascii_lowercase().as_str() {
         "full" => Ok(AblationVariant::Full),
@@ -80,7 +71,7 @@ pub fn generate(args: &Args) -> Result<(), String> {
         return Err(format!("unknown flag --{f} for generate"));
     }
     let preset = parse_preset(args.get_or("preset", "20ng".to_string())?.as_str())?;
-    let scale = parse_scale(args.get_or("scale", "tiny".to_string())?.as_str())?;
+    let scale = Scale::from_id(&args.get_or("scale", "tiny".to_string())?)?;
     let out = args.require("out")?;
     let seed: u64 = args.get_or("seed", 42)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -481,10 +472,8 @@ mod tests {
     #[test]
     fn parsers_accept_known_values() {
         assert_eq!(parse_preset("20NG").unwrap(), DatasetPreset::Ng20Like);
-        assert_eq!(parse_scale("QUICK").unwrap(), Scale::Quick);
         assert_eq!(parse_variant("s").unwrap(), AblationVariant::NoSampling);
         assert!(parse_preset("bogus").is_err());
-        assert!(parse_scale("huge").is_err());
         assert!(parse_variant("x").is_err());
     }
 

@@ -44,23 +44,6 @@ const WORKER_PASSTHROUGH: &[&str] = &[
     "export-models",
 ];
 
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "tiny" => Ok(Scale::Tiny),
-        "quick" => Ok(Scale::Quick),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale '{other}' (tiny|quick|full)")),
-    }
-}
-
-fn scale_id(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    }
-}
-
 /// Lease state (log + claim files) lives next to the trials ledger.
 fn lease_dir_for(ledger_path: &Path) -> PathBuf {
     match ledger_path.parent() {
@@ -76,8 +59,8 @@ pub fn experiment(args: &Args) -> Result<(), String> {
     }
     let op = args.get_or("op", "list".to_string())?;
     let scale = match args.get("scale") {
-        Some(s) => parse_scale(s)?,
-        None => Scale::from_env(),
+        Some(s) => Scale::from_id(s)?,
+        None => Scale::from_env()?,
     };
     let ledger_path =
         PathBuf::from(args.get_or("ledger", "results/ledger/trials.jsonl".to_string())?);
@@ -269,7 +252,7 @@ fn spawn_fleet(
             .arg("--op")
             .arg("worker")
             .arg("--scale")
-            .arg(scale_id(scale))
+            .arg(scale.id())
             .arg("--ledger")
             .arg(ledger_path)
             .arg("--worker-id")

@@ -1,9 +1,9 @@
 //! End-to-end tests of `contratopic stream`: a run killed mid-stream (via
 //! `--max-chunks`) and resumed from its checkpoint must emit exactly the
-//! per-chunk coherence trajectory of one uninterrupted run — the
-//! kill-and-resume robustness contract of the continual-learning pipeline —
-//! and a live run must hot-promote snapshots without failing a concurrent
-//! query.
+//! per-chunk coherence trajectory and final checkpoint bytes of one
+//! uninterrupted run — the kill-and-resume robustness contract of the
+//! continual-learning pipeline — and a live run must hot-promote snapshots
+//! without failing a concurrent query.
 
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -88,6 +88,14 @@ fn kill_and_resume_replays_the_same_trajectory() {
     };
     assert_eq!(drift("kr.jsonl"), drift("full.jsonl"));
     assert!(!drift("full.jsonl").is_empty());
+
+    // The final checkpoints are byte-identical: parameters, batch-norm
+    // running statistics, vocabulary and co-occurrence counts alike.
+    let state = |prefix: &str| std::fs::read(dir.join(format!("{prefix}.state"))).unwrap();
+    assert!(
+        state("kr/ckpt") == state("full/ckpt"),
+        "resumed run's final .state differs from the uninterrupted run's"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -355,6 +355,27 @@ mod tests {
     }
 
     #[test]
+    fn saved_state_restores_theta_bitwise() {
+        // Eval-mode θ reads the encoder's batch-norm running statistics,
+        // which training moved; the checkpoint must carry them.
+        let dir = std::env::temp_dir().join(format!("ct_online_theta_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join("stream").to_str().unwrap().to_string();
+        let corpus = cluster_corpus(2, 12, 40);
+        let (mut base, cfg) = config();
+        base.epochs = 5;
+        let mut online =
+            OnlineContraTopic::new(corpus.vocab_size(), cluster_embeddings(&corpus), base, cfg);
+        online.fit_slice(&corpus);
+        online.save_state(&prefix, &corpus.vocab).unwrap();
+        let (resumed, _) =
+            OnlineContraTopic::load_state(&prefix, online.base.clone(), online.config.clone())
+                .unwrap();
+        assert_eq!(online.theta(&corpus), resumed.theta(&corpus));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn load_state_rejects_bad_pointer() {
         let dir = std::env::temp_dir().join(format!("ct_online_badstate_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -8,7 +8,10 @@
 //! identical from one kernel generation to the next, and these constants
 //! make it a check: both hashes were captured with the axpy-streaming SGEMM
 //! kernels that preceded the register-blocked micro-kernel, and the blocked
-//! kernel must reproduce them.
+//! kernel must reproduce them. They were re-pinned once, when the encoder's
+//! batch-norm running statistics became registry entries: hashing the new
+//! registry without those two entries still gives the original constants
+//! (`0xfbe7_9034_a062_67c5` and `0xa4ca_2ba2_ae60_a5b3`).
 //!
 //! The fixture is sized so the hot paths that matter run: the vocabulary
 //! (300) is wide enough for the old packed `nn` route (`n ≥ 192`) and deep
@@ -28,9 +31,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// FNV-1a 64 of the ContraTopic parameters after one epoch.
-const CONTRATOPIC_PARAMS_FNV: u64 = 0xfbe7_9034_a062_67c5;
+const CONTRATOPIC_PARAMS_FNV: u64 = 0x481e_81ce_9e33_cb64;
 /// FNV-1a 64 of the ETM parameters after one epoch.
-const ETM_PARAMS_FNV: u64 = 0xa4ca_2ba2_ae60_a5b3;
+const ETM_PARAMS_FNV: u64 = 0x8add_06bf_3493_4cd1;
 
 fn fixture() -> (BowCorpus, Tensor, NpmiMatrix, TrainConfig) {
     let spec = SynthSpec {

@@ -771,12 +771,34 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from the `CT_SCALE` environment variable (defaults to `Quick`).
-    pub fn from_env() -> Self {
-        match std::env::var("CT_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Quick, Scale::Full];
+
+    /// Stable identifier, as written on the command line, in `CT_SCALE`
+    /// and in experiment specs: `tiny`, `quick` or `full`.
+    pub fn id(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Inverse of [`Scale::id`], ignoring ASCII case. An unknown id is an
+    /// error that lists the accepted ones.
+    pub fn from_id(id: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|s| s.id().eq_ignore_ascii_case(id))
+            .ok_or_else(|| format!("unknown scale '{id}' (tiny|quick|full)"))
+    }
+
+    /// Read from the `CT_SCALE` environment variable through
+    /// [`Scale::from_id`]; `Quick` when the variable is unset.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("CT_SCALE") {
+            Ok(id) => Self::from_id(&id).map_err(|e| format!("CT_SCALE: {e}")),
+            Err(_) => Ok(Scale::Quick),
         }
     }
 
@@ -873,6 +895,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn scale_ids_roundtrip_and_unknown_ids_fail() {
+        for scale in Scale::ALL {
+            assert_eq!(Scale::from_id(scale.id()), Ok(scale));
+        }
+        assert_eq!(Scale::from_id("TINY"), Ok(Scale::Tiny));
+        // An unknown id is an error naming the accepted ones, never a
+        // silent fallback to `Quick`.
+        let err = Scale::from_id("huge").unwrap_err();
+        assert!(err.contains("tiny|quick|full"), "{err}");
+        assert!(Scale::from_id("").is_err());
+    }
 
     fn tiny_spec() -> SynthSpec {
         SynthSpec {

@@ -122,7 +122,7 @@ impl ExperimentReport {
                     ),
                     (
                         "scale".to_string(),
-                        Json::Str(crate::spec::scale_id(g.spec.scale).to_string()),
+                        Json::Str(g.spec.scale.id().to_string()),
                     ),
                     (
                         "seeds".to_string(),

@@ -153,25 +153,6 @@ pub fn preset_from_id(id: &str) -> Result<DatasetPreset, String> {
         .ok_or_else(|| format!("unknown preset id '{id}' (20ng|yahoo|nytimes)"))
 }
 
-/// Stable identifier for an experiment scale.
-pub fn scale_id(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    }
-}
-
-/// Inverse of [`scale_id`].
-pub fn scale_from_id(id: &str) -> Result<Scale, String> {
-    match id {
-        "tiny" => Ok(Scale::Tiny),
-        "quick" => Ok(Scale::Quick),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale id '{other}' (tiny|quick|full)")),
-    }
-}
-
 /// Stable identifier for an ablation variant.
 pub fn variant_id(variant: AblationVariant) -> &'static str {
     match variant {
@@ -321,7 +302,7 @@ impl TrialSpec {
         }
         s.push_str(&format!(",\"model\":\"{}\"", self.model.id()));
         s.push_str(&format!(",\"preset\":\"{}\"", preset_id(self.preset)));
-        s.push_str(&format!(",\"scale\":\"{}\"", scale_id(self.scale)));
+        s.push_str(&format!(",\"scale\":\"{}\"", self.scale.id()));
         if with_seed {
             s.push_str(&format!(",\"seed\":{}", self.seed));
         }
@@ -359,7 +340,7 @@ impl TrialSpec {
         let get = |k: &str| v.get(k).ok_or_else(|| format!("spec missing '{k}'"));
         let model = ModelKind::from_id(get("model")?.as_str().ok_or("model not a string")?)?;
         let preset = preset_from_id(get("preset")?.as_str().ok_or("preset not a string")?)?;
-        let scale = scale_from_id(get("scale")?.as_str().ok_or("scale not a string")?)?;
+        let scale = Scale::from_id(get("scale")?.as_str().ok_or("scale not a string")?)?;
         let data_seed = get("data_seed")?.as_u64().ok_or("bad data_seed")?;
         let seed = get("seed")?.as_u64().ok_or("bad seed")?;
         let emb_noise = get("emb_noise")?.as_f64().ok_or("bad emb_noise")? as f32;

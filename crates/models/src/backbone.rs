@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use ct_corpus::{BatchIter, BowCorpus};
-use ct_tensor::{pool, Adam, Optimizer, ParamId, Params, Tape, Tensor, Var};
+use ct_tensor::{pool, Adam, EmaUpdate, Optimizer, ParamId, Params, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,15 +56,18 @@ impl<'t> BackboneOut<'t> {
 ///
 /// `Sync` is a supertrait because the data-parallel training driver runs
 /// `batch_loss` for different micro-batches concurrently on the worker
-/// pool. Mutable per-batch state (batch-norm running statistics, RL
-/// reward baselines) must therefore live behind locks and commit
-/// deterministically via [`Backbone::commit_batch_stats`].
+/// pool. A backbone therefore holds no mutable state: running statistics
+/// (batch-norm means and variances, RL reward baselines) are frozen
+/// [`Params`] entries, and a training forward records their updates on its
+/// tape ([`Tape::record_ema`]) for the driver to apply in a fixed order.
 pub trait Backbone: Sync {
     /// Model name for reports.
     fn name(&self) -> &'static str;
 
-    /// Build the loss for one dense batch `x` (raw counts) of documents
-    /// `indices`.
+    /// Build the loss for one batch `x` (raw counts) of documents
+    /// `indices`. The training driver passes CSR-backed batches (see
+    /// [`BowCorpus::csr_batch`]); an objective that needs dense values
+    /// calls [`Tensor::to_dense`] on what it needs.
     fn batch_loss<'t>(
         &self,
         tape: &'t Tape,
@@ -84,30 +87,8 @@ pub trait Backbone: Sync {
     /// once per micro-batch.
     fn beta_var<'t>(&self, tape: &'t Tape, params: &Params) -> Var<'t>;
 
-    /// Replay side effects queued during sharded forward passes
-    /// (batch-norm running statistics, reward baselines) in micro-batch
-    /// order. The training driver calls this once per mini-batch, after
-    /// the fan-out and before the optimizer step; outside sharded
-    /// training the queues are empty and this is a no-op.
-    fn commit_batch_stats(&self) {}
-
     /// Amortized θ for one dense batch (eval mode).
     fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor;
-
-    /// Whether [`Backbone::batch_loss`] accepts a CSR-backed batch
-    /// tensor.
-    ///
-    /// Defaults to `true`: the standard consumption pattern —
-    /// L1-normalize a clone, encode through `matmul`, reconstruct through
-    /// `bow_log_likelihood` or `mul_const` — is fully CSR-compatible, and the CSR kernels are
-    /// bitwise identical to the dense ones, so opting in never changes a
-    /// training trajectory. A backbone whose objective applies dense-only
-    /// elementwise ops to the batch variable itself (e.g. NSTM's unrolled
-    /// Sinkhorn divides by the batch) overrides this to keep receiving
-    /// dense batches.
-    fn supports_csr_batch(&self) -> bool {
-        true
-    }
 
     /// Concrete topic-word distribution.
     fn beta_tensor(&self, params: &Params) -> Tensor;
@@ -233,6 +214,10 @@ struct MicroOut {
     grads: Vec<(ParamId, Tensor)>,
 }
 
+/// What a pool worker hands back for one micro-batch: the running-statistic
+/// updates its forward recorded, and its contribution or non-finite loss.
+type MicroSlot = (Vec<EmaUpdate>, Result<MicroOut, f32>);
+
 fn now_if(enabled: bool) -> Option<Instant> {
     enabled.then(Instant::now)
 }
@@ -291,7 +276,9 @@ impl ComponentAccum {
 /// forward + backward on a private tape — single-threaded, so its math has
 /// a fixed reduction order — on whichever pool worker picks it up. The
 /// driver then sums the per-micro gradients weighted by document share, in
-/// micro-batch order. Nothing about the gradient math depends on the
+/// micro-batch order, and applies the running-statistic updates each
+/// micro recorded on its tape ([`Tape::record_ema`]) in the same order.
+/// Nothing about the gradient math or the statistics depends on the
 /// worker count or schedule, so trained parameters are bitwise identical
 /// for any `CT_NUM_THREADS`.
 ///
@@ -472,18 +459,6 @@ pub fn train_backbone<B: Backbone>(
     stats
 }
 
-/// Materialize one training batch in the storage the backbone supports:
-/// CSR (no dense scatter, sparse encoder matmuls) for the default
-/// backbones, dense for opt-outs. Both carry bitwise-identical values,
-/// so the choice never alters a training trajectory — only its cost.
-fn batch_input<B: Backbone>(backbone: &B, corpus: &BowCorpus, indices: &[usize]) -> Tensor {
-    if backbone.supports_csr_batch() {
-        corpus.csr_batch(indices)
-    } else {
-        corpus.dense_batch(indices)
-    }
-}
-
 /// The legacy single-tape batch: identical op order, RNG stream and
 /// (same-tape) regularizer placement as the historical driver, so runs
 /// whose batches fit in one micro-batch stay bitwise reproducible against
@@ -502,7 +477,7 @@ fn single_tape_batch<B: Backbone>(
     timing: bool,
 ) -> Result<BatchOutcome, f32> {
     tape.reset();
-    let x = batch_input(backbone, corpus, batch);
+    let x = corpus.csr_batch(batch);
     let fwd_t0 = now_if(timing);
     let out = backbone.batch_loss(tape, params, &x, batch, true, rng);
     let (loss, components) = match reg.as_mut() {
@@ -517,6 +492,9 @@ fn single_tape_batch<B: Backbone>(
         }
     };
     let loss_v = loss.scalar_value();
+    // Running statistics land even when the batch is then skipped as
+    // divergent.
+    params.apply_ema(tape.take_ema_updates());
     let forward_ns = ns_since(fwd_t0);
     if !loss_v.is_finite() {
         return Err(loss_v);
@@ -561,55 +539,52 @@ fn sharded_batch<B: Backbone>(
     // order *before* dispatch so the stream is schedule-free.
     let seeds: Vec<u64> = micros.iter().map(|_| rng.gen::<u64>()).collect();
     let fwd_t0 = now_if(timing);
-    let slots: Vec<Mutex<Option<Result<MicroOut, f32>>>> =
-        micros.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<MicroSlot>>> = micros.iter().map(|_| Mutex::new(None)).collect();
     {
         let params: &Params = params;
         // One work item per micro-batch.
         pool::run_partitioned(n_micros, 1, |range| {
             for m in range {
-                let result = pool::with_micro_seq(m as u64, || {
-                    // Force single-threaded math inside the micro so its
-                    // reduction order is fixed regardless of which worker
-                    // runs it (and to keep pool use non-nested).
-                    pool::with_threads(1, || {
-                        let mut mrng = StdRng::seed_from_u64(seeds[m]);
-                        let x = batch_input(backbone, corpus, micros[m]);
-                        let mtape = Tape::new();
-                        let out =
-                            backbone.batch_loss(&mtape, params, &x, micros[m], true, &mut mrng);
-                        let loss_v = out.loss.scalar_value();
-                        if !loss_v.is_finite() {
-                            return Err(loss_v);
-                        }
-                        let kl = out.kl.map(|k| k.scalar_value());
-                        let grads = mtape.backward(out.loss).into_param_grads();
-                        mtape.reset();
-                        Ok(MicroOut {
-                            loss: loss_v,
-                            kl,
-                            grads,
-                        })
-                    })
+                // Force single-threaded math inside the micro so its
+                // reduction order is fixed regardless of which worker runs
+                // it (and to keep pool use non-nested).
+                let slot = pool::with_threads(1, || {
+                    let mut mrng = StdRng::seed_from_u64(seeds[m]);
+                    let x = corpus.csr_batch(micros[m]);
+                    let mtape = Tape::new();
+                    let out = backbone.batch_loss(&mtape, params, &x, micros[m], true, &mut mrng);
+                    let ema = mtape.take_ema_updates();
+                    let loss_v = out.loss.scalar_value();
+                    if !loss_v.is_finite() {
+                        return (ema, Err(loss_v));
+                    }
+                    let kl = out.kl.map(|k| k.scalar_value());
+                    let grads = mtape.backward(out.loss).into_param_grads();
+                    mtape.reset();
+                    let out = MicroOut {
+                        loss: loss_v,
+                        kl,
+                        grads,
+                    };
+                    (ema, Ok(out))
                 });
-                *slots[m].lock().unwrap() = Some(result);
+                *slots[m].lock().unwrap() = Some(slot);
             }
         });
     }
-    // Replay queued side effects (batch-norm stats, RL baselines) in micro
-    // order. Like the historical driver, forward side effects happen even
-    // when the batch is subsequently skipped as divergent.
-    backbone.commit_batch_stats();
-    let forward_ns = ns_since(fwd_t0);
-    // Collect in micro order; the first non-finite micro skips the batch
-    // before anything touches the gradient sinks.
-    let mut outs = Vec::with_capacity(n_micros);
+    // Apply the running-statistic updates micro by micro, in micro order,
+    // so they do not depend on the worker schedule. Like the single-tape
+    // path, they land even when the batch is then skipped as divergent.
+    let mut results = Vec::with_capacity(n_micros);
     for slot in &slots {
-        match slot.lock().unwrap().take().expect("micro result missing") {
-            Err(l) => return Err(l),
-            Ok(o) => outs.push(o),
-        }
+        let (ema, result) = slot.lock().unwrap().take().expect("micro result missing");
+        params.apply_ema(ema);
+        results.push(result);
     }
+    let forward_ns = ns_since(fwd_t0);
+    // The first non-finite micro skips the batch before anything touches
+    // the gradient sinks.
+    let outs = results.into_iter().collect::<Result<Vec<_>, f32>>()?;
     let bwd_t0 = now_if(timing);
     // The batch-level regularizer is a function of beta alone, so it is
     // built once per mini-batch on the driver thread, on its own tape; its

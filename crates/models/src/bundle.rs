@@ -125,7 +125,8 @@ impl ModelBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Backbone;
+    use crate::testutil::{cluster_corpus, cluster_embeddings};
+    use crate::{fit_etm, Backbone, Fitted, TopicModel, TrainStats};
 
     #[test]
     fn bundle_roundtrip_restores_beta() {
@@ -155,6 +156,29 @@ mod tests {
         let beta_after = backbone2.beta_tensor(&params2);
         assert_eq!(beta_before, beta_after);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trained_theta_survives_a_bundle_roundtrip_bitwise() {
+        // Training moves the encoder's batch-norm running statistics away
+        // from their initial mean 0 / variance 1; eval-mode θ reads them,
+        // so a bundle must carry them.
+        let corpus = cluster_corpus(2, 12, 40);
+        let config = TrainConfig {
+            num_topics: 3,
+            embed_dim: 8,
+            epochs: 5,
+            ..TrainConfig::tiny()
+        };
+        let trained = fit_etm(&corpus, cluster_embeddings(&corpus), &config);
+        let dir = std::env::temp_dir().join(format!("ct_bundle_theta_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join("model").to_str().unwrap().to_string();
+        ModelBundle::save(&prefix, &config, &corpus.vocab, &trained.params).unwrap();
+        let (_, backbone, params) = ModelBundle::load_model(&prefix).unwrap();
+        let loaded = Fitted::new(backbone, params, TrainStats::default());
+        assert_eq!(trained.theta(&corpus), loaded.theta(&corpus));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -168,10 +168,6 @@ impl Backbone for ClntmBackbone {
         self.inner.beta_var(tape, params)
     }
 
-    fn commit_batch_stats(&self) {
-        self.inner.commit_batch_stats();
-    }
-
     fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
         self.inner.infer_theta_batch(params, x)
     }

@@ -291,7 +291,7 @@ mod tests {
             let loss = if indices.iter().any(|d| self.poisoned.contains(d)) {
                 tape.constant(Tensor::scalar(f32::NAN))
             } else {
-                tape.constant(x.clone()).sub(bv).square().mean_all()
+                tape.constant(x.to_dense()).sub(bv).square().mean_all()
             };
             BackboneOut::new(loss, bv.softmax_rows(1.0))
         }
@@ -302,10 +302,6 @@ mod tests {
 
         fn infer_theta_batch(&self, _params: &Params, x: &Tensor) -> Tensor {
             Tensor::full(x.rows(), 1, 1.0)
-        }
-
-        fn supports_csr_batch(&self) -> bool {
-            false
         }
 
         fn beta_tensor(&self, params: &Params) -> Tensor {

@@ -152,18 +152,11 @@ impl Encoder {
         self.num_topics
     }
 
-    /// Replay batch-norm statistics queued during sharded training, in
-    /// micro-batch order (see [`ct_tensor::BatchNorm1d::commit_pending`]).
-    pub fn commit_batch_stats(&self) {
-        self.bn.commit_pending();
-    }
-
     /// Export the encoder into an immutable, thread-safe weight snapshot
     /// for serving (see [`EncoderWeights`]). The returned value owns plain
     /// tensors only — no `RefCell`, no parameter registry — so it is
     /// `Send + Sync` and can back concurrent inference.
     pub fn export_weights(&self, params: &Params) -> EncoderWeights {
-        let (bn_mean, bn_var) = self.bn.running_stats();
         EncoderWeights {
             layers: self
                 .mlp
@@ -174,8 +167,8 @@ impl Encoder {
             activation: self.mlp.activation,
             bn_gamma: params.value(self.bn.gamma).clone(),
             bn_beta: params.value(self.bn.beta).clone(),
-            bn_mean,
-            bn_var,
+            bn_mean: params.value(self.bn.running_mean).clone(),
+            bn_var: params.value(self.bn.running_var).clone(),
             bn_eps: self.bn.eps,
             mu_w: params.value(self.mu.w).clone(),
             mu_b: params.value(self.mu.b).clone(),

@@ -105,10 +105,6 @@ impl Backbone for EtmBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn commit_batch_stats(&self) {
-        self.encoder.commit_batch_stats();
-    }
-
     fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
         let mut rng = StdRng::seed_from_u64(0);
         self.encoder.infer_theta(params, x, &mut rng)

@@ -110,9 +110,14 @@ impl Backbone for NstmBackbone {
     ) -> BackboneOut<'t> {
         let mut xn = x.clone();
         xn.normalize_rows_l1();
-        let xbar = tape.constant(xn);
+        // The unrolled Sinkhorn divides by the batch elementwise, which
+        // the CSR backend does not implement: it gets a dense copy, while
+        // the encoder keeps the (possibly CSR) batch.
+        let xbar = tape.constant(xn.to_dense());
         // Deterministic theta = softmax(mu), as in the original NSTM.
-        let (mu, _logvar) = self.encoder.posterior(tape, params, xbar, training, rng);
+        let (mu, _logvar) = self
+            .encoder
+            .posterior(tape, params, tape.constant(xn), training, rng);
         let theta = mu.softmax_rows(1.0);
         let cost = self.cost(tape, params);
         let ot = self.sinkhorn_distance(xbar, theta, cost);
@@ -122,17 +127,6 @@ impl Backbone for NstmBackbone {
 
     fn beta_var<'t>(&self, tape: &'t Tape, params: &Params) -> Var<'t> {
         self.decoder.beta(tape, params)
-    }
-
-    /// The unrolled Sinkhorn iterations divide by and multiply the batch
-    /// variable elementwise (`xbar.div(kv)`, `u.mul(m)`), which the CSR
-    /// storage backend does not implement — NSTM keeps dense batches.
-    fn supports_csr_batch(&self) -> bool {
-        false
-    }
-
-    fn commit_batch_stats(&self) {
-        self.encoder.commit_batch_stats();
     }
 
     fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {

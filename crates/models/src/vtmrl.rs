@@ -9,10 +9,10 @@
 //! property ContraTopic's relaxed subset sampler avoids — so gradient
 //! variance is high and convergence is touchy, as the paper notes.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ct_corpus::{BowCorpus, NpmiMatrix};
-use ct_tensor::{Params, Tape, Tensor};
+use ct_tensor::{ParamId, Params, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -50,11 +50,10 @@ pub struct VtmrlBackbone {
     pub sample_words: usize,
     /// Weight of the RL term.
     pub rl_weight: f32,
-    /// Running-mean reward baseline (variance reduction).
-    baseline: Mutex<f32>,
-    /// Rewards observed under sharded dispatch, keyed by micro sequence
-    /// number so the EMA replays in a fixed order at batch commit.
-    pending_rewards: Mutex<Vec<(u64, f32)>>,
+    /// Running-mean reward baseline (variance reduction): a frozen 1×1
+    /// `vtmrl.baseline` entry, EMA-updated from the tape like batch-norm
+    /// statistics.
+    pub baseline: ParamId,
 }
 
 impl VtmrlBackbone {
@@ -67,13 +66,13 @@ impl VtmrlBackbone {
         rng: &mut StdRng,
     ) -> Self {
         let inner = EtmBackbone::new(params, vocab_size, embeddings, config, rng);
+        let baseline = params.add_frozen("vtmrl.baseline", Tensor::scalar(0.0));
         Self {
             inner,
             npmi,
             sample_words: 10,
             rl_weight: 10.0,
-            baseline: Mutex::new(0.0),
-            pending_rewards: Mutex::new(Vec::new()),
+            baseline,
         }
     }
 }
@@ -102,7 +101,7 @@ impl Backbone for VtmrlBackbone {
         let mut mask = Tensor::zeros(k, v);
         let mut advantages = Tensor::zeros(k, 1);
         let mut mean_reward = 0.0f32;
-        let baseline = *self.baseline.lock().unwrap();
+        let baseline = params.value(self.baseline).data()[0];
         for t in 0..k {
             let sampled = gumbel_top_k(beta_val.row(t), self.sample_words, rng);
             let reward = self.npmi.mean_pairwise(&sampled) as f32;
@@ -112,20 +111,9 @@ impl Backbone for VtmrlBackbone {
                 mask.set(t, w, 1.0);
             }
         }
-        // Update the running baseline (no gradient). Under sharded
-        // dispatch the update is queued and replayed in micro order at
-        // `commit_batch_stats` so the EMA trajectory is deterministic.
-        match ct_tensor::pool::current_micro_seq() {
-            Some(seq) => self
-                .pending_rewards
-                .lock()
-                .unwrap()
-                .push((seq, mean_reward)),
-            None => {
-                let mut b = self.baseline.lock().unwrap();
-                *b = 0.9 * *b + 0.1 * mean_reward;
-            }
-        }
+        // Update the running baseline (no gradient): `0.9·b + 0.1·r`,
+        // applied by the training driver in a fixed order.
+        tape.record_ema(self.baseline, 0.1, Arc::new(Tensor::scalar(mean_reward)));
         // REINFORCE surrogate: -(adv_k) * sum_{w in S_k} log beta_kw.
         let mask = Arc::new(mask);
         let adv = Arc::new(advantages);
@@ -140,19 +128,6 @@ impl Backbone for VtmrlBackbone {
 
     fn beta_var<'t>(&self, tape: &'t Tape, params: &Params) -> ct_tensor::Var<'t> {
         self.inner.beta_var(tape, params)
-    }
-
-    fn commit_batch_stats(&self) {
-        self.inner.commit_batch_stats();
-        let mut pending = std::mem::take(&mut *self.pending_rewards.lock().unwrap());
-        if pending.is_empty() {
-            return;
-        }
-        pending.sort_by_key(|(seq, _)| *seq);
-        let mut b = self.baseline.lock().unwrap();
-        for (_, reward) in pending {
-            *b = 0.9 * *b + 0.1 * reward;
-        }
     }
 
     fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {

@@ -116,10 +116,6 @@ impl Backbone for WldaBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn commit_batch_stats(&self) {
-        self.encoder.commit_batch_stats();
-    }
-
     fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
         let mut rng = StdRng::seed_from_u64(0);
         // Deterministic encoder: softmax(mu).

@@ -133,6 +133,7 @@ mod tests {
             let tape = Tape::new();
             let x = tape.constant(Tensor::randn(16, 6, 2.0, &mut rng).map(|v| v + 3.0));
             let _ = bn.forward(&tape, &params, x, true);
+            params.apply_ema(tape.take_ema_updates());
         }
         let x = Tensor::randn(4, 6, 1.0, &mut rng);
 
@@ -140,13 +141,12 @@ mod tests {
         let xv = tape.constant(x.clone());
         let tape_out = bn.forward(&tape, &params, xv, false);
 
-        let (mean, var) = bn.running_stats();
         let notape = batchnorm_eval(
             &x,
             params.value(bn.gamma),
             params.value(bn.beta),
-            &mean,
-            &var,
+            params.value(bn.running_mean),
+            params.value(bn.running_var),
             bn.eps,
         );
         assert_eq!(*tape_out.value(), notape);

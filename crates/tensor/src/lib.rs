@@ -47,6 +47,6 @@ pub use checkpoint::{params_from_bytes, params_to_bytes};
 pub use csr::CsrMatrix;
 pub use nn::{Activation, BatchNorm1d, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use params::{he_normal, xavier_uniform, ClipReport, ParamId, Params};
+pub use params::{he_normal, xavier_uniform, ClipReport, EmaUpdate, ParamId, Params};
 pub use tape::{Grads, Tape, Var};
 pub use tensor::{csr_matmuls, top_k_indices, Tensor};

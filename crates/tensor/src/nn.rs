@@ -3,8 +3,6 @@
 //! Layers own [`ParamId`] handles; the actual tensors live in a shared
 //! [`Params`] registry so a single optimizer can update a whole model.
 
-use std::sync::Mutex;
-
 use rand::Rng;
 
 use crate::params::{xavier_uniform, ParamId, Params};
@@ -96,34 +94,28 @@ impl Linear {
     }
 }
 
-/// A batch's `(micro sequence, mean, variance)` statistics awaiting an
-/// ordered replay into the running EMAs.
-type PendingStats = Vec<(u64, std::sync::Arc<Tensor>, std::sync::Arc<Tensor>)>;
-
 /// 1-D batch normalization with running statistics, matching the paper's
 /// encoder (`BatchNorm` after the MLP).
 ///
-/// Running-statistics updates are the one *side effect* of a training
-/// forward pass, so they interact with data-parallel training: when the
-/// forward runs inside a micro-batch shard (detected via
-/// [`crate::pool::current_micro_seq`]), the batch statistics are queued
-/// instead of applied, and [`BatchNorm1d::commit_pending`] later replays
-/// them in micro-batch order. That keeps the exponential moving average
-/// independent of which worker thread ran which shard.
+/// The running mean and variance are frozen [`Params`] entries
+/// (`{name}.running_mean`, `{name}.running_var`), so every checkpoint of
+/// the registry carries them. A training forward does not mutate them: it
+/// records their EMA updates on its tape ([`Tape::record_ema`]), and the
+/// training driver applies the recorded updates ([`Params::apply_ema`]) in
+/// a fixed order that does not depend on which worker ran which shard.
 pub struct BatchNorm1d {
     /// Learnable scale handle, shape `(1, dim)`.
     pub gamma: ParamId,
     /// Learnable shift handle, shape `(1, dim)`.
     pub beta: ParamId,
+    /// Running mean handle (frozen), shape `(1, dim)`.
+    pub running_mean: ParamId,
+    /// Running variance handle (frozen), shape `(1, dim)`.
+    pub running_var: ParamId,
     /// Variance floor added before the square root.
     pub eps: f32,
     /// Exponential-moving-average coefficient for the running stats.
     pub momentum: f32,
-    running_mean: Mutex<Tensor>,
-    running_var: Mutex<Tensor>,
-    /// Batch statistics observed inside micro-batch shards, keyed by the
-    /// shard's sequence number; drained by [`BatchNorm1d::commit_pending`].
-    pending: Mutex<PendingStats>,
 }
 
 impl BatchNorm1d {
@@ -131,56 +123,22 @@ impl BatchNorm1d {
     pub fn new(params: &mut Params, name: &str, dim: usize) -> Self {
         let gamma = params.add(format!("{name}.gamma"), Tensor::ones(1, dim));
         let beta = params.add(format!("{name}.beta"), Tensor::zeros(1, dim));
+        let running_mean = params.add_frozen(format!("{name}.running_mean"), Tensor::zeros(1, dim));
+        let running_var = params.add_frozen(format!("{name}.running_var"), Tensor::ones(1, dim));
         Self {
             gamma,
             beta,
+            running_mean,
+            running_var,
             eps: 1e-5,
             momentum: 0.1,
-            running_mean: Mutex::new(Tensor::zeros(1, dim)),
-            running_var: Mutex::new(Tensor::ones(1, dim)),
-            pending: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Snapshot of the running `(mean, variance)` statistics, for
-    /// exporting the layer into a no-tape inference path
-    /// (see [`crate::infer::batchnorm_eval`]).
-    pub fn running_stats(&self) -> (Tensor, Tensor) {
-        (
-            self.running_mean.lock().unwrap().clone(),
-            self.running_var.lock().unwrap().clone(),
-        )
-    }
-
-    /// EMA-update the running statistics from one batch's `(mean, var)`.
-    fn apply_stats(&self, mu: &Tensor, var: &Tensor) {
-        let mut rm = self.running_mean.lock().unwrap();
-        let mut rv = self.running_var.lock().unwrap();
-        let m = self.momentum;
-        for i in 0..rm.numel() {
-            rm.data_mut()[i] = (1.0 - m) * rm.data()[i] + m * mu.data()[i];
-            rv.data_mut()[i] = (1.0 - m) * rv.data()[i] + m * var.data()[i];
-        }
-    }
-
-    /// Replay queued micro-batch statistics into the running EMA, in
-    /// micro-batch sequence order. The data-parallel training driver calls
-    /// this once per mini-batch; outside sharded training the queue is
-    /// always empty and this is a no-op.
-    pub fn commit_pending(&self) {
-        let mut pending = std::mem::take(&mut *self.pending.lock().unwrap());
-        if pending.is_empty() {
-            return;
-        }
-        pending.sort_by_key(|(seq, _, _)| *seq);
-        for (_, mu, var) in &pending {
-            self.apply_stats(mu, var);
         }
     }
 
     /// Forward pass. In training mode, normalizes by batch statistics
     /// (differentiably, so gradients flow through mean and variance) and
-    /// updates running statistics; in eval mode, uses the running stats.
+    /// records the running-statistics updates on `tape`; in eval mode,
+    /// uses the running stats.
     pub fn forward<'t>(
         &self,
         tape: &'t Tape,
@@ -195,25 +153,16 @@ impl BatchNorm1d {
             let centered = x.sub(mu);
             let var = centered.square().mean_axis0();
             let normed = centered.div(var.add_scalar(self.eps).sqrt_eps(1e-12));
-            // Update running stats from the concrete batch values (no
-            // grad). Inside a micro-batch shard the update is queued and
-            // replayed in shard order by `commit_pending`, so the EMA does
-            // not depend on worker scheduling.
-            match crate::pool::current_micro_seq() {
-                Some(seq) => {
-                    self.pending
-                        .lock()
-                        .unwrap()
-                        .push((seq, mu.value(), var.value()));
-                }
-                None => self.apply_stats(&mu.value(), &var.value()),
-            }
+            tape.record_ema(self.running_mean, self.momentum, mu.value());
+            tape.record_ema(self.running_var, self.momentum, var.value());
             normed.mul(gamma).add(beta)
         } else {
-            let rm = std::sync::Arc::new(self.running_mean.lock().unwrap().clone());
-            let rv = self.running_var.lock().unwrap();
-            let inv_std = std::sync::Arc::new(rv.map(|v| 1.0 / (v + self.eps).sqrt()));
-            let neg_rm = std::sync::Arc::new(rm.map(|v| -v));
+            let inv_std = std::sync::Arc::new(
+                params
+                    .value(self.running_var)
+                    .map(|v| 1.0 / (v + self.eps).sqrt()),
+            );
+            let neg_rm = std::sync::Arc::new(params.value(self.running_mean).map(|v| -v));
             x.add_const(&neg_rm)
                 .mul_const(&inv_std)
                 .mul(gamma)
@@ -339,6 +288,7 @@ mod tests {
             let tape = Tape::new();
             let x = tape.constant(Tensor::randn(32, 3, 2.0, &mut rng).map(|v| v + 5.0));
             let _ = bn.forward(&tape, &params, x, true);
+            params.apply_ema(tape.take_ema_updates());
         }
         // Eval on shifted data: output should be approx (x - 5) / 2.
         let tape = Tape::new();
@@ -363,31 +313,37 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_pending_commits_in_micro_order() {
+    fn batchnorm_training_forward_records_instead_of_mutating() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut params = Params::new();
-        let bn_queued = BatchNorm1d::new(&mut params, "bnq", 2);
-        let bn_direct = BatchNorm1d::new(&mut params, "bnd", 2);
-        let batches: Vec<Tensor> = (0..3).map(|_| Tensor::randn(8, 2, 1.0, &mut rng)).collect();
-        // Queue out of order under explicit micro-batch sequence numbers.
-        for (seq, x) in [(2u64, &batches[2]), (0, &batches[0]), (1, &batches[1])] {
-            crate::pool::with_micro_seq(seq, || {
-                let tape = Tape::new();
-                let xv = tape.constant(x.clone());
-                let _ = bn_queued.forward(&tape, &params, xv, true);
-            });
+        let bn = BatchNorm1d::new(&mut params, "bn", 2);
+        assert!(params.is_frozen(bn.running_mean) && params.is_frozen(bn.running_var));
+        assert_eq!(params.name(bn.running_var), "bn.running_var");
+        let x = Tensor::randn(8, 2, 1.0, &mut rng);
+        let tape = Tape::new();
+        let _ = bn.forward(&tape, &params, tape.constant(x.clone()), true);
+        assert_eq!(*params.value(bn.running_mean), Tensor::zeros(1, 2));
+        assert_eq!(*params.value(bn.running_var), Tensor::ones(1, 2));
+        let updates = tape.take_ema_updates();
+        assert_eq!(updates.len(), 2);
+        let (mu, var) = (updates[0].batch.clone(), updates[1].batch.clone());
+        // Column means of x, recorded from the forward's own values.
+        for k in 0..2 {
+            let col_mean = (0..8).map(|r| x.get(r, k)).sum::<f32>() / 8.0;
+            assert!((mu.get(0, k) - col_mean).abs() < 1e-5);
         }
-        // Reference: direct EMA application in logical order.
-        for x in &batches {
-            let tape = Tape::new();
-            let xv = tape.constant(x.clone());
-            let _ = bn_direct.forward(&tape, &params, xv, true);
+        params.apply_ema(updates);
+        for k in 0..2 {
+            let m = bn.momentum;
+            assert_eq!(
+                params.value(bn.running_mean).get(0, k),
+                (1.0 - m) * 0.0 + m * mu.get(0, k)
+            );
+            assert_eq!(
+                params.value(bn.running_var).get(0, k),
+                (1.0 - m) * 1.0 + m * var.get(0, k)
+            );
         }
-        bn_queued.commit_pending();
-        let (qm, qv) = bn_queued.running_stats();
-        let (dm, dv) = bn_direct.running_stats();
-        assert_eq!(qm, dm, "queued-and-committed mean must match direct EMA");
-        assert_eq!(qv, dv, "queued-and-committed var must match direct EMA");
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! Layers own [`ParamId`] handles into a [`Params`] registry. Each training
 //! step binds parameters onto a fresh [`crate::Tape`] via [`crate::Tape::param`],
 //! and the optimizer consumes the accumulated `grad` buffers afterwards.
+//!
+//! Running statistics (batch-norm means and variances, reward baselines)
+//! live here too, as frozen entries: a training forward records their
+//! updates on its tape as [`EmaUpdate`]s, and the training driver applies
+//! them with [`Params::apply_ema`]. Every checkpoint of the registry
+//! therefore carries them.
 
 use std::sync::Arc;
 
@@ -19,6 +25,19 @@ struct Entry {
     value: Arc<Tensor>,
     grad: Tensor,
     frozen: bool,
+}
+
+/// One exponential-moving-average update of a frozen statistic, recorded
+/// by a training forward pass (see [`crate::Tape::record_ema`]) and
+/// applied by [`Params::apply_ema`]: `stat ← (1 − momentum)·stat +
+/// momentum·batch`, elementwise.
+pub struct EmaUpdate {
+    /// The statistic to update.
+    pub param: ParamId,
+    /// Weight of the new batch value.
+    pub momentum: f32,
+    /// The batch value, shaped like the statistic.
+    pub batch: Arc<Tensor>,
 }
 
 /// Registry of named, trainable tensors with gradient buffers.
@@ -170,6 +189,18 @@ impl Params {
         ClipReport {
             pre_norm: norm,
             clipped,
+        }
+    }
+
+    /// Apply recorded EMA updates in order (see [`EmaUpdate`]).
+    pub fn apply_ema(&mut self, updates: impl IntoIterator<Item = EmaUpdate>) {
+        for u in updates {
+            let m = u.momentum;
+            let stat = self.value_mut(u.param);
+            assert_eq!(stat.shape(), u.batch.shape(), "apply_ema: shape mismatch");
+            for (s, &b) in stat.data_mut().iter_mut().zip(u.batch.data()) {
+                *s = (1.0 - m) * *s + m * b;
+            }
         }
     }
 

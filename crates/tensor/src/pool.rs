@@ -71,32 +71,6 @@ thread_local! {
     /// instead of re-entering the pool (which could deadlock if every worker
     /// waited on jobs that only other workers could run).
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// Sequence number of the micro-batch the current thread is executing,
-    /// installed by [`with_micro_seq`]. Layers with order-sensitive side
-    /// effects (batch-norm running stats, REINFORCE baselines) tag their
-    /// pending updates with it so the training driver can commit them in
-    /// micro-batch order regardless of worker interleaving.
-    static MICRO_SEQ: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Run `f` with [`current_micro_seq`] set to `seq` on this thread. Nests
-/// and restores on exit (including by panic).
-pub fn with_micro_seq<R>(seq: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MICRO_SEQ.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MICRO_SEQ.with(|c| c.replace(Some(seq))));
-    f()
-}
-
-/// The micro-batch sequence number installed by [`with_micro_seq`], if the
-/// current thread is executing a data-parallel micro-batch. `None` means
-/// single-tape (legacy) execution: side effects may be applied immediately.
-pub fn current_micro_seq() -> Option<u64> {
-    MICRO_SEQ.with(Cell::get)
 }
 
 /// Parallelism used by the current thread: the [`with_threads`] override if

@@ -21,7 +21,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::params::{ParamId, Params};
+use crate::params::{EmaUpdate, ParamId, Params};
 use crate::tensor::Tensor;
 
 /// Backward closure: receives the gradient flowing into this node's output
@@ -40,6 +40,9 @@ pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
     /// (node id, param id) pairs for leaves bound to trainable parameters.
     param_nodes: RefCell<Vec<(usize, ParamId)>>,
+    /// Running-statistic updates recorded by training forwards, in record
+    /// order; drained by [`Tape::take_ema_updates`].
+    ema_updates: RefCell<Vec<EmaUpdate>>,
 }
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; all ops live on this type
@@ -191,6 +194,23 @@ impl Tape {
             }
         }
         self.param_nodes.borrow_mut().clear();
+        self.ema_updates.borrow_mut().clear();
+    }
+
+    /// Record an EMA update of the frozen statistic `param` towards
+    /// `batch` (see [`EmaUpdate`]). The forward pass mutates nothing; the
+    /// caller applies the recorded updates with [`Params::apply_ema`].
+    pub fn record_ema(&self, param: ParamId, momentum: f32, batch: Arc<Tensor>) {
+        self.ema_updates.borrow_mut().push(EmaUpdate {
+            param,
+            momentum,
+            batch,
+        });
+    }
+
+    /// Drain the EMA updates recorded so far, in record order.
+    pub fn take_ema_updates(&self) -> Vec<EmaUpdate> {
+        std::mem::take(&mut *self.ema_updates.borrow_mut())
     }
 
     /// Record a constant from a shared tensor without copying the data.
