@@ -28,19 +28,18 @@
 //! counts and writes nothing; `tests/perf_snapshot_smoke.rs` runs it in the
 //! default test command so the binary cannot rot.
 //!
-//! The JSON is assembled by hand (no serde in this workspace) and kept flat
-//! so CI or a human can diff successive snapshots. SGEMM rows report the
-//! *best* (minimum) time over the sample loop: on a shared box,
-//! interference only ever slows a sample down, so min-time is the stable
-//! estimator a ±10% regression gate can be built on, while medians would
-//! flake with scheduler noise. The epoch sweep reports min, median and max
-//! over five runs after one warm-up (which also spins up the worker
-//! pool), so a difference between worker counts can be judged against the
-//! spread of each. Note the speedup of the worker sweep is bounded by the
+//! Both documents are built as `Json` values and written one top-level
+//! member per line (`Json::emit_members_per_line`), so CI or a human can
+//! diff successive snapshots. SGEMM rows report the *best* (minimum) time
+//! over the sample loop: on a shared box, interference only ever slows a
+//! sample down, so min-time is the stable estimator a ±10% regression gate
+//! can be built on, while medians would flake with scheduler noise. The
+//! epoch sweep reports min, median and max over five runs after one
+//! warm-up (which also spins up the worker pool), so a difference between
+//! worker counts can be judged against the spread of each. Note the speedup of the worker sweep is bounded by the
 //! *physical* cores of the machine (the `cores` field), not by the worker
 //! count.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,9 +47,10 @@ use contratopic::{
     fit_contratopic, fit_contratopic_traced, relaxed_subset, AblationVariant,
     ContrastiveRegularizer, SimilarityKernel, SubsetSamplerConfig,
 };
-use ct_bench::provenance_json;
+use ct_bench::provenance;
 use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
 use ct_models::{fit_etm, EtmBackbone, TrainConfig};
+use ct_tensor::codec::json::Json;
 use ct_tensor::sgemm::{sgemm_nn_packed, PackedB};
 use ct_tensor::{params_to_bytes, pool, Params, Tape, Tensor};
 use rand::rngs::StdRng;
@@ -325,31 +325,51 @@ fn sgemm_cases(samples: usize, big_samples: usize) -> Vec<SgemmCase> {
     ]
 }
 
-fn write_sgemm_json(cases: &[SgemmCase]) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    out.push_str(&provenance_json());
-    let _ = write!(
-        out,
-        "  \"threads\": {},\n  \"ops\": [\n",
-        pool::configured_threads()
-    );
-    for (i, c) in cases.iter().enumerate() {
-        let flops = 2.0 * (c.m * c.k * c.n) as f64;
-        let gflops = flops / c.best_ns.max(1) as f64; // ns => GFLOP/s
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"best_ns\": {}, \"gflops\": {:.3}}}{}",
-            c.name,
-            c.m,
-            c.k,
-            c.n,
-            c.best_ns,
-            gflops,
-            if i + 1 < cases.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_sgemm.json", out)
+/// A millisecond or GFLOP/s figure at the artifacts' three decimals.
+fn num3(v: f64) -> Json {
+    Json::Num((v * 1e3).round() / 1e3)
+}
+
+/// A count as a JSON number.
+fn count(n: usize) -> Json {
+    Json::Num(n as f64)
+}
+
+/// An object from `(key, value)` members, in order.
+fn obj(members: Vec<(&str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// A `BENCH_*.json` document: the provenance header
+/// ([`ct_bench::provenance`]) as its leading members, then `members`.
+fn bench_doc(members: Vec<(&str, Json)>) -> Json {
+    let Json::Obj(mut all) = provenance() else {
+        unreachable!("provenance is an object")
+    };
+    all.extend(members.into_iter().map(|(k, v)| (k.into(), v)));
+    Json::Obj(all)
+}
+
+/// `BENCH_sgemm.json`: one `ops` row per case, best time and GFLOP/s.
+fn sgemm_json(cases: &[SgemmCase]) -> Json {
+    let ops = cases
+        .iter()
+        .map(|c| {
+            let flops = 2.0 * (c.m * c.k * c.n) as f64;
+            obj(vec![
+                ("name", Json::Str(c.name.into())),
+                ("m", count(c.m)),
+                ("k", count(c.k)),
+                ("n", count(c.n)),
+                ("best_ns", Json::Num(c.best_ns as f64)),
+                ("gflops", num3(flops / c.best_ns.max(1) as f64)), // ns => GFLOP/s
+            ])
+        })
+        .collect();
+    bench_doc(vec![
+        ("threads", count(pool::configured_threads())),
+        ("ops", Json::Arr(ops)),
+    ])
 }
 
 /// Topics `K` of the NYTimes-like grid configuration; with the sampler's
@@ -520,7 +540,7 @@ fn etm_breakdown(smoke: bool, samples: usize) -> EtmBreakdown {
     let x_rc = Arc::new(x.clone());
     // θ and β of a real forward pass, the reconstruction timing's inputs.
     let tape = Tape::new();
-    let e = etm.elbo(&tape, &params, &x, true, &mut rng);
+    let e = etm.elbo(&tape, &params, &x, &mut rng);
     let (theta, beta) = (e.theta.value(), e.beta.value());
     drop(tape);
     let mut ns: [Vec<u128>; 4] = Default::default();
@@ -532,7 +552,7 @@ fn etm_breakdown(smoke: bool, samples: usize) -> EtmBreakdown {
                     let mut xn = x.clone();
                     xn.normalize_rows_l1();
                     let xn = tape.constant(xn);
-                    let (theta, kl) = etm.encoder.encode(&tape, &params, xn, true, &mut rng);
+                    let (theta, kl) = etm.encoder.encode(&tape, &params, xn, &mut rng);
                     black_box(tape.backward(theta.sum_all().add(kl)));
                 }),
                 time_once(|| {
@@ -550,7 +570,7 @@ fn etm_breakdown(smoke: bool, samples: usize) -> EtmBreakdown {
                 }),
                 time_once(|| {
                     let tape = Tape::new();
-                    let e = etm.elbo(&tape, &params, &x, true, &mut rng);
+                    let e = etm.elbo(&tape, &params, &x, &mut rng);
                     black_box(tape.backward(e.loss));
                 }),
             ];
@@ -703,73 +723,73 @@ fn maybe_trace(fix: &EpochFixture) {
     }
 }
 
-fn write_train_json(
-    fix: &EpochFixture,
+/// `BENCH_train_epoch.json`: the worker sweep, the regularizer and ETM
+/// step breakdowns, and the §V-E ContraTopic/ETM ratio.
+fn train_json(
+    config: &TrainConfig,
     points: &[SweepPoint],
     etm: Spread,
     reg: &RegBreakdown,
     etm_step: &EtmBreakdown,
     bitwise_equal: bool,
-) -> std::io::Result<()> {
-    let ms = |ns: u128| ns as f64 / 1e6;
-    let mut out = String::from("{\n");
-    out.push_str(&provenance_json());
-    let _ = write!(
-        out,
-        "  \"model\": \"ContraTopic\",\n  \"epochs\": 1,\n  \"batch_size\": {},\n  \"micro_batch\": {},\n  \"bitwise_equal_across_workers\": {},\n  \"sweep\": [\n",
-        fix.config.batch_size, fix.config.micro_batch, bitwise_equal
-    );
-    for (i, p) in points.iter().enumerate() {
-        let s = p.spread;
-        let _ = writeln!(
-            out,
-            "    {{\"workers\": {}, \"min_ms\": {:.3}, \"median_ms\": {:.3}, \"max_ms\": {:.3}}}{}",
-            p.workers,
-            ms(s.min_ns),
-            ms(s.median_ns),
-            ms(s.max_ns),
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"regularizer\": {{\"workers\": 1, \"k\": {}, \"v\": {}, \"vocab\": {}, \"xn_ms\": {:.3}, \"quad_nt_ms\": {:.3}, \"dx_ms\": {:.3}, \"sampler_ms\": {:.3}, \"loss_ms\": {:.3}, \"residual_ms\": {:.3}}},",
-        reg.k,
-        reg.v,
-        reg.vocab,
-        ms(reg.xn.median_ns),
-        ms(reg.quad_nt.median_ns),
-        ms(reg.dx.median_ns),
-        ms(reg.sampler.median_ns),
-        ms(reg.loss.median_ns),
-        reg.residual_ns() as f64 / 1e6
-    );
-    let _ = writeln!(
-        out,
-        "  \"etm\": {{\"workers\": 1, \"docs\": {}, \"vocab\": {}, \"k\": {}, \"nnz\": {}, \"encoder_ms\": {:.3}, \"decoder_ms\": {:.3}, \"recon_ms\": {:.3}, \"step_ms\": {:.3}, \"residual_ms\": {:.3}}},",
-        etm_step.docs,
-        etm_step.vocab,
-        etm_step.k,
-        etm_step.nnz,
-        ms(etm_step.encoder.median_ns),
-        ms(etm_step.decoder.median_ns),
-        ms(etm_step.recon.median_ns),
-        ms(etm_step.step.median_ns),
-        etm_step.residual_ns() as f64 / 1e6
-    );
+) -> Json {
+    let ms = |ns: u128| num3(ns as f64 / 1e6);
+    let sweep = points
+        .iter()
+        .map(|p| {
+            obj(vec![
+                ("workers", count(p.workers)),
+                ("min_ms", ms(p.spread.min_ns)),
+                ("median_ms", ms(p.spread.median_ns)),
+                ("max_ms", ms(p.spread.max_ns)),
+            ])
+        })
+        .collect();
+    let regularizer = obj(vec![
+        ("workers", count(1)),
+        ("k", count(reg.k)),
+        ("v", count(reg.v)),
+        ("vocab", count(reg.vocab)),
+        ("xn_ms", ms(reg.xn.median_ns)),
+        ("quad_nt_ms", ms(reg.quad_nt.median_ns)),
+        ("dx_ms", ms(reg.dx.median_ns)),
+        ("sampler_ms", ms(reg.sampler.median_ns)),
+        ("loss_ms", ms(reg.loss.median_ns)),
+        ("residual_ms", num3(reg.residual_ns() as f64 / 1e6)),
+    ]);
+    let etm_block = obj(vec![
+        ("workers", count(1)),
+        ("docs", count(etm_step.docs)),
+        ("vocab", count(etm_step.vocab)),
+        ("k", count(etm_step.k)),
+        ("nnz", count(etm_step.nnz)),
+        ("encoder_ms", ms(etm_step.encoder.median_ns)),
+        ("decoder_ms", ms(etm_step.decoder.median_ns)),
+        ("recon_ms", ms(etm_step.recon.median_ns)),
+        ("step_ms", ms(etm_step.step.median_ns)),
+        ("residual_ms", num3(etm_step.residual_ns() as f64 / 1e6)),
+    ]);
     // The ratio compares like with like: both models at one worker.
     let ct_one = points
         .iter()
         .find(|p| p.workers == 1)
         .map_or(0, |p| p.spread.median_ns);
-    let _ = write!(
-        out,
-        "  \"etm_workers\": 1,\n  \"etm_median_ms\": {:.3},\n  \"contratopic_etm_ratio\": {:.3}\n}}\n",
-        ms(etm.median_ns),
-        ct_one as f64 / etm.median_ns.max(1) as f64
-    );
-    std::fs::write("BENCH_train_epoch.json", out)
+    bench_doc(vec![
+        ("model", Json::Str("ContraTopic".into())),
+        ("epochs", count(1)),
+        ("batch_size", count(config.batch_size)),
+        ("micro_batch", count(config.micro_batch)),
+        ("bitwise_equal_across_workers", Json::Bool(bitwise_equal)),
+        ("sweep", Json::Arr(sweep)),
+        ("regularizer", regularizer),
+        ("etm", etm_block),
+        ("etm_workers", count(1)),
+        ("etm_median_ms", ms(etm.median_ns)),
+        (
+            "contratopic_etm_ratio",
+            num3(ct_one as f64 / etm.median_ns.max(1) as f64),
+        ),
+    ])
 }
 
 fn main() -> std::io::Result<()> {
@@ -846,9 +866,107 @@ fn main() -> std::io::Result<()> {
         println!("--smoke: skipping JSON artifacts");
         return Ok(());
     }
-    write_sgemm_json(&cases)?;
+    std::fs::write(
+        "BENCH_sgemm.json",
+        sgemm_json(&cases).emit_members_per_line(),
+    )?;
     println!("wrote BENCH_sgemm.json");
-    write_train_json(&fix, &points, etm, &reg, &etm_step, bitwise_equal)?;
+    let train = train_json(&fix.config, &points, etm, &reg, &etm_step, bitwise_equal);
+    std::fs::write("BENCH_train_epoch.json", train.emit_members_per_line())?;
     println!("wrote BENCH_train_epoch.json");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ct_tensor::codec::json::parse;
+
+    fn spread(ms: u128) -> Spread {
+        Spread {
+            min_ns: ms * 900_000,
+            median_ns: ms * 1_000_000,
+            max_ns: ms * 1_100_000,
+        }
+    }
+
+    /// Both artifacts parse back, carry the provenance header, and keep
+    /// the members `scripts/sgemm_gate.py` and readers of the train file
+    /// rely on.
+    #[test]
+    fn artifacts_parse_and_carry_their_members() {
+        let cases = [SgemmCase {
+            name: "nn_square",
+            m: 4,
+            k: 5,
+            n: 6,
+            best_ns: 1_000,
+        }];
+        let sgemm = parse(&sgemm_json(&cases).emit_members_per_line()).expect("sgemm parses");
+        for key in ["cpu_model", "simd", "git_rev", "threads"] {
+            assert!(sgemm.get(key).is_some(), "BENCH_sgemm.json lacks {key}");
+        }
+        let ops = sgemm.get("ops").and_then(Json::as_arr).expect("ops array");
+        assert_eq!(ops[0].get("name").and_then(Json::as_str), Some("nn_square"));
+        assert_eq!(ops[0].get("gflops").and_then(Json::as_f64), Some(0.24));
+
+        let points = [
+            SweepPoint {
+                workers: 1,
+                spread: spread(20),
+            },
+            SweepPoint {
+                workers: 2,
+                spread: spread(15),
+            },
+        ];
+        let reg = RegBreakdown {
+            k: 40,
+            v: 10,
+            vocab: 2400,
+            xn: spread(80),
+            quad_nt: spread(18),
+            dx: spread(15),
+            sampler: spread(20),
+            loss: spread(135),
+        };
+        let etm_step = EtmBreakdown {
+            docs: 256,
+            vocab: 2400,
+            k: 40,
+            nnz: 16_000,
+            encoder: spread(5),
+            decoder: spread(2),
+            recon: spread(1),
+            step: spread(10),
+        };
+        let config = TrainConfig::default().with_micro_batch(50);
+        let doc = train_json(&config, &points, spread(8), &reg, &etm_step, true);
+        let train = parse(&doc.emit_members_per_line()).expect("train parses");
+        for key in [
+            "cpu_model",
+            "simd",
+            "git_rev",
+            "model",
+            "epochs",
+            "batch_size",
+            "micro_batch",
+            "bitwise_equal_across_workers",
+            "etm_workers",
+        ] {
+            assert!(
+                train.get(key).is_some(),
+                "BENCH_train_epoch.json lacks {key}"
+            );
+        }
+        let sweep = train.get("sweep").and_then(Json::as_arr).expect("sweep");
+        assert_eq!(sweep[1].get("median_ms").and_then(Json::as_f64), Some(15.0));
+        let residual = train.get("regularizer").and_then(|r| r.get("residual_ms"));
+        assert_eq!(residual.and_then(Json::as_f64), Some(2.0));
+        let recon = train.get("etm").and_then(|e| e.get("recon_ms"));
+        assert_eq!(recon.and_then(Json::as_f64), Some(1.0));
+        let ratio = train.get("contratopic_etm_ratio").and_then(Json::as_f64);
+        assert_eq!(ratio, Some(2.5));
+        assert_eq!(train.get("etm_median_ms").and_then(Json::as_f64), Some(8.0));
+    }
 }

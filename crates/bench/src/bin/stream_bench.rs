@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use contratopic::{ContraTopicConfig, OnlineContraTopic};
-use ct_bench::merge_bench_json;
+use ct_bench::{merge_bench_json, provenance};
 use ct_corpus::stream::{DocStream, StreamSpec};
 use ct_corpus::synth::CORE_SIZE;
 use ct_corpus::{parse_drift_script, train_embeddings};
@@ -282,6 +282,7 @@ fn main() {
     let out = merge_bench_json(
         "",
         &[
+            ("host", &provenance().emit()),
             ("generator", &generator),
             ("pipeline", &pipeline),
             ("live_queries", &live_queries),

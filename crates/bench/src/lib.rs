@@ -227,18 +227,6 @@ pub fn update_bench_json(path: &str, members: &[(&str, &str)]) -> std::io::Resul
     Ok(doc)
 }
 
-/// [`provenance`] as the leading member lines of a hand-built
-/// `BENCH_*.json` object (`  "key": value,` each).
-pub fn provenance_json() -> String {
-    let Json::Obj(members) = provenance() else {
-        unreachable!("provenance is an object")
-    };
-    members
-        .iter()
-        .map(|(k, v)| format!("  {}: {},\n", json::json_str(k), v.emit()))
-        .collect()
-}
-
 /// Set top-level members (values as JSON text) of the `BENCH_*.json`
 /// document `doc`, keeping every other member, and re-emit it one member
 /// per line; an empty or non-object `doc` starts a fresh object. Panics
@@ -330,8 +318,8 @@ mod tests {
 
     #[test]
     fn provenance_lines_parse_as_object_members() {
-        let doc = format!("{{\n{}  \"end\": 0\n}}", provenance_json());
-        let parsed = json::parse(&doc).expect("provenance lines are valid JSON members");
+        let doc = provenance().emit();
+        let parsed = json::parse(&doc).expect("provenance is valid JSON");
         for key in ["cpu_model", "simd", "cores", "ct_num_threads", "git_rev"] {
             assert!(parsed.get(key).is_some(), "missing {key}: {doc}");
         }

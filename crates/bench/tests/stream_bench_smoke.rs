@@ -29,5 +29,8 @@ fn stream_bench_smoke_drops_no_query_and_rejects_poison() {
     for field in ["\"failed\":0", "\"typed_rejection\":true"] {
         assert!(artifact.contains(field), "no {field} in:\n{artifact}");
     }
+    let doc = ct_tensor::codec::json::parse(&artifact).expect("BENCH_stream.json parses");
+    let host = doc.get("host").expect("no host member");
+    assert!(host.get("simd").is_some(), "host lacks simd: {artifact}");
     std::fs::remove_dir_all(&dir).ok();
 }

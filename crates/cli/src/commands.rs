@@ -234,9 +234,8 @@ pub fn eval(args: &Args) -> Result<(), String> {
     let npmi = NpmiMatrix::from_corpus(&corpus);
     let beta = backbone.beta_tensor(&params);
     let scores = TopicScores::compute(&beta, &npmi, K_TC);
-    let theta = ct_models::common::infer_theta_blocked(&corpus, backbone.num_topics(), |x| {
-        backbone.infer_theta_batch(&params, x)
-    });
+    let encoder = backbone.encoder.export_weights(&params);
+    let theta = ct_models::common::infer_theta_blocked(&corpus, &encoder);
     println!("topics:              {}", backbone.num_topics());
     println!("coherence @10%:      {:+.4}", scores.coherence_at(0.1));
     println!("coherence @100%:     {:+.4}", scores.coherence_at(1.0));

@@ -232,9 +232,8 @@ impl TopicModel for OnlineContraTopic {
     }
 
     fn theta(&self, corpus: &BowCorpus) -> Tensor {
-        ct_models::common::infer_theta_blocked(corpus, self.backbone.num_topics(), |x| {
-            self.backbone.infer_theta_batch(&self.params, x)
-        })
+        let encoder = self.backbone.encoder.export_weights(&self.params);
+        ct_models::common::infer_theta_blocked(corpus, &encoder)
     }
 
     fn num_topics(&self) -> usize {

@@ -53,19 +53,6 @@ impl SparseDoc {
         Self { ids, counts }
     }
 
-    /// Build from pre-aggregated pairs (must have unique ids).
-    pub fn from_pairs(mut pairs: Vec<(u32, f32)>) -> Self {
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        let mut ids = Vec::with_capacity(pairs.len());
-        let mut counts = Vec::with_capacity(pairs.len());
-        for (id, c) in pairs {
-            debug_assert!(ids.last() != Some(&id), "duplicate id in from_pairs");
-            ids.push(id);
-            counts.push(c);
-        }
-        Self { ids, counts }
-    }
-
     /// Unique word ids, ascending.
     pub fn ids(&self) -> &[u32] {
         &self.ids
@@ -173,13 +160,6 @@ impl BowCorpus {
     pub fn csr_batch(&self, indices: &[usize]) -> Tensor {
         let docs: Vec<&SparseDoc> = indices.iter().map(|&d| &self.docs[d]).collect();
         csr_batch_from_docs(&docs, self.vocab_size())
-    }
-
-    /// Materialize documents `indices` with each row L1-normalized.
-    pub fn dense_batch_normalized(&self, indices: &[usize]) -> Tensor {
-        let mut t = self.dense_batch(indices);
-        t.normalize_rows_l1();
-        t
     }
 
     /// Per-word document frequency (number of docs containing the word).
@@ -346,16 +326,6 @@ mod tests {
                     "({r}, {col})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn dense_batch_normalized_rows_sum_to_one() {
-        let c = tiny_corpus();
-        let b = c.dense_batch_normalized(&[0, 1]);
-        for r in 0..2 {
-            let s: f32 = b.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-6);
         }
     }
 

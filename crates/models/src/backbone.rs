@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use crate::common::{
     infer_theta_blocked, DivergencePolicy, TopicModel, TrainConfig, TrainOutcome, TrainStats,
 };
+use crate::encoder::Encoder;
 use crate::trace::{ConsoleSink, LossComponents, NoopSink, TraceEvent, TraceSink};
 
 /// Output of one backbone forward pass.
@@ -74,7 +75,6 @@ pub trait Backbone: Sync {
         params: &Params,
         x: &Tensor,
         indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t>;
 
@@ -87,8 +87,11 @@ pub trait Backbone: Sync {
     /// once per micro-batch.
     fn beta_var<'t>(&self, tape: &'t Tape, params: &Params) -> Var<'t>;
 
-    /// Amortized θ for one dense batch (eval mode).
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor;
+    /// The amortized encoder. Eval-mode θ is its exported weights'
+    /// tape-free forward ([`Encoder::export_weights`],
+    /// [`crate::EncoderWeights::infer_theta`]), the one eval path that
+    /// offline evaluation and serving share.
+    fn encoder(&self) -> &Encoder;
 
     /// Concrete topic-word distribution.
     fn beta_tensor(&self, params: &Params) -> Tensor;
@@ -145,9 +148,10 @@ impl<B: Backbone> TopicModel for Fitted<B> {
     }
 
     fn theta(&self, corpus: &BowCorpus) -> Tensor {
-        infer_theta_blocked(corpus, self.backbone.num_topics(), |x| {
-            self.backbone.infer_theta_batch(&self.params, x)
-        })
+        infer_theta_blocked(
+            corpus,
+            &self.backbone.encoder().export_weights(&self.params),
+        )
     }
 
     fn train_stats(&self) -> Option<&TrainStats> {
@@ -479,7 +483,7 @@ fn single_tape_batch<B: Backbone>(
     tape.reset();
     let x = corpus.csr_batch(batch);
     let fwd_t0 = now_if(timing);
-    let out = backbone.batch_loss(tape, params, &x, batch, true, rng);
+    let out = backbone.batch_loss(tape, params, &x, batch, rng);
     let (loss, components) = match reg.as_mut() {
         None => (out.loss, out.components(None)),
         Some((lambda, reg_fn)) => {
@@ -552,7 +556,7 @@ fn sharded_batch<B: Backbone>(
                     let mut mrng = StdRng::seed_from_u64(seeds[m]);
                     let x = corpus.csr_batch(micros[m]);
                     let mtape = Tape::new();
-                    let out = backbone.batch_loss(&mtape, params, &x, micros[m], true, &mut mrng);
+                    let out = backbone.batch_loss(&mtape, params, &x, micros[m], &mut mrng);
                     let ema = mtape.take_ema_updates();
                     let loss_v = out.loss.scalar_value();
                     if !loss_v.is_finite() {

@@ -16,6 +16,7 @@ use rand::SeedableRng;
 
 use crate::backbone::{fit_backbone, Backbone, BackboneOut, Fitted};
 use crate::common::TrainConfig;
+use crate::encoder::Encoder;
 use crate::etm::EtmBackbone;
 
 /// Per-document tf-idf-ranked term list: `(word id, count)` sorted by
@@ -124,12 +125,11 @@ impl Backbone for ClntmBackbone {
         params: &Params,
         x: &Tensor,
         indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
-        let e = self.inner.elbo(tape, params, x, training, rng);
+        let e = self.inner.elbo(tape, params, x, rng);
         let (elbo, kl, beta) = (e.loss, e.kl, e.beta);
-        if !training || indices.is_empty() {
+        if indices.is_empty() {
             return BackboneOut::new(elbo, beta).with_kl(kl);
         }
         let v = x.cols();
@@ -141,10 +141,7 @@ impl Backbone for ClntmBackbone {
             let mut tn = t.clone();
             tn.normalize_rows_l1();
             let tv = tape.constant(tn);
-            let (mu, _lv) = self
-                .inner
-                .encoder
-                .posterior(tape, params, tv, training, rng);
+            let (mu, _lv) = self.inner.encoder.posterior(tape, params, tv, rng);
             mu
         };
         let h = Self::normalize_rows(encode(x, rng));
@@ -168,8 +165,8 @@ impl Backbone for ClntmBackbone {
         self.inner.beta_var(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        self.inner.infer_theta_batch(params, x)
+    fn encoder(&self) -> &Encoder {
+        self.inner.encoder()
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

@@ -4,6 +4,7 @@
 use ct_corpus::BowCorpus;
 use ct_tensor::Tensor;
 
+use crate::encoder::EncoderWeights;
 use crate::trace::LossComponents;
 
 /// What the training driver does when a batch loss comes back non-finite.
@@ -203,24 +204,22 @@ impl TrainStats {
     }
 }
 
-/// Amortized θ inference over a whole corpus in blocks: runs `encode` on
-/// CSR-backed batches (every eval-mode encoder path is
-/// normalize-then-matmul, which the sparse storage backend handles with
-/// bitwise-identical results) and stacks the resulting `(batch, K)` rows.
-pub fn infer_theta_blocked<F>(corpus: &BowCorpus, k: usize, mut encode: F) -> Tensor
-where
-    F: FnMut(&Tensor) -> Tensor,
-{
+/// Amortized θ inference over a whole corpus in blocks: runs the
+/// tape-free eval forward [`EncoderWeights::infer_theta`] on CSR-backed
+/// batches of 512 documents (the forward is normalize-then-matmul, which
+/// the sparse storage backend handles with bitwise-identical results) and
+/// stacks the resulting `(batch, K)` rows.
+pub fn infer_theta_blocked(corpus: &BowCorpus, encoder: &EncoderWeights) -> Tensor {
     const BLOCK: usize = 512;
     let d = corpus.num_docs();
+    let k = encoder.num_topics();
     let mut theta = Tensor::zeros(d, k);
     let mut d0 = 0;
     while d0 < d {
         let d1 = (d0 + BLOCK).min(d);
         let idx: Vec<usize> = (d0..d1).collect();
         let x = corpus.csr_batch(&idx);
-        let block = encode(&x);
-        assert_eq!(block.shape(), (idx.len(), k), "encode block shape");
+        let block = encoder.infer_theta(&x);
         for (r, dd) in (d0..d1).enumerate() {
             theta.row_mut(dd).copy_from_slice(block.row(r));
         }
@@ -247,11 +246,19 @@ pub fn normalize_rows_l2(mut emb: Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backbone::{train_backbone, Backbone, BackboneOut, RegClosure};
+    use crate::backbone::{train_backbone, Backbone, BackboneOut, Fitted, RegClosure};
+    use crate::encoder::Encoder;
+    use crate::testutil::{cluster_corpus, cluster_embeddings};
     use crate::trace::{CollectSink, TraceEvent};
-    use ct_corpus::{SparseDoc, Vocab};
+    use crate::{
+        fit_clntm, fit_ecrtm, fit_etm, fit_nstm, fit_ntmr, fit_prodlda, fit_vtmrl, fit_wete,
+        fit_wlda,
+    };
+    use ct_corpus::{NpmiMatrix, SparseDoc, Vocab};
     use ct_tensor::{params_to_bytes, ParamId, Params, Tape, Var};
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn tiny_corpus() -> BowCorpus {
         let vocab = Vocab::from_words((0..6).map(|i| format!("w{i}")));
@@ -267,9 +274,11 @@ mod tests {
     /// fitted to raw counts, `loss = mean((x - b)²)`, with `beta =
     /// softmax(b)`. Any (micro-)batch holding a document listed in
     /// `poisoned` returns a NaN loss, so which batches diverge is fixed by
-    /// document index, never by scheduling.
+    /// document index, never by scheduling. Its encoder only fills the
+    /// trait's slot: the loss never reads it, so it is never trained.
     struct BiasBackbone {
         b: ParamId,
+        encoder: Encoder,
         poisoned: Vec<usize>,
     }
 
@@ -284,7 +293,6 @@ mod tests {
             params: &Params,
             x: &Tensor,
             indices: &[usize],
-            _training: bool,
             _rng: &mut StdRng,
         ) -> BackboneOut<'t> {
             let bv = tape.param(params, self.b);
@@ -300,8 +308,8 @@ mod tests {
             tape.param(params, self.b).softmax_rows(1.0)
         }
 
-        fn infer_theta_batch(&self, _params: &Params, x: &Tensor) -> Tensor {
-            Tensor::full(x.rows(), 1, 1.0)
+        fn encoder(&self) -> &Encoder {
+            &self.encoder
         }
 
         fn beta_tensor(&self, params: &Params) -> Tensor {
@@ -351,8 +359,22 @@ mod tests {
         let corpus = tiny_corpus();
         let mut params = Params::new();
         let b = params.add("b", Tensor::zeros(1, 6));
+        let encoder = Encoder::new(
+            &mut params,
+            "enc",
+            6,
+            &TrainConfig {
+                num_topics: 1,
+                ..TrainConfig::tiny()
+            },
+            &mut StdRng::seed_from_u64(0),
+        );
         let initial = params_to_bytes(&params);
-        let backbone = BiasBackbone { b, poisoned };
+        let backbone = BiasBackbone {
+            b,
+            encoder,
+            poisoned,
+        };
         let mut sink = CollectSink::default();
         let mut reg_fn = nan_regularizer;
         let reg = nan_reg.then_some((1.0, &mut reg_fn as RegClosure<'_>));
@@ -535,24 +557,42 @@ mod tests {
         }
     }
 
+    /// Blocked inference over CSR blocks of 512 documents equals one
+    /// dense forward over the whole corpus, bitwise, for every neural
+    /// backbone.
     #[test]
     fn infer_theta_blocked_stacks_blocks() {
-        let corpus = tiny_corpus();
-        let theta = infer_theta_blocked(&corpus, 2, |x| {
-            // Fake encoder: cluster by whether word 0 is present.
-            let mut t = Tensor::zeros(x.rows(), 2);
-            for r in 0..x.rows() {
-                if x.get(r, 0) > 0.0 {
-                    t.set(r, 0, 1.0);
-                } else {
-                    t.set(r, 1, 1.0);
-                }
-            }
-            t
-        });
-        assert_eq!(theta.shape(), (40, 2));
-        assert_eq!(theta.get(0, 0), 1.0);
-        assert_eq!(theta.get(1, 1), 1.0);
+        // 1200 documents: blocks of 512, 512 and a ragged 176.
+        let corpus = cluster_corpus(3, 12, 400);
+        let emb = cluster_embeddings(&corpus);
+        let npmi = Arc::new(NpmiMatrix::from_corpus(&corpus));
+        let config = TrainConfig {
+            num_topics: 4,
+            epochs: 1,
+            batch_size: 256,
+            ..TrainConfig::tiny()
+        };
+        let all: Vec<usize> = (0..corpus.num_docs()).collect();
+        let dense = corpus.dense_batch(&all);
+        fn check<B: Backbone>(model: &Fitted<B>, corpus: &BowCorpus, dense: &Tensor) {
+            let blocked = model.theta(corpus);
+            assert_eq!(blocked.shape(), (corpus.num_docs(), 4));
+            let whole = model.backbone.encoder().export_weights(&model.params);
+            assert_eq!(blocked, whole.infer_theta(dense), "{}", model.name());
+        }
+        check(&fit_prodlda(&corpus, &config), &corpus, &dense);
+        check(&fit_wlda(&corpus, &config), &corpus, &dense);
+        check(&fit_etm(&corpus, emb.clone(), &config), &corpus, &dense);
+        check(&fit_nstm(&corpus, emb.clone(), &config), &corpus, &dense);
+        check(&fit_wete(&corpus, emb.clone(), &config), &corpus, &dense);
+        check(&fit_ntmr(&corpus, emb.clone(), &config), &corpus, &dense);
+        check(
+            &fit_vtmrl(&corpus, emb.clone(), npmi, &config),
+            &corpus,
+            &dense,
+        );
+        check(&fit_clntm(&corpus, emb.clone(), &config), &corpus, &dense);
+        check(&fit_ecrtm(&corpus, emb, &config), &corpus, &dense);
     }
 
     #[test]

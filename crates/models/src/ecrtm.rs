@@ -18,6 +18,7 @@ use rand::SeedableRng;
 
 use crate::backbone::{fit_backbone, Backbone, BackboneOut, Fitted};
 use crate::common::TrainConfig;
+use crate::encoder::Encoder;
 use crate::etm::EtmBackbone;
 
 /// ECRTM: ETM backbone + embedding clustering regularization.
@@ -81,10 +82,9 @@ impl Backbone for EcrtmBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
-        let e = self.inner.elbo(tape, params, x, training, rng);
+        let e = self.inner.elbo(tape, params, x, rng);
         let ecr = self.ecr_loss(tape, params);
         BackboneOut::new(e.loss.add(ecr.scale(self.ecr_weight)), e.beta).with_kl(e.kl)
     }
@@ -93,8 +93,8 @@ impl Backbone for EcrtmBackbone {
         self.inner.beta_var(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        self.inner.infer_theta_batch(params, x)
+    fn encoder(&self) -> &Encoder {
+        self.inner.encoder()
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

@@ -2,6 +2,13 @@
 //! `π = MLP(w)`, `μ = l1(π)`, `log σ² = l2(π)`,
 //! `θ = softmax(μ + σ ⊙ ε)`, with SeLU activations, dropout and batch norm
 //! as in the paper's experimental settings.
+//!
+//! The two halves live apart. [`Encoder`] builds the training forward on a
+//! tape: dropout, batch norm over the batch, a reparameterized sample.
+//! [`EncoderWeights`] is the only eval path: the posterior mode
+//! `θ = softmax(μ)` with batch norm over the running statistics, computed
+//! without a tape. Every offline θ (`TopicModel::theta`, `contratopic
+//! eval`) and every served θ goes through it.
 
 use ct_tensor::{Activation, BatchNorm1d, Linear, Mlp, Params, Tape, Tensor, Var};
 use rand::rngs::StdRng;
@@ -10,13 +17,14 @@ use rand::Rng;
 use crate::common::TrainConfig;
 
 /// Amortized inference network producing a logistic-normal posterior.
+/// Its tape forwards are training forwards; eval-mode θ comes from
+/// [`Encoder::export_weights`] and [`EncoderWeights::infer_theta`].
 pub struct Encoder {
     mlp: Mlp,
     bn: BatchNorm1d,
     mu: Linear,
     logvar: Linear,
     dropout: f32,
-    num_topics: usize,
 }
 
 impl Encoder {
@@ -57,46 +65,36 @@ impl Encoder {
             mu,
             logvar,
             dropout: config.dropout,
-            num_topics: config.num_topics,
         }
     }
 
-    /// Posterior parameters `(mu, logvar)` for a (normalized) BoW batch.
+    /// Training-mode posterior parameters `(mu, logvar)` for a
+    /// (normalized) BoW batch: dropout, then batch norm over the batch's
+    /// own statistics, whose running-statistics updates land on `tape`.
     pub fn posterior<'t>(
         &self,
         tape: &'t Tape,
         params: &Params,
         x: Var<'t>,
-        training: bool,
         rng: &mut StdRng,
     ) -> (Var<'t>, Var<'t>) {
         let pi = self.mlp.forward(tape, params, x);
-        let pi = pi.dropout(self.dropout, training, rng);
-        let pi = self.bn.forward(tape, params, pi, training);
+        let pi = pi.dropout(self.dropout, rng);
+        let pi = self.bn.forward(tape, params, pi);
         let mu = self.mu.forward(tape, params, pi);
         // Clamp the log-variance to keep exp() sane early in training.
         let logvar = self.logvar.forward(tape, params, pi).clamp_min(-8.0);
         (mu, logvar)
     }
 
-    /// Reparameterized sample `theta = softmax(mu + sigma * eps)`. When
-    /// `sample` is false (eval), returns `softmax(mu)` — the posterior mode.
-    pub fn theta<'t>(
-        &self,
-        _tape: &'t Tape,
-        mu: Var<'t>,
-        logvar: Var<'t>,
-        sample: bool,
-        rng: &mut StdRng,
-    ) -> Var<'t> {
-        if sample {
-            let (r, c) = mu.shape();
-            let eps = std::sync::Arc::new(Tensor::randn(r, c, 1.0, rng));
-            let sigma = logvar.scale(0.5).exp();
-            mu.add(sigma.mul_const(&eps)).softmax_rows(1.0)
-        } else {
-            mu.softmax_rows(1.0)
-        }
+    /// Reparameterized sample `theta = softmax(mu + sigma * eps)`. The
+    /// eval-mode posterior mode `softmax(mu)` is
+    /// [`EncoderWeights::infer_theta`].
+    fn theta<'t>(&self, mu: Var<'t>, logvar: Var<'t>, rng: &mut StdRng) -> Var<'t> {
+        let (r, c) = mu.shape();
+        let eps = std::sync::Arc::new(Tensor::randn(r, c, 1.0, rng));
+        let sigma = logvar.scale(0.5).exp();
+        mu.add(sigma.mul_const(&eps)).softmax_rows(1.0)
     }
 
     /// Analytic KL divergence to the standard-normal prior, averaged over
@@ -111,45 +109,18 @@ impl Encoder {
             .scale(-0.5 / n)
     }
 
-    /// Full encoding shortcut: `(theta, kl)` for a batch.
+    /// Full training-mode encoding: `(theta, kl)` for a batch.
     pub fn encode<'t>(
         &self,
         tape: &'t Tape,
         params: &Params,
         x: Var<'t>,
-        training: bool,
         rng: &mut StdRng,
     ) -> (Var<'t>, Var<'t>) {
-        let (mu, logvar) = self.posterior(tape, params, x, training, rng);
-        let theta = self.theta(tape, mu, logvar, training, rng);
+        let (mu, logvar) = self.posterior(tape, params, x, rng);
+        let theta = self.theta(mu, logvar, rng);
         let kl = self.kl(mu, logvar);
         (theta, kl)
-    }
-
-    /// Eval-mode θ for a dense batch tensor (posterior mode, no dropout).
-    pub fn infer_theta(&self, params: &Params, x: &Tensor, rng: &mut StdRng) -> Tensor {
-        let tape = Tape::new();
-        let mut xn = x.clone();
-        xn.normalize_rows_l1();
-        let xv = tape.constant(xn);
-        let (mu, logvar) = self.posterior(&tape, params, xv, false, rng);
-        let theta = self.theta(&tape, mu, logvar, false, rng);
-        (*theta.value()).clone()
-    }
-
-    /// Eval-mode posterior mean (pre-softmax) — CLNTM's document
-    /// representation for the contrastive term.
-    pub fn infer_mu(&self, params: &Params, x: &Tensor, rng: &mut StdRng) -> Tensor {
-        let tape = Tape::new();
-        let mut xn = x.clone();
-        xn.normalize_rows_l1();
-        let xv = tape.constant(xn);
-        let (mu, _) = self.posterior(&tape, params, xv, false, rng);
-        (*mu.value()).clone()
-    }
-
-    pub fn num_topics(&self) -> usize {
-        self.num_topics
     }
 
     /// Export the encoder into an immutable, thread-safe weight snapshot
@@ -172,7 +143,7 @@ impl Encoder {
             bn_eps: self.bn.eps,
             mu_w: params.value(self.mu.w).clone(),
             mu_b: params.value(self.mu.b).clone(),
-            num_topics: self.num_topics,
+            num_topics: self.mu.out_dim,
             vocab_size: self.mlp.layers.first().map(|l| l.in_dim).unwrap_or(0),
         }
     }
@@ -183,10 +154,13 @@ impl Encoder {
 /// the `mu` head, all as owned tensors.
 ///
 /// [`EncoderWeights::infer_theta`] runs the eval-mode forward pass without
-/// a tape via [`ct_tensor::infer`], producing **bitwise identical** θ to
-/// [`crate::Backbone::infer_theta_batch`] on the same weights (pinned by
-/// the serving determinism suite). Because the snapshot is `Send + Sync`,
-/// a server can share one instance across worker threads.
+/// a tape via [`ct_tensor::infer`]. It is the one eval path: offline θ
+/// ([`crate::TopicModel::theta`] through
+/// [`crate::common::infer_theta_blocked`]) and served θ both call it, so
+/// they agree by construction. Its values equal the same forward built
+/// from tape ops bitwise (pinned by this module's tests). Because the
+/// snapshot is `Send + Sync`, a server can share one instance across
+/// worker threads.
 #[derive(Clone, Debug)]
 pub struct EncoderWeights {
     layers: Vec<(Tensor, Tensor)>,
@@ -203,7 +177,8 @@ pub struct EncoderWeights {
 }
 
 impl EncoderWeights {
-    /// Eval-mode amortized θ for a dense `(n, V)` batch of raw counts:
+    /// Eval-mode amortized θ for an `(n, V)` batch of raw counts, dense or
+    /// CSR:
     /// L1-normalize rows, MLP, batch-norm (running stats), `mu` head,
     /// row softmax. No tape, no RNG, no dropout — deterministic.
     pub fn infer_theta(&self, x: &Tensor) -> Tensor {
@@ -263,7 +238,7 @@ mod tests {
         let (params, enc, _) = setup();
         let mut rng = StdRng::seed_from_u64(2);
         let x = Tensor::rand_uniform(5, 12, 0.0, 3.0, &mut rng);
-        let theta = enc.infer_theta(&params, &x, &mut rng);
+        let theta = enc.export_weights(&params).infer_theta(&x);
         assert_eq!(theta.shape(), (5, 8));
         for r in 0..5 {
             let s: f32 = theta.row(r).iter().sum();
@@ -292,24 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn training_sample_differs_from_eval_mode() {
-        let (params, enc, _) = setup();
-        let tape = Tape::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let x = tape.constant(Tensor::rand_uniform(3, 12, 0.0, 1.0, &mut rng));
-        let (mu, logvar) = enc.posterior(&tape, &params, x, false, &mut rng);
-        let t_sample = enc.theta(&tape, mu, logvar, true, &mut rng);
-        let t_mode = enc.theta(&tape, mu, logvar, false, &mut rng);
-        assert_ne!(*t_sample.value(), *t_mode.value());
-    }
-
-    #[test]
     fn gradients_reach_all_encoder_params() {
         let (mut params, enc, _) = setup();
         let mut rng = StdRng::seed_from_u64(4);
         let tape = Tape::new();
         let x = tape.constant(Tensor::rand_uniform(6, 12, 0.0, 1.0, &mut rng));
-        let (theta, kl) = enc.encode(&tape, &params, x, true, &mut rng);
+        let (theta, kl) = enc.encode(&tape, &params, x, &mut rng);
         let loss = theta.square().sum_all().add(kl);
         tape.backward(loss).accumulate_into(&mut params);
         let mut nonzero = 0;
@@ -324,15 +287,42 @@ mod tests {
 
     #[test]
     fn exported_weights_match_tape_inference_bitwise() {
-        let (params, enc, _) = setup();
+        let (mut params, enc, _) = setup();
         let mut rng = StdRng::seed_from_u64(9);
+        // Move the running statistics off their initial values first.
+        for _ in 0..3 {
+            let tape = Tape::new();
+            let x = tape.constant(Tensor::rand_uniform(16, 12, 0.0, 4.0, &mut rng));
+            let _ = enc.encode(&tape, &params, x, &mut rng);
+            params.apply_ema(tape.take_ema_updates());
+        }
         let x = Tensor::rand_uniform(7, 12, 0.0, 4.0, &mut rng);
-        let tape_theta = enc.infer_theta(&params, &x, &mut rng);
+
+        // The eval-mode forward from tape ops: MLP, batch norm over the
+        // running statistics (`add_const → mul_const → mul → add`), the
+        // `mu` head and the row softmax.
+        let tape = Tape::new();
+        let mut xn = x.clone();
+        xn.normalize_rows_l1();
+        let pi = enc.mlp.forward(&tape, &params, tape.constant(xn));
+        let neg_mean = std::sync::Arc::new(params.value(enc.bn.running_mean).map(|v| -v));
+        let inv_std = std::sync::Arc::new(
+            params
+                .value(enc.bn.running_var)
+                .map(|v| 1.0 / (v + enc.bn.eps).sqrt()),
+        );
+        let pi = pi
+            .add_const(&neg_mean)
+            .mul_const(&inv_std)
+            .mul(tape.param(&params, enc.bn.gamma))
+            .add(tape.param(&params, enc.bn.beta));
+        let tape_theta = enc.mu.forward(&tape, &params, pi).softmax_rows(1.0);
+
         let snapshot = enc.export_weights(&params);
         assert_eq!(snapshot.num_topics(), 8);
         assert_eq!(snapshot.vocab_size(), 12);
         assert_eq!(
-            tape_theta,
+            *tape_theta.value(),
             snapshot.infer_theta(&x),
             "no-tape θ must be bitwise equal"
         );

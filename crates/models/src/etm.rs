@@ -53,14 +53,13 @@ impl EtmBackbone {
         tape: &'t Tape,
         params: &Params,
         x: &Tensor,
-        training: bool,
         rng: &mut StdRng,
     ) -> ElboOut<'t> {
         let n = x.rows() as f32;
         let mut xn = x.clone();
         xn.normalize_rows_l1();
         let xn = tape.constant(xn);
-        let (theta, kl) = self.encoder.encode(tape, params, xn, training, rng);
+        let (theta, kl) = self.encoder.encode(tape, params, xn, rng);
         let beta = self.decoder.beta(tape, params);
         let x_rc = Arc::new(x.clone());
         let recon = theta.bow_log_likelihood(beta, &x_rc, 1e-10).scale(-1.0 / n);
@@ -94,10 +93,9 @@ impl Backbone for EtmBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
-        let e = self.elbo(tape, params, x, training, rng);
+        let e = self.elbo(tape, params, x, rng);
         BackboneOut::new(e.loss, e.beta).with_kl(e.kl)
     }
 
@@ -105,9 +103,8 @@ impl Backbone for EtmBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(0);
-        self.encoder.infer_theta(params, x, &mut rng)
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

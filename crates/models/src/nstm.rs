@@ -105,7 +105,6 @@ impl Backbone for NstmBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
         let mut xn = x.clone();
@@ -115,9 +114,7 @@ impl Backbone for NstmBackbone {
         // the encoder keeps the (possibly CSR) batch.
         let xbar = tape.constant(xn.to_dense());
         // Deterministic theta = softmax(mu), as in the original NSTM.
-        let (mu, _logvar) = self
-            .encoder
-            .posterior(tape, params, tape.constant(xn), training, rng);
+        let (mu, _logvar) = self.encoder.posterior(tape, params, tape.constant(xn), rng);
         let theta = mu.softmax_rows(1.0);
         let cost = self.cost(tape, params);
         let ot = self.sinkhorn_distance(xbar, theta, cost);
@@ -129,9 +126,8 @@ impl Backbone for NstmBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(0);
-        self.encoder.infer_mu(params, x, &mut rng).softmax_rows(1.0)
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

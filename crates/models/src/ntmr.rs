@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use crate::backbone::{fit_backbone, Backbone, BackboneOut, Fitted};
 use crate::common::TrainConfig;
+use crate::encoder::Encoder;
 use crate::etm::EtmBackbone;
 
 /// NTM-R: ETM backbone + embedding-based coherence regularizer.
@@ -50,10 +51,9 @@ impl Backbone for NtmRBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
-        let e = self.inner.elbo(tape, params, x, training, rng);
+        let e = self.inner.elbo(tape, params, x, rng);
         let (elbo, kl, beta) = (e.loss, e.kl, e.beta);
         // Coherence surrogate: topic centroid s_k = beta_k @ rho_hat;
         // reward = sum_k sum_w beta_kw * cos(rho_w, s_k). Maximizing pulls
@@ -73,8 +73,8 @@ impl Backbone for NtmRBackbone {
         self.inner.beta_var(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        self.inner.infer_theta_batch(params, x)
+    fn encoder(&self) -> &Encoder {
+        self.inner.encoder()
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

@@ -54,20 +54,17 @@ impl Backbone for ProdLdaBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
         let n = x.rows() as f32;
         let mut xn = x.clone();
         xn.normalize_rows_l1();
         let xn = tape.constant(xn);
-        let (theta, kl) = self.encoder.encode(tape, params, xn, training, rng);
+        let (theta, kl) = self.encoder.encode(tape, params, xn, rng);
         // Product of experts: mix logits, batch-normalize (reference AVITM
         // detail that prevents component collapse), then one softmax.
         let logits = self.decoder.logits_var(tape, params);
-        let mixed = self
-            .decoder_bn
-            .forward(tape, params, theta.matmul(logits), training);
+        let mixed = self.decoder_bn.forward(tape, params, theta.matmul(logits));
         let log_p = mixed.log_softmax_rows(1.0);
         let x_rc = Arc::new(x.clone());
         let recon = log_p.mul_const(&x_rc).sum_all().scale(-1.0 / n);
@@ -79,9 +76,8 @@ impl Backbone for ProdLdaBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(0);
-        self.encoder.infer_theta(params, x, &mut rng)
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

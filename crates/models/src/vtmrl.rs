@@ -19,6 +19,7 @@ use rand::SeedableRng;
 
 use crate::backbone::{fit_backbone, Backbone, BackboneOut, Fitted};
 use crate::common::TrainConfig;
+use crate::encoder::Encoder;
 use crate::etm::EtmBackbone;
 
 /// Draw the indices of the top-`v` Gumbel-perturbed log-probabilities —
@@ -88,10 +89,9 @@ impl Backbone for VtmrlBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
-        let e = self.inner.elbo(tape, params, x, training, rng);
+        let e = self.inner.elbo(tape, params, x, rng);
         let (elbo, kl, beta) = (e.loss, e.kl, e.beta);
         let beta_val = beta.value();
         let (k, v) = beta_val.shape();
@@ -130,8 +130,8 @@ impl Backbone for VtmrlBackbone {
         self.inner.beta_var(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        self.inner.infer_theta_batch(params, x)
+    fn encoder(&self) -> &Encoder {
+        self.inner.encoder()
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

@@ -77,14 +77,13 @@ impl Backbone for WeTeBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
         let n = x.rows() as f32;
         let mut xn = x.clone();
         xn.normalize_rows_l1();
         let xbar = tape.constant(xn.clone());
-        let (theta, kl) = self.encoder.encode(tape, params, xbar, training, rng);
+        let (theta, kl) = self.encoder.encode(tape, params, xbar, rng);
 
         let cost = self.cost(tape, params); // (V, K)
                                             // Forward transport: each document word softly picks its cheapest
@@ -111,9 +110,8 @@ impl Backbone for WeTeBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(0);
-        self.encoder.infer_theta(params, x, &mut rng)
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

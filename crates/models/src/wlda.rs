@@ -84,7 +84,6 @@ impl Backbone for WldaBackbone {
         params: &Params,
         x: &Tensor,
         _indices: &[usize],
-        training: bool,
         rng: &mut StdRng,
     ) -> BackboneOut<'t> {
         let n = x.rows();
@@ -93,7 +92,7 @@ impl Backbone for WldaBackbone {
         xn.normalize_rows_l1();
         let xn = tape.constant(xn);
         // Deterministic encoder: theta = softmax(mu).
-        let (mu, _logvar) = self.encoder.posterior(tape, params, xn, training, rng);
+        let (mu, _logvar) = self.encoder.posterior(tape, params, xn, rng);
         let theta = mu.softmax_rows(1.0);
         let beta = self.decoder.beta(tape, params);
         let x_rc = Arc::new(x.clone());
@@ -116,10 +115,8 @@ impl Backbone for WldaBackbone {
         self.decoder.beta(tape, params)
     }
 
-    fn infer_theta_batch(&self, params: &Params, x: &Tensor) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(0);
-        // Deterministic encoder: softmax(mu).
-        self.encoder.infer_mu(params, x, &mut rng).softmax_rows(1.0)
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
     }
 
     fn beta_tensor(&self, params: &Params) -> Tensor {

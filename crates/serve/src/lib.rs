@@ -19,8 +19,9 @@
 //!   `max_batch` (it never waits on a clock for stragglers), validated
 //!   snapshot swaps, live [`ServeStats`];
 //! - [`ModelSnapshot`] — precomputed `beta`, top-k words, exported
-//!   encoder weights; served θ is **bitwise identical** to the offline
-//!   `Backbone::infer_theta_batch` path for any thread count;
+//!   encoder weights; served θ comes from `EncoderWeights::infer_theta`,
+//!   the same tape-free forward offline evaluation runs, so it is
+//!   **bitwise identical** to the offline θ for any thread count;
 //! - [`ModelRegistry`] — many named snapshots (per-tenant models or
 //!   presets), each behind its own engine with its own generation
 //!   counter and hot promotion, plus fair-share admission control over a

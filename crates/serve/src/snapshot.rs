@@ -153,9 +153,9 @@ impl ModelSnapshot {
         Ok(())
     }
 
-    /// Amortized topic mixture for a dense batch of raw counts
-    /// `(docs, vocab)`; bitwise identical to the training-side
-    /// `Backbone::infer_theta_batch` eval path.
+    /// Amortized topic mixture for a batch of raw counts `(docs, vocab)`:
+    /// [`EncoderWeights::infer_theta`], the one eval forward, which
+    /// offline evaluation (`TopicModel::theta`) runs too.
     pub fn infer_theta(&self, x: &Tensor) -> Tensor {
         self.encoder.infer_theta(x)
     }

@@ -1,13 +1,14 @@
-//! The serving contract: a served θ is byte-identical to the offline
-//! `Backbone::infer_theta_batch` path — for any server worker-thread
-//! count, for any micro-batch composition, and whether the answer comes
-//! from a forward pass or the LRU cache.
+//! The serving contract: a served θ is byte-identical to the offline eval
+//! forward (`EncoderWeights::infer_theta` over one dense whole-corpus
+//! batch) — for any server worker-thread count, for any micro-batch
+//! composition, and whether the answer comes from a forward pass or the
+//! LRU cache.
 
 use std::sync::Arc;
 
 use ct_corpus::{BowCorpus, SparseDoc};
 use ct_models::testutil::{cluster_corpus, cluster_embeddings};
-use ct_models::{fit_etm, Backbone, Etm, TrainConfig};
+use ct_models::{fit_etm, Etm, TrainConfig};
 use ct_serve::{ModelSnapshot, ServeConfig, ServeEngine};
 
 fn trained() -> (BowCorpus, Etm) {
@@ -28,7 +29,11 @@ fn trained() -> (BowCorpus, Etm) {
 fn offline_theta(model: &Etm, corpus: &BowCorpus) -> Vec<Vec<u32>> {
     let all: Vec<usize> = (0..corpus.num_docs()).collect();
     let x = corpus.dense_batch(&all);
-    let theta = model.backbone.infer_theta_batch(&model.params, &x);
+    let theta = model
+        .backbone
+        .encoder
+        .export_weights(&model.params)
+        .infer_theta(&x);
     (0..theta.rows())
         .map(|r| theta.row(r).iter().map(|v| v.to_bits()).collect())
         .collect()

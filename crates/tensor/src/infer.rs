@@ -1,13 +1,14 @@
-//! No-tape forward helpers for inference-only paths.
+//! No-tape forward helpers: the eval path.
 //!
-//! Training builds every forward pass on a [`crate::Tape`] so gradients can
-//! flow back; serving does not need gradients, and the tape's node
-//! allocation and closure boxing are pure overhead there. The functions in
-//! this module compute the same forward values as the corresponding tape
-//! ops on plain [`Tensor`]s — **bitwise identically**, because they reuse
-//! the exact same kernels and scalar expressions (`Tensor::matmul`, the
-//! SELU constants, the stabilized row softmax). The serving determinism
-//! suite (`crates/serve/tests/determinism.rs`) pins that equivalence.
+//! The tape builds training forwards only, so gradients can flow back.
+//! Eval needs no gradients, and the tape's node allocation and closure
+//! boxing are pure overhead there, so every eval-mode θ — offline
+//! evaluation and serving alike (`ct_models::EncoderWeights::infer_theta`)
+//! — runs on these functions. They compute the same values as the
+//! corresponding tape ops on plain [`Tensor`]s — **bitwise identically**,
+//! because they reuse the exact same kernels and scalar expressions
+//! (`Tensor::matmul`, the SELU constants, the stabilized row softmax).
+//! This module's tests pin each helper against its tape-op chain.
 //!
 //! All matrix products route through [`crate::sgemm`] and therefore run on
 //! the persistent worker pool ([`crate::pool`]); results are bitwise
@@ -29,9 +30,9 @@ pub fn linear(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
 
 /// Eval-mode 1-D batch normalization using frozen statistics:
 /// `y = ((x + (-mean)) * 1/sqrt(var + eps)) * gamma + beta`, every factor a
-/// `(1, dim)` row broadcast over the batch. The grouping mirrors the tape's
-/// eval path (`add_const` → `mul_const` → `mul` → `add`) so the float
-/// rounding is identical.
+/// `(1, dim)` row broadcast over the batch. The grouping is that of the
+/// tape-op chain `add_const` → `mul_const` → `mul` → `add`, so the float
+/// rounding is identical to it.
 pub fn batchnorm_eval(
     x: &Tensor,
     gamma: &Tensor,
@@ -132,14 +133,25 @@ mod tests {
         for _ in 0..5 {
             let tape = Tape::new();
             let x = tape.constant(Tensor::randn(16, 6, 2.0, &mut rng).map(|v| v + 3.0));
-            let _ = bn.forward(&tape, &params, x, true);
+            let _ = bn.forward(&tape, &params, x);
             params.apply_ema(tape.take_ema_updates());
         }
         let x = Tensor::randn(4, 6, 1.0, &mut rng);
 
+        // The eval chain from tape ops: `add_const → mul_const → mul → add`.
         let tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let tape_out = bn.forward(&tape, &params, xv, false);
+        let neg_mean = std::sync::Arc::new(params.value(bn.running_mean).map(|v| -v));
+        let inv_std = std::sync::Arc::new(
+            params
+                .value(bn.running_var)
+                .map(|v| 1.0 / (v + bn.eps).sqrt()),
+        );
+        let tape_out = tape
+            .constant(x.clone())
+            .add_const(&neg_mean)
+            .mul_const(&inv_std)
+            .mul(tape.param(&params, bn.gamma))
+            .add(tape.param(&params, bn.beta));
 
         let notape = batchnorm_eval(
             &x,

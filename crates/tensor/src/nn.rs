@@ -135,39 +135,20 @@ impl BatchNorm1d {
         }
     }
 
-    /// Forward pass. In training mode, normalizes by batch statistics
+    /// Training forward: normalizes by the batch's own statistics
     /// (differentiably, so gradients flow through mean and variance) and
-    /// records the running-statistics updates on `tape`; in eval mode,
-    /// uses the running stats.
-    pub fn forward<'t>(
-        &self,
-        tape: &'t Tape,
-        params: &Params,
-        x: Var<'t>,
-        training: bool,
-    ) -> Var<'t> {
+    /// records the running-statistics updates on `tape`. Eval mode, over
+    /// the running statistics, is [`crate::infer::batchnorm_eval`].
+    pub fn forward<'t>(&self, tape: &'t Tape, params: &Params, x: Var<'t>) -> Var<'t> {
         let gamma = tape.param(params, self.gamma);
         let beta = tape.param(params, self.beta);
-        if training {
-            let mu = x.mean_axis0();
-            let centered = x.sub(mu);
-            let var = centered.square().mean_axis0();
-            let normed = centered.div(var.add_scalar(self.eps).sqrt_eps(1e-12));
-            tape.record_ema(self.running_mean, self.momentum, mu.value());
-            tape.record_ema(self.running_var, self.momentum, var.value());
-            normed.mul(gamma).add(beta)
-        } else {
-            let inv_std = std::sync::Arc::new(
-                params
-                    .value(self.running_var)
-                    .map(|v| 1.0 / (v + self.eps).sqrt()),
-            );
-            let neg_rm = std::sync::Arc::new(params.value(self.running_mean).map(|v| -v));
-            x.add_const(&neg_rm)
-                .mul_const(&inv_std)
-                .mul(gamma)
-                .add(beta)
-        }
+        let mu = x.mean_axis0();
+        let centered = x.sub(mu);
+        let var = centered.square().mean_axis0();
+        let normed = centered.div(var.add_scalar(self.eps).sqrt_eps(1e-12));
+        tape.record_ema(self.running_mean, self.momentum, mu.value());
+        tape.record_ema(self.running_var, self.momentum, var.value());
+        normed.mul(gamma).add(beta)
     }
 }
 
@@ -266,7 +247,7 @@ mod tests {
         let bn = BatchNorm1d::new(&mut params, "bn", 4);
         let tape = Tape::new();
         let x = tape.constant(Tensor::randn(64, 4, 5.0, &mut rng).map(|v| v + 10.0));
-        let y = bn.forward(&tape, &params, x, true);
+        let y = bn.forward(&tape, &params, x);
         let yv = y.value();
         // Per-column mean ~0, var ~1 after normalization (gamma=1, beta=0).
         for c in 0..4 {
@@ -287,14 +268,19 @@ mod tests {
         for _ in 0..50 {
             let tape = Tape::new();
             let x = tape.constant(Tensor::randn(32, 3, 2.0, &mut rng).map(|v| v + 5.0));
-            let _ = bn.forward(&tape, &params, x, true);
+            let _ = bn.forward(&tape, &params, x);
             params.apply_ema(tape.take_ema_updates());
         }
         // Eval on shifted data: output should be approx (x - 5) / 2.
-        let tape = Tape::new();
-        let x = tape.constant(Tensor::full(1, 3, 5.0));
-        let y = bn.forward(&tape, &params, x, false);
-        for &v in y.value().data() {
+        let y = crate::infer::batchnorm_eval(
+            &Tensor::full(1, 3, 5.0),
+            params.value(bn.gamma),
+            params.value(bn.beta),
+            params.value(bn.running_mean),
+            params.value(bn.running_var),
+            bn.eps,
+        );
+        for &v in y.data() {
             assert!(v.abs() < 0.3, "eval output {v} not near 0");
         }
     }
@@ -306,7 +292,7 @@ mod tests {
         let bn = BatchNorm1d::new(&mut params, "bn", 2);
         let tape = Tape::new();
         let x = tape.leaf(Tensor::randn(8, 2, 1.0, &mut rng));
-        let y = bn.forward(&tape, &params, x, true);
+        let y = bn.forward(&tape, &params, x);
         let loss = y.square().sum_all();
         let grads = tape.backward(loss);
         assert!(grads.get(x).is_some());
@@ -321,7 +307,7 @@ mod tests {
         assert_eq!(params.name(bn.running_var), "bn.running_var");
         let x = Tensor::randn(8, 2, 1.0, &mut rng);
         let tape = Tape::new();
-        let _ = bn.forward(&tape, &params, tape.constant(x.clone()), true);
+        let _ = bn.forward(&tape, &params, tape.constant(x.clone()));
         assert_eq!(*params.value(bn.running_mean), Tensor::zeros(1, 2));
         assert_eq!(*params.value(bn.running_var), Tensor::ones(1, 2));
         let updates = tape.take_ema_updates();

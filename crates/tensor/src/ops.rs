@@ -551,9 +551,9 @@ impl<'t> Var<'t> {
         })
     }
 
-    /// Inverted-scaling dropout. Identity when `training` is false or `p == 0`.
-    pub fn dropout<R: Rng>(self, p: f32, training: bool, rng: &mut R) -> Var<'t> {
-        if !training || p <= 0.0 {
+    /// Inverted-scaling (training) dropout. Identity when `p == 0`.
+    pub fn dropout<R: Rng>(self, p: f32, rng: &mut R) -> Var<'t> {
+        if p <= 0.0 {
             return self;
         }
         assert!(p < 1.0, "dropout probability must be < 1");
@@ -1187,11 +1187,11 @@ mod tests {
     }
 
     #[test]
-    fn dropout_identity_in_eval() {
+    fn dropout_identity_at_zero_rate() {
         let tape = Tape::new();
         let mut rng = StdRng::seed_from_u64(1);
         let x = tape.leaf(rand_t(4, 4, 43));
-        let y = x.dropout(0.5, false, &mut rng);
+        let y = x.dropout(0.0, &mut rng);
         assert_eq!(*x.value(), *y.value());
     }
 
@@ -1200,7 +1200,7 @@ mod tests {
         let tape = Tape::new();
         let mut rng = StdRng::seed_from_u64(2);
         let x = tape.leaf(Tensor::ones(100, 100));
-        let y = x.dropout(0.3, true, &mut rng);
+        let y = x.dropout(0.3, &mut rng);
         let mean = y.value().mean();
         assert!((mean - 1.0).abs() < 0.05, "dropout mean {mean}");
     }

@@ -111,11 +111,6 @@ impl Params {
         self.entries[id.0].frozen
     }
 
-    /// Freeze or unfreeze a parameter.
-    pub fn set_frozen(&mut self, id: ParamId, frozen: bool) {
-        self.entries[id.0].frozen = frozen;
-    }
-
     /// Shared handle to the current value.
     pub fn value_shared(&self, id: ParamId) -> Arc<Tensor> {
         self.entries[id.0].value.clone()
@@ -247,10 +242,8 @@ mod tests {
     fn frozen_not_counted_trainable() {
         let mut p = Params::new();
         p.add_frozen("emb", Tensor::ones(4, 4));
-        let w = p.add("w", Tensor::ones(2, 2));
+        p.add("w", Tensor::ones(2, 2));
         assert_eq!(p.num_trainable(), 4);
-        p.set_frozen(w, true);
-        assert_eq!(p.num_trainable(), 0);
     }
 
     #[test]

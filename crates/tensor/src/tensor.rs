@@ -394,15 +394,6 @@ impl Tensor {
         &mut self.dense_mut()[r * cols..(r + 1) * cols]
     }
 
-    /// Reinterpret the storage with a new shape (same number of elements).
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Self {
-        assert_eq!(self.numel(), rows * cols, "reshape numel mismatch");
-        let _ = self.dense(); // CSR cannot be reshaped in place
-        self.rows = rows;
-        self.cols = cols;
-        self
-    }
-
     /// Materialized transpose.
     pub fn transposed(&self) -> Tensor {
         let src = self.dense();
