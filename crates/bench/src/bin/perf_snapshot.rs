@@ -22,7 +22,13 @@
 //!   backward, and the residual the layers leave unexplained. An `etm`
 //!   block does the same for one ETM step on a NYTimes-like micro-batch
 //!   (256 × 2400, `K` = 40): encoder, β decoder, reconstruction, the whole
-//!   step and its residual.
+//!   step and its residual. A `setup` block times the NYTimes-like quick
+//!   `ExperimentContext::build` (the set-up every trial and perfbench's
+//!   `setup_s` pay) step by step on the default pool: corpus synthesis,
+//!   split, the training split's co-occurrence count, its PPMI, the
+//!   eigensolver's CSR products and Gram–Schmidt passes, the embedding
+//!   degradation, both NPMI matrices, one whole build, and the residual
+//!   the steps leave unexplained.
 //!
 //! `--smoke` runs the same code paths on a tiny preset with minimal sample
 //! counts and writes nothing; `tests/perf_snapshot_smoke.rs` runs it in the
@@ -47,8 +53,12 @@ use contratopic::{
     fit_contratopic, fit_contratopic_traced, relaxed_subset, AblationVariant,
     ContrastiveRegularizer, SimilarityKernel, SubsetSamplerConfig,
 };
-use ct_bench::provenance;
-use ct_corpus::{generate, train_embeddings, NpmiMatrix, SynthSpec};
+use ct_bench::{provenance, ExperimentContext};
+use ct_corpus::embed::{orthonormalize_columns, ITERS};
+use ct_corpus::npmi::CoocAccumulator;
+use ct_corpus::{
+    degrade_embeddings, generate, train_embeddings, DatasetPreset, NpmiMatrix, Scale, SynthSpec,
+};
 use ct_models::{fit_etm, EtmBackbone, TrainConfig};
 use ct_tensor::codec::json::Json;
 use ct_tensor::sgemm::{sgemm_nn_packed, PackedB};
@@ -73,6 +83,14 @@ fn time_once<F: FnOnce()>(f: F) -> u128 {
     let t0 = Instant::now();
     f();
     t0.elapsed().as_nanos()
+}
+
+/// `f()`, with its wall time added to `*acc`.
+fn timed<T>(acc: &mut u128, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *acc += t0.elapsed().as_nanos();
+    out
 }
 
 /// Min, median and max of a non-empty set of wall times.
@@ -594,6 +612,101 @@ fn etm_breakdown(smoke: bool, samples: usize) -> EtmBreakdown {
     }
 }
 
+/// Median times of the steps of one `ExperimentContext::build`, in the
+/// order the build runs them, and of one whole build.
+struct SetupBreakdown {
+    scale: Scale,
+    vocab: usize,
+    dim: usize,
+    /// Entries the training split's PPMI stores (both triangles).
+    ppmi_nnz: usize,
+    /// `(name, spread)` per step.
+    steps: Vec<(&'static str, Spread)>,
+    /// One whole `ExperimentContext::build`.
+    total: Spread,
+}
+
+impl SetupBreakdown {
+    /// What the build spends outside the timed steps: the eigensolver's
+    /// Rayleigh sums, column sort and `sqrt|λ|` scaling, and freeing the
+    /// set-up buffers.
+    fn residual_ns(&self) -> i128 {
+        let parts: u128 = self.steps.iter().map(|(_, s)| s.median_ns).sum();
+        self.total.median_ns as i128 - parts as i128
+    }
+}
+
+/// Names of [`SetupBreakdown::steps`], in build order.
+const SETUP_STEPS: [&str; 9] = [
+    "synth",
+    "split",
+    "cooc",
+    "ppmi",
+    "eig_products",
+    "orthonormalize",
+    "degrade",
+    "npmi_train",
+    "npmi_test",
+];
+
+/// Time the NYTimes-like `ExperimentContext::build` (quick scale; tiny
+/// under `--smoke`) step by step, replaying its calls, and as one call,
+/// on the default pool. The eigensolver's loop is replayed so that its
+/// `ITERS + 1` CSR products and its Gram–Schmidt passes are timed apart;
+/// the degradation runs on the replay's `V × dim` block, the shape the
+/// build degrades. The first round is a warm-up.
+fn setup_breakdown(smoke: bool, samples: usize) -> SetupBreakdown {
+    let preset = DatasetPreset::NyTimesLike;
+    let scale = if smoke { Scale::Tiny } else { Scale::Quick };
+    // The embedding width `ExperimentContext::build` picks at each scale.
+    let dim = if smoke { 32 } else { 64 };
+    let noise = ct_exp::context::embedding_noise();
+    let mut ns: Vec<Vec<u128>> = vec![Vec::new(); SETUP_STEPS.len() + 1];
+    let (mut vocab, mut ppmi_nnz) = (0, 0);
+    for round in 0..=samples {
+        let mut t = [0u128; SETUP_STEPS.len() + 1];
+        let mut rng = StdRng::seed_from_u64(1);
+        let synth = timed(&mut t[0], || generate(&preset.spec(scale), &mut rng));
+        let (train, test) = timed(&mut t[1], || {
+            synth.corpus.split(preset.train_frac(), &mut rng)
+        });
+        let mut cooc = CoocAccumulator::new(train.vocab_size());
+        timed(&mut t[2], || cooc.add_corpus(&train));
+        let ppmi = timed(&mut t[3], || Tensor::from_csr(cooc.to_ppmi()));
+        let mut x = Tensor::randn(train.vocab_size(), dim, 1.0, &mut rng);
+        timed(&mut t[5], || orthonormalize_columns(&mut x));
+        for _ in 0..ITERS {
+            x = timed(&mut t[4], || ppmi.matmul(&x));
+            timed(&mut t[5], || orthonormalize_columns(&mut x));
+        }
+        black_box(timed(&mut t[4], || ppmi.matmul(&x)));
+        black_box(timed(&mut t[6], || degrade_embeddings(x, noise, &mut rng)));
+        black_box(timed(&mut t[7], || cooc.to_npmi()));
+        black_box(timed(&mut t[8], || NpmiMatrix::from_corpus(&test)));
+        vocab = train.vocab_size();
+        ppmi_nnz = ppmi.csr().map_or(0, |m| m.nnz());
+        drop((ppmi, cooc, train, test));
+        black_box(timed(&mut t[9], || {
+            ExperimentContext::build_with_noise(preset, scale, 1, noise)
+        }));
+        if round > 0 {
+            for (v, &x) in ns.iter_mut().zip(&t) {
+                v.push(x);
+            }
+        }
+    }
+    let mut spreads: Vec<Spread> = ns.into_iter().map(spread_of).collect();
+    let total = spreads.pop().expect("total");
+    SetupBreakdown {
+        scale,
+        vocab,
+        dim,
+        ppmi_nnz,
+        steps: SETUP_STEPS.into_iter().zip(spreads).collect(),
+        total,
+    }
+}
+
 /// One-epoch fixture: a 400-document, 600-word synthetic corpus (the
 /// shape every committed `BENCH_train_epoch.json` was measured on); the
 /// smoke preset keeps the same shape at a fraction of the cost.
@@ -723,14 +836,39 @@ fn maybe_trace(fix: &EpochFixture) {
     }
 }
 
+/// The `setup` block of `BENCH_train_epoch.json`: every step's median,
+/// the whole build's median and the residual, in milliseconds.
+fn setup_json(setup: &SetupBreakdown) -> Json {
+    let scale = match setup.scale {
+        Scale::Tiny => "tiny",
+        Scale::Quick => "quick",
+        Scale::Full => "full",
+    };
+    let mut members: Vec<(String, Json)> = vec![
+        ("workers".into(), count(pool::configured_threads())),
+        ("preset".into(), Json::Str("nytimes".into())),
+        ("scale".into(), Json::Str(scale.into())),
+        ("vocab".into(), count(setup.vocab)),
+        ("dim".into(), count(setup.dim)),
+        ("ppmi_nnz".into(), count(setup.ppmi_nnz)),
+    ];
+    let ms = |ns: i128| num3(ns as f64 / 1e6);
+    for (name, spread) in &setup.steps {
+        members.push((format!("{name}_ms"), ms(spread.median_ns as i128)));
+    }
+    members.push(("total_ms".into(), ms(setup.total.median_ns as i128)));
+    members.push(("residual_ms".into(), ms(setup.residual_ns())));
+    Json::Obj(members)
+}
+
 /// `BENCH_train_epoch.json`: the worker sweep, the regularizer and ETM
-/// step breakdowns, and the §V-E ContraTopic/ETM ratio.
+/// step breakdowns, the set-up breakdown, and the §V-E ContraTopic/ETM
+/// ratio.
 fn train_json(
     config: &TrainConfig,
     points: &[SweepPoint],
     etm: Spread,
-    reg: &RegBreakdown,
-    etm_step: &EtmBreakdown,
+    (reg, etm_step, setup): (&RegBreakdown, &EtmBreakdown, &SetupBreakdown),
     bitwise_equal: bool,
 ) -> Json {
     let ms = |ns: u128| num3(ns as f64 / 1e6);
@@ -783,6 +921,7 @@ fn train_json(
         ("sweep", Json::Arr(sweep)),
         ("regularizer", regularizer),
         ("etm", etm_block),
+        ("setup", setup_json(setup)),
         ("etm_workers", count(1)),
         ("etm_median_ms", ms(etm.median_ns)),
         (
@@ -817,6 +956,7 @@ fn main() -> std::io::Result<()> {
     let etm = etm_epoch(&fix, epoch_samples);
     let reg = regularizer_breakdown(smoke, reg_samples);
     let etm_step = etm_breakdown(smoke, epoch_samples);
+    let setup = setup_breakdown(smoke, if smoke { 1 } else { 3 });
     for p in &points {
         let s = p.spread;
         println!(
@@ -855,6 +995,18 @@ fn main() -> std::io::Result<()> {
         etm_step.step.median_ns as f64 / 1e6,
         etm_step.residual_ns() as f64 / 1e6
     );
+    let steps: Vec<String> = (setup.steps.iter())
+        .map(|(name, s)| format!("{name} {:.3}", s.median_ns as f64 / 1e6))
+        .collect();
+    println!(
+        "setup V={} dim={} ppmi_nnz={} median: {} total {:.3} residual {:.3} ms",
+        setup.vocab,
+        setup.dim,
+        setup.ppmi_nnz,
+        steps.join(" "),
+        setup.total.median_ns as f64 / 1e6,
+        setup.residual_ns() as f64 / 1e6
+    );
     println!("bitwise_equal_across_workers: {bitwise_equal}");
     if !bitwise_equal {
         eprintln!("error: trained parameters differ across worker counts");
@@ -871,7 +1023,8 @@ fn main() -> std::io::Result<()> {
         sgemm_json(&cases).emit_members_per_line(),
     )?;
     println!("wrote BENCH_sgemm.json");
-    let train = train_json(&fix.config, &points, etm, &reg, &etm_step, bitwise_equal);
+    let breakdowns = (&reg, &etm_step, &setup);
+    let train = train_json(&fix.config, &points, etm, breakdowns, bitwise_equal);
     std::fs::write("BENCH_train_epoch.json", train.emit_members_per_line())?;
     println!("wrote BENCH_train_epoch.json");
     Ok(())
@@ -940,8 +1093,16 @@ mod tests {
             recon: spread(1),
             step: spread(10),
         };
+        let setup = SetupBreakdown {
+            scale: Scale::Quick,
+            vocab: 2400,
+            dim: 64,
+            ppmi_nnz: 1_800_000,
+            steps: SETUP_STEPS.iter().map(|&n| (n, spread(7))).collect(),
+            total: spread(70),
+        };
         let config = TrainConfig::default().with_micro_batch(50);
-        let doc = train_json(&config, &points, spread(8), &reg, &etm_step, true);
+        let doc = train_json(&config, &points, spread(8), (&reg, &etm_step, &setup), true);
         let train = parse(&doc.emit_members_per_line()).expect("train parses");
         for key in [
             "cpu_model",
@@ -965,6 +1126,17 @@ mod tests {
         assert_eq!(residual.and_then(Json::as_f64), Some(2.0));
         let recon = train.get("etm").and_then(|e| e.get("recon_ms"));
         assert_eq!(recon.and_then(Json::as_f64), Some(1.0));
+        // The set-up block's steps and residual add up to its total.
+        let block = train.get("setup").expect("setup block");
+        let ms = |key: &str| {
+            let v = block.get(key).and_then(Json::as_f64);
+            v.unwrap_or_else(|| panic!("setup lacks {key}"))
+        };
+        let steps: f64 = SETUP_STEPS.iter().map(|n| ms(&format!("{n}_ms"))).sum();
+        assert_eq!(steps, 63.0);
+        assert_eq!(ms("residual_ms"), 7.0);
+        assert!((steps + ms("residual_ms") - ms("total_ms")).abs() < 1e-9);
+        assert_eq!(ms("vocab"), 2400.0);
         let ratio = train.get("contratopic_etm_ratio").and_then(Json::as_f64);
         assert_eq!(ratio, Some(2.5));
         assert_eq!(train.get("etm_median_ms").and_then(Json::as_f64), Some(8.0));

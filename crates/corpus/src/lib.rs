@@ -19,7 +19,7 @@ pub mod synth;
 pub mod vocab;
 
 pub use bow::{csr_batch_from_docs, BatchIter, BowCorpus, SparseDoc};
-pub use embed::{cosine, degrade_embeddings, train_embeddings, CorpusStats};
+pub use embed::{cosine, degrade_embeddings, train_embeddings};
 pub use npmi::NpmiMatrix;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use stream::{parse_drift_script, DocStream, DriftEvent, DriftKind, StreamChunk, StreamSpec};

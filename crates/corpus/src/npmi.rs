@@ -6,11 +6,19 @@
 //! coherence metric (computed on the *test* set, §V-B). The paper notes the
 //! dense precomputed matrix costs `O(V^2)` memory — at our scales that is a
 //! few dozen megabytes, kept in one contiguous `Tensor`.
+//!
+//! [`CoocAccumulator`] is the one co-occurrence counter: it materializes
+//! the dense NPMI ([`CoocAccumulator::to_npmi`]) and the sparse positive
+//! PMI the word embeddings factorise ([`CoocAccumulator::to_ppmi`]), so a
+//! split counted once yields both. Both compute a pair's PMI by the same
+//! `f64` expression and fill rows on the worker pool; every entry is
+//! computed on its own, so the results do not depend on the worker count.
 
 use std::io::{self, Read, Write};
 
 use ct_tensor::codec::{invalid_data, SliceReader};
-use ct_tensor::Tensor;
+use ct_tensor::csr::CsrMatrix;
+use ct_tensor::{pool, Tensor};
 
 use crate::bow::BowCorpus;
 
@@ -44,7 +52,13 @@ pub struct CoocAccumulator {
 #[inline]
 fn tri_index(v: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < v, "tri_index({v}, {i}, {j})");
-    i * (2 * v - i - 1) / 2 + (j - i - 1)
+    upper_row_start(v, i) + (j - i - 1)
+}
+
+/// Where row `i < v`'s pairs `(i, j > i)` start in the packed triangle.
+#[inline]
+fn upper_row_start(v: usize, i: usize) -> usize {
+    i * (2 * v - i - 1) / 2
 }
 
 impl CoocAccumulator {
@@ -141,43 +155,183 @@ impl CoocAccumulator {
     }
 
     /// Materialize the NPMI matrix from the current counts.
+    ///
+    /// The diagonal and the upper triangle are filled row by row, reading
+    /// the packed triangle in order, and the lower triangle is then
+    /// mirrored from the upper in cache-sized tiles; no store is
+    /// column-strided. Both passes split their rows across the worker
+    /// pool (every entry is computed on its own, so the matrix is the same
+    /// at any worker count), and `ln p(i,j)` comes from a table over the
+    /// possible counts, computed by the same expression.
     pub fn to_npmi(&self) -> NpmiMatrix {
         assert!(self.num_docs > 0, "no documents accumulated");
         let v = self.vocab_size;
         let dn = self.num_docs as f64;
+        let ln_p: Vec<f64> = (0..=self.num_docs).map(|c| (c as f64 / dn).ln()).collect();
         let mut matrix = Tensor::zeros(v, v);
-        let data = matrix.data_mut();
-        // The (i, j > i) loop order below visits the packed triangle
-        // sequentially, so a running index replaces tri_index here.
-        let mut tri = 0usize;
-        for i in 0..v {
-            data[i * v + i] = 1.0;
-            let pi = self.df[i] as f64 / dn;
-            for j in (i + 1)..v {
-                let cij = self.pair[tri];
-                tri += 1;
-                let val = if cij == 0 || pi == 0.0 || self.df[j] == 0 {
-                    -1.0
-                } else {
-                    let pj = self.df[j] as f64 / dn;
-                    let pij = cij as f64 / dn;
-                    let pmi = (pij / (pi * pj)).ln();
-                    let denom = -pij.ln();
-                    if denom <= 0.0 {
-                        1.0 // pij == 1: the pair is in every document
-                    } else {
-                        (pmi / denom).clamp(-1.0, 1.0)
+        let data = SharedRows(matrix.data_mut().as_mut_ptr());
+        for_each_balanced(v, v, |i| {
+            // SAFETY: row `i` is handed to exactly one call, and the
+            // matrix holds `v` rows of `v`.
+            let row = unsafe { std::slice::from_raw_parts_mut(data.get().add(i * v), v) };
+            row[i] = 1.0;
+            for ((j, out), &cij) in (i + 1..v).zip(&mut row[i + 1..]).zip(self.upper_row(i)) {
+                *out = match self.pmi(i, j, cij) {
+                    None => -1.0,
+                    Some(pmi) => {
+                        let denom = -ln_p[cij as usize];
+                        if denom <= 0.0 {
+                            1.0 // pij == 1: the pair is in every document
+                        } else {
+                            (pmi / denom).clamp(-1.0, 1.0) as f32
+                        }
                     }
                 };
-                data[i * v + j] = val as f32;
-                data[j * v + i] = val as f32;
             }
-        }
+        });
+        mirror_upper_triangle(data, v);
         NpmiMatrix {
             matrix,
             num_docs: self.num_docs,
         }
     }
+
+    /// The positive PMI of every pair, as a symmetric sparse matrix:
+    /// `ppmi(i, j) = max(ln(p(i,j) / (p(i)·p(j))), 0)` over document-level
+    /// co-occurrence, the PMI computed in `f64` exactly as [`Self::to_npmi`]
+    /// computes it and rounded to `f32`. Both triangles are stored, columns
+    /// ascending within each row, and only entries `> 0`: pairs that never
+    /// co-occur, or co-occur at or below chance, and the diagonal are not
+    /// stored. (At the NYTimes-like quick scale, `V` = 2400, that is ~31%
+    /// of the `V²` grid, ~14 MB instead of a 23 MB dense `f32` matrix.)
+    pub fn to_ppmi(&self) -> CsrMatrix {
+        assert!(self.num_docs > 0, "no documents accumulated");
+        let v = self.vocab_size;
+        // Every pair's PMI as `f32`, laid out like the packed counts and
+        // filled row by row on the pool (`0.0` where there is none).
+        let mut pmi = vec![0.0f32; self.pair.len()];
+        let out = SharedRows(pmi.as_mut_ptr());
+        for_each_balanced(v, v, |i| {
+            let start = upper_row_start(v, i);
+            // SAFETY: row `i`'s run of the packed triangle is handed to
+            // exactly one call.
+            let row = unsafe { std::slice::from_raw_parts_mut(out.get().add(start), v - i - 1) };
+            for ((j, x), &cij) in (i + 1..v).zip(row).zip(self.upper_row(i)) {
+                *x = self.pmi(i, j, cij).map_or(0.0, |pmi| pmi as f32);
+            }
+        });
+        let upper = |i: usize| {
+            let row = &pmi[upper_row_start(v, i)..][..v - i - 1];
+            (i + 1..v).zip(row).filter(|(_, &x)| x > 0.0)
+        };
+        // Row `r` holds its own positive upper entries and the mirror of
+        // every positive `(i, r)` with `i < r`.
+        let mut row_len = vec![0u32; v];
+        for i in 0..v {
+            for (j, _) in upper(i) {
+                row_len[i] += 1;
+                row_len[j] += 1;
+            }
+        }
+        let mut row_ptr = Vec::with_capacity(v + 1);
+        row_ptr.push(0u32);
+        for &len in &row_len {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + len);
+        }
+        let nnz = row_ptr[v] as usize;
+        let (mut col_idx, mut values) = (vec![0u32; nnz], vec![0.0f32; nnz]);
+        // Row `r` receives its mirrored entries while rows `i < r` are
+        // walked, then its own upper entries: columns ascend.
+        let mut next: Vec<usize> = row_ptr[..v].iter().map(|&p| p as usize).collect();
+        for i in 0..v {
+            for (j, &val) in upper(i) {
+                for (r, c) in [(i, j as u32), (j, i as u32)] {
+                    col_idx[next[r]] = c;
+                    values[next[r]] = val;
+                    next[r] += 1;
+                }
+            }
+        }
+        CsrMatrix::from_parts(v, v, row_ptr, col_idx, values)
+    }
+
+    /// The counts of pairs `(i, j > i)`, in `j` order.
+    fn upper_row(&self, i: usize) -> &[u32] {
+        let v = self.vocab_size;
+        &self.pair[upper_row_start(v, i)..][..v - i - 1]
+    }
+
+    /// `ln(p(i,j) / (p(i)·p(j)))` of pair `i < j` with count `cij`, or
+    /// `None` when the pair never co-occurs (or a word never occurs).
+    #[inline]
+    fn pmi(&self, i: usize, j: usize, cij: u32) -> Option<f64> {
+        let (df_i, df_j) = (self.df[i], self.df[j]);
+        if cij == 0 || df_i == 0 || df_j == 0 {
+            return None;
+        }
+        let dn = self.num_docs as f64;
+        let (pi, pj, pij) = (df_i as f64 / dn, df_j as f64 / dn, cij as f64 / dn);
+        Some((pij / (pi * pj)).ln())
+    }
+}
+
+/// The base of a buffer whose rows (of a matrix, or runs of the packed
+/// triangle) the pool's workers fill, each only the rows it was handed.
+#[derive(Clone, Copy)]
+struct SharedRows(*mut f32);
+// SAFETY: dereferenced only for the disjoint rows `for_each_balanced`
+// hands out (and, in `mirror_upper_triangle`, for reads of entries no
+// worker writes). The buffers are allocated by the caller, so no worker
+// allocates.
+unsafe impl Send for SharedRows {}
+unsafe impl Sync for SharedRows {}
+
+impl SharedRows {
+    /// Accessor, so closures capture the `Sync` wrapper, not the pointer.
+    fn get(self) -> *mut f32 {
+        self.0
+    }
+}
+
+/// Run `f(i)` for every `i` in `0..n` on the worker pool, where item `i`
+/// costs about `n − i` (a row of the upper triangle) or `i` (of the
+/// lower): workers take pairs `{t, n − 1 − t}`, which cost the same, so
+/// a contiguous split of the pairs is an even split of the work.
+/// `pair_cost` is one pair's cost in multiply-add units, for the grain.
+fn for_each_balanced(n: usize, pair_cost: usize, f: impl Fn(usize) + Sync) {
+    // A logarithm costs some tens of multiply-adds.
+    let grain = pool::min_items_for_grain(16 * pair_cost);
+    pool::run_partitioned(n.div_ceil(2), grain, |pairs| {
+        for t in pairs {
+            f(t);
+            if n - 1 - t != t {
+                f(n - 1 - t);
+            }
+        }
+    });
+}
+
+/// Side of the square tiles [`mirror_upper_triangle`] copies through: a
+/// tile's source rows and destination rows (2 × 16 KB) stay in L1/L2.
+const MIRROR_TILE: usize = 64;
+
+/// Copy the strict upper triangle of the row-major `(v, v)` matrix at
+/// `data` onto the lower triangle, one `MIRROR_TILE`-square tile at a
+/// time; bands of `MIRROR_TILE` lower rows are split across the pool.
+fn mirror_upper_triangle(data: SharedRows, v: usize) {
+    for_each_balanced(v.div_ceil(MIRROR_TILE), v * MIRROR_TILE, |band| {
+        let (j0, j1) = (band * MIRROR_TILE, ((band + 1) * MIRROR_TILE).min(v));
+        for i0 in (0..j1).step_by(MIRROR_TILE) {
+            for j in j0..j1 {
+                for i in i0..(i0 + MIRROR_TILE).min(j) {
+                    // SAFETY: `(j, i)` with `i < j` lies in this band's
+                    // rows, which only this call writes; `(i, j)` is in
+                    // the upper triangle, which nothing writes here.
+                    unsafe { *data.get().add(j * v + i) = *data.get().add(i * v + j) };
+                }
+            }
+        }
+    });
 }
 
 impl NpmiMatrix {

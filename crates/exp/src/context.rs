@@ -13,7 +13,9 @@ use contratopic::{
     fit_contratopic, fit_contratopic_wete, fit_contratopic_wlda, ContraTopicConfig,
     SubsetSamplerConfig,
 };
-use ct_corpus::{generate, train_embeddings, BowCorpus, DatasetPreset, NpmiMatrix, Scale};
+use ct_corpus::embed::embeddings_from_matrix;
+use ct_corpus::npmi::CoocAccumulator;
+use ct_corpus::{generate, BowCorpus, DatasetPreset, NpmiMatrix, Scale};
 use ct_eval::{diversity_at, kmeans, nmi, purity, TopicScores, K_TC, K_TD, PERCENTAGES};
 use ct_models::{
     fit_clntm, fit_etm, fit_nstm, fit_ntmr, fit_prodlda, fit_vtmrl, fit_wete, fit_wlda, Lda,
@@ -69,18 +71,23 @@ impl ExperimentContext {
             Scale::Tiny => 32,
             _ => 64,
         };
+        // One co-occurrence count of the training split gives both the
+        // PPMI the embeddings factorise and the split's NPMI.
+        let mut cooc = CoocAccumulator::new(train.vocab_size());
+        cooc.add_corpus(&train);
+        let ppmi = Tensor::from_csr(cooc.to_ppmi());
+        let embeddings = embeddings_from_matrix(&ppmi, embed_dim, &mut rng);
+        drop(ppmi);
         // Simulate out-of-domain pretrained GloVe: the paper's embeddings
         // come from Wikipedia, not the evaluation corpus (see
         // ct_corpus::embed::degrade_embeddings).
-        let embeddings = ct_corpus::degrade_embeddings(
-            train_embeddings(&train, embed_dim, &mut rng),
-            emb_noise,
-            &mut rng,
-        );
+        let embeddings = ct_corpus::degrade_embeddings(embeddings, emb_noise, &mut rng);
+        let npmi_train = Arc::new(cooc.to_npmi());
+        drop(cooc);
         Self {
             preset,
             scale,
-            npmi_train: Arc::new(NpmiMatrix::from_corpus(&train)),
+            npmi_train,
             npmi_test: Arc::new(NpmiMatrix::from_corpus(&test)),
             train,
             test,

@@ -77,6 +77,53 @@ impl CsrMatrix {
         }
     }
 
+    /// Adopt the three CSR arrays as they are: `row_ptr` (`rows + 1`
+    /// offsets from 0 to `col_idx.len()`), and per stored entry its column
+    /// and value. For builders that know every row's length up front and
+    /// fill the arrays in place, with no per-row staging.
+    ///
+    /// # Panics
+    /// Panics on the conditions [`Self::from_rows`] rejects, and if the
+    /// offsets do not delimit the entries.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert!(cols <= u32::MAX as usize, "cols exceeds u32 index range");
+        assert_eq!(
+            row_ptr.len(),
+            rows + 1,
+            "row_ptr must hold rows + 1 offsets"
+        );
+        assert_eq!(col_idx.len(), values.len(), "one column per value");
+        assert!(
+            row_ptr[0] == 0 && row_ptr[rows] as usize == col_idx.len(),
+            "row_ptr must run from 0 to the entry count"
+        );
+        for w in row_ptr.windows(2) {
+            assert!(w[0] <= w[1], "row_ptr must not decrease");
+            let run = &col_idx[w[0] as usize..w[1] as usize];
+            assert!(
+                run.last().is_none_or(|&c| (c as usize) < cols),
+                "column out of range ({cols})"
+            );
+            assert!(
+                run.windows(2).all(|p| p[0] < p[1]),
+                "columns must be strictly ascending within a row"
+            );
+        }
+        Self {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// The nonzeros of a dense row-major `(rows, cols)` image, scanned in
     /// row-major order (a `NaN` counts as nonzero).
     pub(crate) fn from_dense(rows: usize, cols: usize, data: &[f32]) -> Self {
@@ -223,6 +270,25 @@ mod tests {
         let mut out = vec![f32::NAN; 9];
         m.write_dense(&mut out);
         assert_eq!(out, vec![1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0]);
+    }
+
+    #[test]
+    fn from_parts_equals_from_rows() {
+        let m = sample();
+        let parts = CsrMatrix::from_parts(
+            3,
+            3,
+            m.row_ptr().to_vec(),
+            m.col_idx().to_vec(),
+            m.values().to_vec(),
+        );
+        assert_eq!(parts, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_parts_rejects_unsorted_columns() {
+        let _ = CsrMatrix::from_parts(1, 4, vec![0, 2], vec![2, 1], vec![1.0, 1.0]);
     }
 
     #[test]

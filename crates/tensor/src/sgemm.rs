@@ -51,8 +51,10 @@
 //! Callers with genuinely sparse left operands have two more tiers:
 //! [`sgemm_nn_sparse_a`] skips zero entries of a dense buffer, while
 //! [`sgemm_csr_dense`] / [`sgemm_csr_t_dense`] take a [`CsrMatrix`] and never
-//! touch the zeros at all. Their inner loop is [`simd::axpy`]; both are
-//! bitwise identical to the dense kernels on finite inputs.
+//! touch the zeros at all. `sgemm_csr_dense` holds a chunk of each output
+//! row in registers across the row's nonzeros (`simd`'s CSR row chunk, on
+//! the tile's three bodies); the others' inner loop is [`simd::axpy`]. All
+//! are bitwise identical to the dense kernels on finite inputs.
 
 use crate::csr::CsrMatrix;
 use crate::pool;
@@ -415,32 +417,44 @@ pub fn sgemm_nn_sparse_a(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: 
 /// `C += A · B` for a CSR left operand `A (m x k)` and dense row-major
 /// `B (k x n)`, producing dense `C (m x n)`.
 ///
-/// Each output row is a sum of `axpy`s over the row's nonzeros in
-/// ascending column order — the same `k` order as the dense kernels, with
-/// the zero terms skipped. Skipping `acc += 0.0 * b` never changes a
-/// finite accumulator (the skipped product is `±0.0`, and an accumulator
-/// built from finite sums is never `-0.0`), so the result is **bitwise
-/// identical** to [`sgemm_nn`] / [`sgemm_nn_sparse_a`] on the densified
-/// operand. Rows are partitioned across the pool exactly like `sgemm_nn`,
-/// preserving the any-worker-count determinism contract.
+/// Each output row is cut into chunks of up to `simd::CSR_CHUNK` (64)
+/// columns; a chunk stays in registers while it accumulates every
+/// nonzero of the row, in ascending column order — the same `k` order as
+/// the dense kernels, with the zero terms skipped — and is stored once.
+/// It starts from `C + 0.0` (a `-0.0` in `C` becomes `+0.0`, as the dense
+/// chain's first `0·b` would make it). Skipping `acc += 0.0 * b` never
+/// changes a finite accumulator that is not `-0.0`, so the result is
+/// **bitwise identical** to [`sgemm_nn`] / [`sgemm_nn_sparse_a`] on the
+/// densified operand for finite inputs. Rows are partitioned across the
+/// pool exactly like `sgemm_nn`, preserving the any-worker-count
+/// determinism contract.
 pub fn sgemm_csr_dense(a: &CsrMatrix, n: usize, b: &[f32], c: &mut [f32]) {
+    sgemm_csr_dense_with(TileBody::host(), a, n, b, c);
+}
+
+fn sgemm_csr_dense_with(body: TileBody, a: &CsrMatrix, n: usize, b: &[f32], c: &mut [f32]) {
     let m = a.rows();
     let k = a.cols();
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    // Cost per output row ≈ nnz/m axpys of width n.
+    // Full asserts: the row kernel reads `B` and writes `C` through raw
+    // pointers that these lengths bound (`from_rows` bounds the columns).
+    assert_eq!(b.len(), k * n);
+    assert_eq!(c.len(), m * n);
+    // Cost per output row ≈ nnz/m multiply-adds of width n.
     let cost_per_row = (a.nnz() / m.max(1)).max(1) * n;
     let c_ptr = MutPtr(c.as_mut_ptr());
     pool::run_partitioned(m, pool::min_items_for_grain(cost_per_row), |rows| {
         let base = c_ptr.get();
-        // SAFETY: disjoint row ranges — see `sgemm_rows`.
-        let c_slab =
-            unsafe { std::slice::from_raw_parts_mut(base.add(rows.start * n), rows.len() * n) };
-        for (i, r) in rows.clone().enumerate() {
-            let (cols, vals) = a.row(r);
-            let c_row = &mut c_slab[i * n..(i + 1) * n];
-            for (&cc, &v) in cols.iter().zip(vals) {
-                simd::axpy(c_row, v, &b[cc as usize * n..(cc as usize + 1) * n]);
+        for r in rows {
+            for j0 in (0..n).step_by(simd::CSR_CHUNK) {
+                let w = simd::CSR_CHUNK.min(n - j0);
+                // SAFETY: every column index of `a` is below `k`, so each
+                // `B` row chunk lies inside `b`; row ranges are disjoint
+                // across workers (see `sgemm_rows`), so this chunk of `C`
+                // is ours alone.
+                unsafe {
+                    let c_chunk = base.add(r * n + j0);
+                    simd::csr_row(body, a.row(r), b.as_ptr().add(j0), n, c_chunk, w);
+                }
             }
         }
     });
@@ -1060,6 +1074,39 @@ mod tests {
         sgemm_csr_dense(&csr, n, &b, &mut sparse);
         for (x, y) in sparse.iter().zip(&dense) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn csr_row_bodies_bitwise_match_dense_nn() {
+        // Big enough that four workers each get a slab at the wide `n`s;
+        // ~12% dense, with empty rows at the start, middle and end.
+        let (m, k) = (700, 400);
+        let mut a = rand_vec(m * k, 71);
+        for (idx, v) in a.iter_mut().enumerate() {
+            let row = idx / k;
+            if idx % 8 != 1 || [0, 5, 350, m - 1].contains(&row) {
+                *v = 0.0;
+            }
+        }
+        let csr = CsrMatrix::from_dense(m, k, &a);
+        // Around the 8- and 16-lane vectors and the 64-column chunk.
+        for n in [1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 300] {
+            let b = rand_vec(k * n, 72);
+            // `C` holds `-0.0`s, which the empty rows must leave as the
+            // dense chain does.
+            let mut want = initial_c(m * n, 73);
+            sgemm_nn(m, k, n, &a, &b, &mut want);
+            for body in TileBody::supported() {
+                for threads in [1, 2, 4] {
+                    let mut got = initial_c(m * n, 73);
+                    pool::with_threads(threads, || {
+                        sgemm_csr_dense_with(body, &csr, n, &b, &mut got)
+                    });
+                    let what = format!("csr {body:?} n={n} {threads} workers");
+                    assert_bits(&got, &want, &what);
+                }
+            }
         }
     }
 

@@ -1,14 +1,18 @@
 //! Explicitly vectorized inner micro-kernels for the SGEMM paths.
 //!
-//! Three primitives cover every hot inner loop in [`crate::sgemm`]:
+//! Four primitives cover every hot inner loop in [`crate::sgemm`]:
 //!
 //! - the **register tile** (`tile`, crate-private): a block of up to
 //!   `MR × NR` (12 × 32) elements of `C` held in registers while it
 //!   accumulates one packed k-panel of `A` (`MR` slots per `k` step)
 //!   against one strip of `B` (`NR` values per `k` step). It is the only
 //!   kernel of the dense `nn`, `tn` and large-`nt` products.
+//! - the **CSR row chunk** (`csr_row`, crate-private): up to
+//!   `CSR_CHUNK` (64) elements of one output row held in registers across
+//!   all nonzeros of that row of a CSR `A` — the body of
+//!   `sgemm_csr_dense`. It runs on the same three bodies as the tile.
 //! - [`axpy`]: `c[j] += a * b[j]` over a contiguous span — the innermost
-//!   loop of the sparse-A and CSR kernels and of `Tensor::axpy`.
+//!   loop of the sparse-A and transposed-CSR kernels and of `Tensor::axpy`.
 //! - [`dot4`]: a dot product accumulated in **four interleaved partial
 //!   sums** (lane `j` holds the terms with index ≡ `j` mod 4) — the exact
 //!   accumulation grouping of the small `nt` dot-product kernel.
@@ -376,6 +380,187 @@ unsafe fn quadrant_avx2<const R: usize>(
     for r in 0..R {
         _mm256_storeu_ps(c.add(r * ldc), lo[r]);
         _mm256_storeu_ps(c.add(r * ldc + 8), hi[r]);
+    }
+}
+
+/// Widest run of output columns one [`csr_row`] call keeps in registers:
+/// four `zmm` or eight `ymm` accumulators.
+pub(crate) const CSR_CHUNK: usize = 64;
+
+/// `c[j] = (c[j] + 0.0) + v·b[col·ldb + j]` for each stored `(col, v)` of
+/// one CSR row, in storage (ascending column) order, over the `w` (1 to
+/// [`CSR_CHUNK`]) columns at `c`. Each element is held in a register for
+/// the whole row and stored once. The `+ 0.0` turns a `-0.0` in `C` into
+/// `+0.0`, as the dense chain's first zero term `0·b` would, so that a
+/// row with no nonzeros matches the dense product too; every other
+/// value passes through it unchanged.
+///
+/// # Safety
+///
+/// `b + col·ldb` must be readable for `w` values for every `col` in
+/// `cols`, and `c` readable and writable for `w` values with no other
+/// thread touching them. `body` must be supported by the CPU (as
+/// [`TileBody::host`] guarantees).
+#[inline]
+pub(crate) unsafe fn csr_row(
+    body: TileBody,
+    (cols, vals): (&[u32], &[f32]),
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    w: usize,
+) {
+    debug_assert!((1..=CSR_CHUNK).contains(&w) && cols.len() == vals.len());
+    // SAFETY: the pointer contract is the caller's (see `# Safety`); the
+    // AVX bodies are only constructed on a CPU that reports the feature.
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        TileBody::Avx512 => {
+            let last = match w % 16 {
+                0 => u16::MAX,
+                r => (1u16 << r) - 1,
+            };
+            let args = (cols, vals, b, ldb, c, last);
+            match w.div_ceil(16) {
+                1 => csr_row_avx512::<1>(args),
+                2 => csr_row_avx512::<2>(args),
+                3 => csr_row_avx512::<3>(args),
+                4 => csr_row_avx512::<4>(args),
+                _ => unreachable!("chunk wider than CSR_CHUNK"),
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        TileBody::Avx2 => {
+            let args = (cols, vals, b, ldb, c, w);
+            match w.div_ceil(8) {
+                1 => csr_row_avx2::<1>(args),
+                2 => csr_row_avx2::<2>(args),
+                3 => csr_row_avx2::<3>(args),
+                4 => csr_row_avx2::<4>(args),
+                5 => csr_row_avx2::<5>(args),
+                6 => csr_row_avx2::<6>(args),
+                7 => csr_row_avx2::<7>(args),
+                8 => csr_row_avx2::<8>(args),
+                _ => unreachable!("chunk wider than CSR_CHUNK"),
+            }
+        }
+        TileBody::Portable => csr_row_portable(cols, vals, b, ldb, c, w),
+    }
+}
+
+/// Portable CSR row chunk: the per-element operation order of the AVX
+/// bodies, on a stack copy of the chunk.
+///
+/// # Safety
+///
+/// As for [`csr_row`].
+unsafe fn csr_row_portable(
+    cols: &[u32],
+    vals: &[f32],
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    w: usize,
+) {
+    let mut acc = [0.0f32; CSR_CHUNK];
+    let acc = &mut acc[..w];
+    for (x, &cv) in acc.iter_mut().zip(std::slice::from_raw_parts(c, w)) {
+        *x = cv + 0.0;
+    }
+    for (&col, &v) in cols.iter().zip(vals) {
+        let b_row = std::slice::from_raw_parts(b.add(col as usize * ldb), w);
+        for (x, &bv) in acc.iter_mut().zip(b_row) {
+            *x += v * bv;
+        }
+    }
+    std::slice::from_raw_parts_mut(c, w).copy_from_slice(acc);
+}
+
+/// AVX-512 CSR row chunk: `NV` 16-lane accumulators; the last is loaded
+/// and stored under the `last` lane mask, and `B`'s last vector is read
+/// under it too, so nothing past the chunk is touched. Separate `mul` +
+/// `add` — see the module docs for why FMA is forbidden.
+///
+/// # Safety
+///
+/// As for [`csr_row`], with `w` the `16·(NV − 1)` columns of the full
+/// vectors plus the lanes set in `last`; the CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn csr_row_avx512<const NV: usize>(
+    (cols, vals, b, ldb, c, last): (&[u32], &[f32], *const f32, usize, *mut f32, u16),
+) {
+    use std::arch::x86_64::*;
+    let load = |p: *const f32, v: usize| {
+        if v + 1 < NV {
+            _mm512_loadu_ps(p.add(16 * v))
+        } else {
+            _mm512_maskz_loadu_ps(last, p.add(16 * v))
+        }
+    };
+    let zero = _mm512_setzero_ps();
+    let mut acc = [zero; NV];
+    for (v, x) in acc.iter_mut().enumerate() {
+        *x = _mm512_add_ps(load(c, v), zero);
+    }
+    for (&col, &val) in cols.iter().zip(vals) {
+        let bp = b.add(col as usize * ldb);
+        let av = _mm512_set1_ps(val);
+        for (v, x) in acc.iter_mut().enumerate() {
+            *x = _mm512_add_ps(*x, _mm512_mul_ps(av, load(bp, v)));
+        }
+    }
+    for (v, &x) in acc.iter().enumerate() {
+        if v + 1 < NV {
+            _mm512_storeu_ps(c.add(16 * v), x);
+        } else {
+            _mm512_mask_storeu_ps(c.add(16 * v), last, x);
+        }
+    }
+}
+
+/// AVX2 CSR row chunk: `NV` 8-lane accumulators, the last one read and
+/// written under a lane mask when `w` is not a multiple of 8 (`B`'s last
+/// vector too). Separate `mul` + `add` — see the module docs.
+///
+/// # Safety
+///
+/// As for [`csr_row`], with `8·(NV − 1) < w ≤ 8·NV`; the CPU must
+/// support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn csr_row_avx2<const NV: usize>(
+    (cols, vals, b, ldb, c, w): (&[u32], &[f32], *const f32, usize, *mut f32, usize),
+) {
+    use std::arch::x86_64::*;
+    let tail = w - 8 * (NV - 1);
+    let mask = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail as i32), mask);
+    let load = |p: *const f32, v: usize| {
+        if v + 1 < NV {
+            _mm256_loadu_ps(p.add(8 * v))
+        } else {
+            _mm256_maskload_ps(p.add(8 * v), mask)
+        }
+    };
+    let zero = _mm256_setzero_ps();
+    let mut acc = [zero; NV];
+    for (v, x) in acc.iter_mut().enumerate() {
+        *x = _mm256_add_ps(load(c, v), zero);
+    }
+    for (&col, &val) in cols.iter().zip(vals) {
+        let bp = b.add(col as usize * ldb);
+        let av = _mm256_set1_ps(val);
+        for (v, x) in acc.iter_mut().enumerate() {
+            *x = _mm256_add_ps(*x, _mm256_mul_ps(av, load(bp, v)));
+        }
+    }
+    for (v, &x) in acc.iter().enumerate() {
+        if v + 1 < NV {
+            _mm256_storeu_ps(c.add(8 * v), x);
+        } else {
+            _mm256_maskstore_ps(c.add(8 * v), mask, x);
+        }
     }
 }
 
